@@ -183,9 +183,7 @@ int Run(int argc, const char* const* argv) {
   manifest.kind = "rr";
   manifest.workload = context.Workload(network, prob.value()).Label();
   manifest.seed = options.seed;
-  manifest.stream = sampling.UseEngine()
-                        ? "engine/" + std::to_string(sampling.chunk_size)
-                        : "seq";
+  manifest.stream = "engine/" + std::to_string(sampling.chunk_size);
   manifest.capacity = tau;
   timer.Restart();
   Status saved = store::SaveRrArena(sampled, manifest, store_dir);

@@ -288,17 +288,16 @@ const SnapshotArena& WorldReachArena() {
   return *arena;
 }
 
-/// The raw snapshots behind the SAME worlds: legacy sequential stream
-/// from Rng(seed), exactly SnapshotArena::Sample's discipline.
+/// The raw snapshots behind the SAME worlds: the engine chunk streams
+/// SnapshotArena::Sample condenses.
 const std::vector<Snapshot>& WorldReachSnapshots() {
   static const auto* snaps = [] {
     auto* s = new std::vector<Snapshot>();
-    SnapshotSampler sampler(&BaDenseIg(ProbabilityModel::kIwc));
-    Rng rng(17);
-    TraversalCounters counters;
-    s->reserve(kWorldReachTau);
-    for (std::uint64_t i = 0; i < kWorldReachTau; ++i) {
-      s->push_back(sampler.Sample(&rng, &counters));
+    SamplingEngine engine;
+    for (SnapshotShard& shard :
+         SampleSnapshotShards(BaDenseIg(ProbabilityModel::kIwc),
+                              /*master_seed=*/17, kWorldReachTau, &engine)) {
+      for (Snapshot& snap : shard.snapshots) s->push_back(std::move(snap));
     }
     return s;
   }();

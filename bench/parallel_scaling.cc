@@ -12,9 +12,10 @@
 //                * Oneshot  — threshold simulations/sec
 //                             (EstimateLtInfluenceSharded)
 //
-// Every row also cross-checks determinism: the shard stream at N threads
-// must be byte-identical to the 1-thread run (the engine's core contract;
-// a mismatch aborts the bench). Speedups are relative to 1 engine thread.
+// Every row also cross-checks determinism: the concatenated shards at N
+// threads must be byte-identical to the 1-thread run (the engine's core
+// contract; a mismatch aborts the bench). Speedups are relative to 1
+// engine thread.
 //
 // Usage: bench_parallel_scaling [--threads-max 8] [--rr-sets 16384]
 //                               [--snapshots 512] [--simulations 16384]
@@ -49,18 +50,38 @@ struct Row {
   double sim_per_sec;
 };
 
+/// The engine's determinism contract is on shard CONCATENATION: an
+/// inline (1-thread) run fills a single shard, a pooled run one per
+/// chunk. These flatten a shard sequence for byte comparison.
+RrShard ConcatRr(const std::vector<RrShard>& shards) {
+  RrShard out;
+  out.offsets.push_back(0);
+  for (const RrShard& shard : shards) {
+    const std::uint64_t base = out.flat.size();
+    out.flat.insert(out.flat.end(), shard.flat.begin(), shard.flat.end());
+    for (std::size_t j = 1; j < shard.offsets.size(); ++j) {
+      out.offsets.push_back(base + shard.offsets[j]);
+    }
+  }
+  return out;
+}
+
 /// Byte-compares two snapshot shard sequences (full CSR contents, not
-/// just live-edge totals).
+/// just live-edge totals), snapshot by snapshot in concatenation order.
 bool SnapshotShardsEqual(const std::vector<SnapshotShard>& a,
                          const std::vector<SnapshotShard>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    if (a[s].snapshots.size() != b[s].snapshots.size()) return false;
-    for (std::size_t i = 0; i < a[s].snapshots.size(); ++i) {
-      if (a[s].snapshots[i].out_offsets != b[s].snapshots[i].out_offsets ||
-          a[s].snapshots[i].out_targets != b[s].snapshots[i].out_targets) {
-        return false;
-      }
+  std::vector<const Snapshot*> flat_a, flat_b;
+  for (const SnapshotShard& shard : a) {
+    for (const Snapshot& snap : shard.snapshots) flat_a.push_back(&snap);
+  }
+  for (const SnapshotShard& shard : b) {
+    for (const Snapshot& snap : shard.snapshots) flat_b.push_back(&snap);
+  }
+  if (flat_a.size() != flat_b.size()) return false;
+  for (std::size_t i = 0; i < flat_a.size(); ++i) {
+    if (flat_a[i]->out_offsets != flat_b[i]->out_offsets ||
+        flat_a[i]->out_targets != flat_b[i]->out_targets) {
+      return false;
     }
   }
   return true;
@@ -110,8 +131,8 @@ int Main(int argc, const char* const* argv) {
       ProbabilityModel::kUc01);
   const std::vector<VertexId> sim_seeds = {0, 1, 2, 3, 4};
 
-  // Reference shards from the 1-thread engine (determinism baseline).
-  std::vector<RrShard> rr_reference;
+  // Reference sets from the 1-thread engine (determinism baseline).
+  RrShard rr_reference;
   double sim_reference = 0.0;
   std::uint64_t snap_reference_edges = 0;
 
@@ -142,16 +163,14 @@ int Main(int argc, const char* const* argv) {
       snap_edges += shard.counters.sample_edges;
     }
     if (threads == 1) {
-      rr_reference = std::move(rr_shards);
+      rr_reference = ConcatRr(rr_shards);
       sim_reference = mean;
       snap_reference_edges = snap_edges;
     } else {
-      SOLDIST_CHECK(rr_shards.size() == rr_reference.size());
-      for (std::size_t s = 0; s < rr_shards.size(); ++s) {
-        SOLDIST_CHECK(rr_shards[s].flat == rr_reference[s].flat &&
-                      rr_shards[s].offsets == rr_reference[s].offsets)
-            << "RR shard " << s << " diverged at " << threads << " threads";
-      }
+      const RrShard rr = ConcatRr(rr_shards);
+      SOLDIST_CHECK(rr.flat == rr_reference.flat &&
+                    rr.offsets == rr_reference.offsets)
+          << "RR sets diverged at " << threads << " threads";
       SOLDIST_CHECK(mean == sim_reference)
           << "Oneshot estimate diverged at " << threads << " threads";
       SOLDIST_CHECK(snap_edges == snap_reference_edges)
@@ -175,7 +194,7 @@ int Main(int argc, const char* const* argv) {
       ProbabilityModel::kIwc);
   LtWeights lt_weights(&lt_ig);
 
-  std::vector<RrShard> lt_rr_reference;
+  RrShard lt_rr_reference;
   std::vector<SnapshotShard> lt_snap_reference;
   double lt_sim_reference = 0.0;
 
@@ -202,17 +221,14 @@ int Main(int argc, const char* const* argv) {
     row.sim_per_sec = static_cast<double>(simulations) / timer.Seconds();
 
     if (threads == 1) {
-      lt_rr_reference = std::move(rr_shards);
+      lt_rr_reference = ConcatRr(rr_shards);
       lt_snap_reference = std::move(snap_shards);
       lt_sim_reference = mean;
     } else {
-      SOLDIST_CHECK(rr_shards.size() == lt_rr_reference.size());
-      for (std::size_t s = 0; s < rr_shards.size(); ++s) {
-        SOLDIST_CHECK(rr_shards[s].flat == lt_rr_reference[s].flat &&
-                      rr_shards[s].offsets == lt_rr_reference[s].offsets)
-            << "LT RR shard " << s << " diverged at " << threads
-            << " threads";
-      }
+      const RrShard rr = ConcatRr(rr_shards);
+      SOLDIST_CHECK(rr.flat == lt_rr_reference.flat &&
+                    rr.offsets == lt_rr_reference.offsets)
+          << "LT RR sets diverged at " << threads << " threads";
       SOLDIST_CHECK(SnapshotShardsEqual(snap_shards, lt_snap_reference))
           << "LT snapshot shards diverged at " << threads << " threads";
       SOLDIST_CHECK(mean == lt_sim_reference)
@@ -229,7 +245,7 @@ int Main(int argc, const char* const* argv) {
                 row.rr_per_sec, row.snap_per_sec, row.sim_per_sec, speedup);
   }
   std::printf(
-      "\n(all thread counts produced byte-identical shards under both "
+      "\n(all thread counts produced byte-identical samples under both "
       "models; speedup column is RR throughput vs. 1 engine thread)\n");
   ReportPeakRss();
   return 0;

@@ -139,10 +139,10 @@ StatusOr<const RrOracle*> Session::ResolveOracle(
 SamplingOptions Session::SamplingLocked(const SamplingOptions& requested) {
   SamplingOptions sampling = requested;
   if (sampling.num_threads < 0) {
-    sampling.num_threads = 1;  // nonsense width: fall back to sequential
+    sampling.num_threads = 1;  // nonsense width: fall back to inline
   }
   if (sampling.pool != nullptr || sampling.num_threads == 1) {
-    return sampling;  // caller-supplied pool or sequential legacy path
+    return sampling;  // caller-supplied pool, or inline sampling
   }
   if (sampling.num_threads == 0) {
     sampling.pool = pool_.get();  // shared pool, full width
@@ -291,15 +291,15 @@ StatusOr<std::vector<SolveResult>> Session::SolveBatch(
     }
   }
   // Sample-number-ladder reuse: RIS specs that agree on everything that
-  // shapes their RR streams — the estimator seed and the sampling family
-  // (thread count, chunk size, attached pool) — draw prefix-closed
-  // collections of one another, so the group shares one arena sampled at
-  // its largest θ and every member runs on a prefix view. Grouping only
-  // ever changes mechanics, never bytes (see RunResolved).
+  // shapes their RR streams — the estimator seed and the chunk size —
+  // draw prefix-closed collections of one another, so the group shares
+  // one arena sampled at its largest θ and every member runs on a prefix
+  // view. Grouping only ever changes mechanics, never bytes (see
+  // RunResolved).
   if (options_.batch_reuse) {
     // The storage backend joins the key: specs that want different
     // backends must not share a slot (the slot converts exactly once).
-    std::map<std::tuple<std::uint64_t, int, std::uint64_t, ThreadPool*, int>,
+    std::map<std::tuple<std::uint64_t, std::uint64_t, int>,
              std::vector<std::size_t>>
         ladder_groups;
     for (std::size_t i = 0; i < resolved.size(); ++i) {
@@ -307,8 +307,7 @@ StatusOr<std::vector<SolveResult>> Session::SolveBatch(
       if (spec.approach != Approach::kRis) continue;
       const auto backend = static_cast<int>(
           spec.arena_backend.value_or(options_.arena_storage.backend));
-      ladder_groups[{spec.seed, spec.sampling.num_threads,
-                     spec.sampling.chunk_size, spec.sampling.pool, backend}]
+      ladder_groups[{spec.seed, spec.sampling.chunk_size, backend}]
           .push_back(i);
     }
     for (auto& [key, members] : ladder_groups) {
@@ -321,16 +320,17 @@ StatusOr<std::vector<SolveResult>> Session::SolveBatch(
       for (std::size_t idx : members) resolved[idx].arena_slot = slot;
     }
   }
-  // Engine-routed sampling owns the pool for its chunks, so those runs
+  // Sample-parallel specs own the pool for their chunks, so those runs
   // execute in order (same rule as the exp-layer trial runner: one
   // parallelism level at a time). Either way each run is a pure function
   // of its spec, so the schedule cannot change the results.
-  bool any_engine = false;
+  bool any_sample_parallel = false;
   for (const ResolvedSolve& r : resolved) {
-    if (r.spec.sampling.UseEngine()) any_engine = true;
+    if (r.spec.sampling.SampleParallel()) any_sample_parallel = true;
   }
   std::vector<SolveResult> results(resolved.size());
-  if (any_engine || resolved.size() == 1 || pool_->num_threads() <= 1) {
+  if (any_sample_parallel || resolved.size() == 1 ||
+      pool_->num_threads() <= 1) {
     for (std::size_t i = 0; i < resolved.size(); ++i) {
       results[i] = RunResolved(resolved[i]);
     }

@@ -156,8 +156,8 @@ class Session {
 
   /// SamplingOptions with the session's pools attached: 0 = the shared
   /// pool at full width, N >= 2 = a cached dedicated N-worker pool, 1 =
-  /// sequential legacy sampling (no pool). Negative widths fall back to
-  /// sequential.
+  /// inline on the calling thread (no pool). Negative widths fall back to
+  /// 1. The width never changes a sampled byte.
   SamplingOptions SamplingFor(std::int64_t sample_threads,
                               std::uint64_t chunk_size = 256);
 

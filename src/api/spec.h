@@ -86,8 +86,8 @@ struct WorkloadSpec {
 /// DeriveSeed(seed, 0) and the greedy tie-break shuffle with
 /// DeriveSeed(seed, 1) — exactly trial 0 of the exp-layer RunTrials with
 /// master_seed = seed, so facade results are byte-comparable with the
-/// legacy harness. sampling.num_threads never changes the result within a
-/// stream family (see sim/sampling_engine.h).
+/// exp-layer harness. Of the sampling knobs only chunk_size can change
+/// the result; num_threads and pool never do (see sim/sampling_engine.h).
 struct SolveSpec {
   Approach approach = Approach::kRis;
   std::uint64_t sample_number = 1024;  ///< β, τ, or θ

@@ -5,28 +5,6 @@
 #include "core/ris.h"
 
 namespace soldist {
-namespace {
-
-std::unique_ptr<InfluenceEstimator> MakeIcEstimator(
-    const InfluenceGraph* ig, Approach approach, std::uint64_t sample_number,
-    std::uint64_t seed, SnapshotEstimator::Mode snapshot_mode,
-    const SamplingOptions& sampling) {
-  switch (approach) {
-    case Approach::kOneshot:
-      return std::make_unique<OneshotEstimator>(ig, sample_number, seed,
-                                                sampling);
-    case Approach::kSnapshot:
-      return std::make_unique<SnapshotEstimator>(ig, sample_number, seed,
-                                                 snapshot_mode, sampling);
-    case Approach::kRis:
-      return std::make_unique<RisEstimator>(ig, sample_number, seed,
-                                            sampling);
-  }
-  SOLDIST_CHECK(false) << "unreachable";
-  return nullptr;
-}
-
-}  // namespace
 
 std::unique_ptr<InfluenceEstimator> MakeEstimator(
     const ModelInstance& instance, Approach approach,
@@ -40,16 +18,19 @@ std::unique_ptr<InfluenceEstimator> MakeEstimator(
     return MakeLtEstimator(instance.lt_weights, approach, sample_number,
                            seed, sampling);
   }
-  return MakeIcEstimator(instance.ig, approach, sample_number, seed,
-                         snapshot_mode, sampling);
-}
-
-std::unique_ptr<InfluenceEstimator> MakeEstimator(
-    const InfluenceGraph* ig, Approach approach, std::uint64_t sample_number,
-    std::uint64_t seed, SnapshotEstimator::Mode snapshot_mode,
-    const SamplingOptions& sampling) {
-  return MakeIcEstimator(ig, approach, sample_number, seed, snapshot_mode,
-                         sampling);
+  switch (approach) {
+    case Approach::kOneshot:
+      return std::make_unique<OneshotEstimator>(instance.ig, sample_number,
+                                                seed, sampling);
+    case Approach::kSnapshot:
+      return std::make_unique<SnapshotEstimator>(
+          instance.ig, sample_number, seed, snapshot_mode, sampling);
+    case Approach::kRis:
+      return std::make_unique<RisEstimator>(instance.ig, sample_number, seed,
+                                            sampling);
+  }
+  SOLDIST_CHECK(false) << "unreachable";
+  return nullptr;
 }
 
 }  // namespace soldist

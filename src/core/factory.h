@@ -16,26 +16,14 @@
 namespace soldist {
 
 /// Creates the estimator for one run under `instance`'s diffusion model.
-/// `sampling` selects the sampling parallelism for both models (IC
-/// default: the legacy sequential path; LT always uses the chunked
-/// deterministic streams — see SamplingOptions and core/lt_estimators.h).
-/// `snapshot_mode` applies to the IC Snapshot estimator only (the LT
-/// snapshot estimator has a single, naive-with-cached-base strategy).
+/// `sampling` selects the sampling parallelism for both models; every
+/// estimator draws through the chunked deterministic streams, so it never
+/// changes a result (see SamplingOptions). `snapshot_mode` applies to the
+/// IC Snapshot estimator only (the LT snapshot estimator has a single,
+/// naive-with-cached-base strategy).
 std::unique_ptr<InfluenceEstimator> MakeEstimator(
     const ModelInstance& instance, Approach approach,
     std::uint64_t sample_number, std::uint64_t seed,
-    SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual,
-    const SamplingOptions& sampling = {});
-
-/// IC-only convenience overload (the pre-LT signature). Deprecated: it
-/// silently pins the diffusion model to IC — pass a ModelInstance
-/// (ModelInstance::Ic(ig) for plain IC), or go through the api::Session
-/// facade, which also validates the workload with Status.
-[[deprecated(
-    "use MakeEstimator(ModelInstance, ...) or api::Session::Solve")]]
-std::unique_ptr<InfluenceEstimator> MakeEstimator(
-    const InfluenceGraph* ig, Approach approach, std::uint64_t sample_number,
-    std::uint64_t seed,
     SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual,
     const SamplingOptions& sampling = {});
 

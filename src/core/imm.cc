@@ -1,11 +1,8 @@
 #include "core/imm.h"
 
 #include <cmath>
-#include <memory>
-#include <optional>
 
 #include "core/bounds.h"
-#include "random/rng.h"
 #include "random/splitmix64.h"
 #include "sim/rr_sampler.h"
 
@@ -45,39 +42,20 @@ ImmResult RunImm(const InfluenceGraph& ig, const ImmParams& params,
   const double eps_prime = std::sqrt(2.0) * params.epsilon;
 
   RrCollection collection(ig.num_vertices());
-  std::vector<VertexId> rr_set;
 
   ImmResult result;
-  // Exactly one of the two sampling paths gets its state constructed.
-  std::unique_ptr<SamplingEngine> engine;
-  std::optional<RrSampler> sampler;
-  std::optional<Rng> target_rng;
-  std::optional<Rng> coin_rng;
-  if (sampling.UseEngine()) {
-    engine = std::make_unique<SamplingEngine>(sampling);
-  } else {
-    sampler.emplace(&ig);
-    target_rng.emplace(DeriveSeed(seed, 31));
-    coin_rng.emplace(DeriveSeed(seed, 32));
-  }
+  SamplingEngine engine(sampling);
   // Each sample_until call is one engine batch with a fresh master seed:
   // the call sequence is data-dependent but deterministic, so chunk
   // streams — and thus the whole run — stay worker-count-independent.
   std::uint64_t batch = 0;
   auto sample_until = [&](std::uint64_t count) {
-    if (engine != nullptr) {
-      if (count <= collection.size()) return;
-      std::vector<RrShard> shards =
-          SampleRrShards(ig, DeriveSeed(seed, 33 + batch++),
-                         count - collection.size(), engine.get());
-      for (const RrShard& shard : shards) result.counters += shard.counters;
-      collection.Merge(std::move(shards));
-      return;
-    }
-    while (collection.size() < count) {
-      sampler->Sample(&*target_rng, &*coin_rng, &rr_set, &result.counters);
-      collection.Add(rr_set);
-    }
+    if (count <= collection.size()) return;
+    std::vector<RrShard> shards =
+        SampleRrShards(ig, DeriveSeed(seed, 33 + batch++),
+                       count - collection.size(), &engine);
+    for (const RrShard& shard : shards) result.counters += shard.counters;
+    collection.Merge(std::move(shards));
   };
 
   // --- Sampling phase (Algorithm 2): guess OPT as n/2^i. ---

@@ -46,10 +46,9 @@ struct ImmResult {
 /// reused for the final selection, as in the original ("IMM reuses the RR
 /// sets generated in the sampling phase").
 ///
-/// With SamplingOptions::UseEngine() each round's RR-set delta is drawn
-/// through SamplingEngine's chunked deterministic streams (one fresh
-/// master per round), so results are worker-count-independent; the
-/// default keeps the legacy sequential two-stream loop.
+/// Each round's RR-set delta is drawn through SamplingEngine's chunked
+/// deterministic streams (one fresh master per round), so results are
+/// worker-count-independent.
 ImmResult RunImm(const InfluenceGraph& ig, const ImmParams& params,
                  std::uint64_t seed, const SamplingOptions& sampling = {});
 

@@ -3,14 +3,12 @@
 // plugging into the same greedy framework (the paper runs its study under
 // both IC and LT).
 //
-// Build parallelism: unlike the IC estimators — whose sequential default
-// must stay bit-identical to the pre-engine code — the LT estimators had
-// no pre-existing experiment stream to preserve, so they ALWAYS draw
-// through SamplingEngine's chunked deterministic streams. With the default
+// Build parallelism: like the IC estimators, they draw through
+// SamplingEngine's chunked deterministic streams. With the default
 // SamplingOptions the engine runs inline on the calling thread; any other
 // configuration fans the same chunks out across workers. Consequently an
 // LT build is a pure function of (seed, sample number, chunk_size):
-// byte-identical for the sequential default and for any worker count.
+// byte-identical for the default and for any worker count.
 
 #ifndef SOLDIST_CORE_LT_ESTIMATORS_H_
 #define SOLDIST_CORE_LT_ESTIMATORS_H_

@@ -7,23 +7,19 @@ namespace soldist {
 OneshotEstimator::OneshotEstimator(const InfluenceGraph* ig,
                                    std::uint64_t beta, std::uint64_t seed,
                                    const SamplingOptions& sampling)
-    : ig_(ig), beta_(beta), rng_(seed), simulator_(ig) {
+    : ig_(ig),
+      beta_(beta),
+      engine_(sampling),
+      call_master_(DeriveSeed(seed, 3)) {
   SOLDIST_CHECK(beta_ >= 1);
-  if (sampling.UseEngine()) {
-    engine_ = std::make_unique<SamplingEngine>(sampling);
-    call_master_ = DeriveSeed(seed, 3);
-  }
 }
 
 double OneshotEstimator::Estimate(VertexId v) {
   scratch_.assign(seeds_.begin(), seeds_.end());
   scratch_.push_back(v);
-  if (engine_ != nullptr) {
-    return EstimateInfluenceSharded(*ig_, scratch_, beta_,
-                                    DeriveSeed(call_master_, calls_++),
-                                    engine_.get(), &counters_, &sim_cache_);
-  }
-  return simulator_.EstimateInfluence(scratch_, beta_, &rng_, &counters_);
+  return EstimateInfluenceSharded(*ig_, scratch_, beta_,
+                                  DeriveSeed(call_master_, calls_++),
+                                  &engine_, &counters_, &sim_cache_);
 }
 
 }  // namespace soldist

@@ -6,7 +6,6 @@
 #ifndef SOLDIST_CORE_ONESHOT_H_
 #define SOLDIST_CORE_ONESHOT_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/estimator.h"
@@ -28,11 +27,9 @@ class OneshotEstimator : public InfluenceEstimator {
 
   /// Mean activated count over β fresh simulations from S ∪ {v}.
   ///
-  /// With SamplingOptions::UseEngine() the β runs of each call fan out
-  /// through the engine: call j uses per-chunk streams derived from
-  /// (seed, call index j), so the sequence of estimates is deterministic
-  /// for any worker count. The default keeps the legacy single-stream
-  /// loop, bit-identical to the pre-engine code.
+  /// The β runs of each call go through the engine: call j uses
+  /// per-chunk streams derived from (seed, call index j), so the sequence
+  /// of estimates is deterministic for any worker count.
   double Estimate(VertexId v) override;
 
   void Update(VertexId v) override { seeds_.push_back(v); }
@@ -45,12 +42,9 @@ class OneshotEstimator : public InfluenceEstimator {
  private:
   const InfluenceGraph* ig_;
   std::uint64_t beta_;
-  Rng rng_;
-  ForwardSimulator simulator_;
-  /// Engine path only: reused across Estimate calls (it may own a pool).
-  std::unique_ptr<SamplingEngine> engine_;
-  ForwardSimulatorCache sim_cache_;  ///< per-slot simulators, engine path
-  std::uint64_t call_master_ = 0;  ///< DeriveSeed(seed, 3)
+  SamplingEngine engine_;  ///< reused across Estimate calls (may own a pool)
+  ForwardSimulatorCache sim_cache_;  ///< per-slot simulators
+  std::uint64_t call_master_;  ///< DeriveSeed(seed, 3)
   std::uint64_t calls_ = 0;
   std::vector<VertexId> seeds_;
   std::vector<VertexId> scratch_;

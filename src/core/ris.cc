@@ -1,7 +1,5 @@
 #include "core/ris.h"
 
-#include "random/splitmix64.h"
-
 namespace soldist {
 
 RisEstimator::RisEstimator(const InfluenceGraph* ig, std::uint64_t theta,
@@ -18,24 +16,10 @@ RisEstimator::RisEstimator(const InfluenceGraph* ig, std::uint64_t theta,
 void RisEstimator::Build() {
   SOLDIST_CHECK(!built_) << "Build() must be called exactly once";
   built_ = true;
-  if (sampling_.UseEngine()) {
-    SamplingEngine engine(sampling_);
-    std::vector<RrShard> shards =
-        SampleRrShards(*ig_, seed_, theta_, &engine);
-    for (const RrShard& shard : shards) counters_ += shard.counters;
-    collection_.Merge(std::move(shards));
-  } else {
-    // Legacy sequential path: the paper's two-stream discipline, sampler
-    // state alive only for the duration of the build.
-    RrSampler sampler(ig_);
-    Rng target_rng(DeriveSeed(seed_, 1));
-    Rng coin_rng(DeriveSeed(seed_, 2));
-    std::vector<VertexId> rr_set;
-    for (std::uint64_t i = 0; i < theta_; ++i) {
-      sampler.Sample(&target_rng, &coin_rng, &rr_set, &counters_);
-      collection_.Add(rr_set);
-    }
-  }
+  SamplingEngine engine(sampling_);
+  std::vector<RrShard> shards = SampleRrShards(*ig_, seed_, theta_, &engine);
+  for (const RrShard& shard : shards) counters_ += shard.counters;
+  collection_.Merge(std::move(shards));
   collection_.BuildIndex();
   cover_count_.assign(ig_->num_vertices(), 0);
   for (std::uint64_t set_id = 0; set_id < collection_.size(); ++set_id) {

@@ -3,11 +3,10 @@
 // coverage. Estimate(v) is the marginal coverage n·F_R(v); Update removes
 // the RR sets covered by the new seed.
 //
-// Build parallelism: with SamplingOptions::UseEngine() the θ RR sets are
-// drawn through SamplingEngine's deterministic chunked streams and merged
-// shard-by-shard into the collection; the default (num_threads = 1) keeps
-// the legacy two-stream sequential loop, bit-identical to the pre-engine
-// code.
+// Build parallelism: the θ RR sets are drawn through SamplingEngine's
+// deterministic chunked streams (inline on the calling thread by default)
+// and merged shard-by-shard into the collection, so the build is
+// byte-identical at any worker count.
 
 #ifndef SOLDIST_CORE_RIS_H_
 #define SOLDIST_CORE_RIS_H_
@@ -29,8 +28,8 @@ class RisEstimator : public InfluenceEstimator {
   RisEstimator(const InfluenceGraph* ig, std::uint64_t theta,
                std::uint64_t seed, const SamplingOptions& sampling = {});
 
-  /// Draws the θ RR sets (two PRNG streams: targets and edge coins, as in
-  /// paper Section 4.1) and builds coverage counts.
+  /// Draws the θ RR sets (two PRNG streams per chunk: targets and edge
+  /// coins, as in paper Section 4.1) and builds coverage counts.
   void Build() override;
 
   /// n · (# uncovered RR sets containing v) / θ — the unbiased estimate of
@@ -80,8 +79,8 @@ class RisEstimator : public InfluenceEstimator {
 ///
 /// Mechanically it is the word-packed variant: set-active state lives in
 /// packed uint64 words and set ids flow through the arena's 32-bit
-/// vertex-major index, so Update touches half the bytes the legacy
-/// estimator did.
+/// vertex-major index, so Update touches half the bytes RisEstimator
+/// does.
 class ArenaRisEstimator : public InfluenceEstimator {
  public:
   /// \param theta prefix length (1 <= theta <= arena->capacity());

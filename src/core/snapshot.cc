@@ -63,20 +63,13 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
 
   void Build() override {
     snapshots_.reserve(tau_);
-    if (sampling_.UseEngine()) {
-      SamplingEngine engine(sampling_);
-      std::vector<SnapshotShard> shards =
-          SampleSnapshotShards(*ig_, seed_, tau_, &engine);
-      for (SnapshotShard& shard : shards) {
-        *counters_ += shard.counters;
-        for (Snapshot& snap : shard.snapshots) {
-          snapshots_.push_back(std::move(snap));
-        }
-      }
-    } else {
-      Rng rng(seed_);  // legacy single-stream path
-      for (std::uint64_t i = 0; i < tau_; ++i) {
-        snapshots_.push_back(sampler_.Sample(&rng, counters_));
+    SamplingEngine engine(sampling_);
+    std::vector<SnapshotShard> shards =
+        SampleSnapshotShards(*ig_, seed_, tau_, &engine);
+    for (SnapshotShard& shard : shards) {
+      *counters_ += shard.counters;
+      for (Snapshot& snap : shard.snapshots) {
+        snapshots_.push_back(std::move(snap));
       }
     }
     if (mode_ == SnapshotEstimator::Mode::kNaive) {
@@ -444,26 +437,15 @@ class CondensedBackend : public SnapshotEstimator::Backend {
 
   void Build() override {
     snaps_.reserve(tau_);
-    if (sampling_.UseEngine()) {
-      SamplingEngine engine(sampling_);
-      std::vector<CondensedSnapshotShard> shards =
-          SampleCondensedSnapshotShards(*ig_, seed_, tau_, &engine);
-      for (CondensedSnapshotShard& shard : shards) {
-        *counters_ += shard.counters;
-        for (CondensedSnapshot& snap : shard.snapshots) {
-          snaps_.push_back(std::move(snap));
-        }
-      }
-    } else {
-      // Legacy single-stream path: same snapshot stream as kResidual,
-      // condensed one at a time so the raw CSR never accumulates.
-      Rng rng(seed_);
-      SnapshotSampler sampler(ig_);
-      SnapshotCondenser condenser(ig_->num_vertices());
-      Snapshot scratch;
-      for (std::uint64_t i = 0; i < tau_; ++i) {
-        sampler.SampleInto(&rng, counters_, &scratch);
-        snaps_.push_back(condenser.Condense(scratch));
+    // Same chunk streams as kResidual, condensed sample by sample so the
+    // raw CSR never accumulates.
+    SamplingEngine engine(sampling_);
+    std::vector<CondensedSnapshotShard> shards =
+        SampleCondensedSnapshotShards(*ig_, seed_, tau_, &engine);
+    for (CondensedSnapshotShard& shard : shards) {
+      *counters_ += shard.counters;
+      for (CondensedSnapshot& snap : shard.snapshots) {
+        snaps_.push_back(std::move(snap));
       }
     }
     // Warmth (sketch exact counts + CELF bounds) is a pure function of

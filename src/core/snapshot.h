@@ -24,9 +24,9 @@
 //                 selection is unchanged while the lazy queue touches the
 //                 fewest candidates.
 //
-// Because all three backends consume the SAME sampler streams (legacy
-// sequential or engine-chunked), the choice of backend — like the worker
-// count — can never change the experiment, only its cost. ctest
+// Because all three backends consume the SAME engine-chunked sampler
+// streams, the choice of backend — like the worker count — can never
+// change the experiment, only its cost. ctest
 // (snapshot_condensed_test) asserts byte-identical RunGreedy and
 // RunCelfGreedy outputs across backends and thread counts.
 
@@ -55,11 +55,10 @@ class SnapshotEstimator : public InfluenceEstimator {
                     const SamplingOptions& sampling = {});
   ~SnapshotEstimator() override;
 
-  /// Samples the τ snapshots — through SamplingEngine's deterministic
-  /// chunked streams when SamplingOptions::UseEngine(), else through the
-  /// legacy sequential loop (bit-identical to the pre-engine code). In
-  /// kCondensed mode each snapshot is condensed as it is sampled and the
-  /// raw live-edge CSR is discarded immediately.
+  /// Samples the τ snapshots through SamplingEngine's deterministic
+  /// chunked streams (byte-identical at any worker count). In kCondensed
+  /// mode each snapshot is condensed as it is sampled and the raw
+  /// live-edge CSR is discarded immediately.
   void Build() override;
 
   /// Estimated marginal gain: (1/τ) Σ_i [r_i(S+v) − r_i(S)].

@@ -1,8 +1,6 @@
 #include "core/tim.h"
 
 #include <cmath>
-#include <memory>
-#include <optional>
 #include <span>
 
 #include "core/bounds.h"
@@ -21,23 +19,9 @@ double EstimateKpt(const InfluenceGraph& ig, const TimParams& params,
   SOLDIST_CHECK(ig.num_edges() > 0);
 
   std::uint64_t used = 0;
-  // Both paths accumulate here so a null `counters` is safe on either.
+  // Accumulated locally so a null `counters` is safe.
   TraversalCounters local_counters;
-
-  // Exactly one of the two sampling paths gets its state constructed:
-  // the engine, or the legacy sequential sampler + stream pair.
-  std::unique_ptr<SamplingEngine> engine;
-  std::optional<RrSampler> sampler;
-  std::optional<Rng> target_rng;
-  std::optional<Rng> coin_rng;
-  std::vector<VertexId> rr_set;
-  if (sampling.UseEngine()) {
-    engine = std::make_unique<SamplingEngine>(sampling);
-  } else {
-    sampler.emplace(&ig);
-    target_rng.emplace(DeriveSeed(seed, 21));
-    coin_rng.emplace(DeriveSeed(seed, 22));
-  }
+  SamplingEngine engine(sampling);
 
   // κ(R) = 1 − (1 − w(R)/m)^k with w(R) = Σ_{v∈R} d−(v).
   auto kappa = [&](std::span<const VertexId> set) {
@@ -56,32 +40,24 @@ double EstimateKpt(const InfluenceGraph& ig, const TimParams& params,
     const auto c_i = static_cast<std::uint64_t>(
         std::ceil((6.0 * params.ell * log_n + 6.0 * std::log(log2_n)) *
                   std::pow(2.0, i)));
+    // One engine batch per round; κ terms are reduced shard-by-shard in
+    // chunk order, keeping the float sum worker-count-independent.
+    // Per-round chunk masters start at index 25, past RunTimPlus's RIS
+    // build and tie-breaking seeds (23/24): every derived index must stay
+    // distinct.
     double kappa_sum = 0.0;
-    if (engine != nullptr) {
-      // One engine batch per round; κ terms are reduced shard-by-shard in
-      // chunk order, keeping the float sum worker-count-independent.
-      // Per-round chunk masters start at index 25: 21/22 are the legacy
-      // KPT streams, 23/24 the RIS build and tie-breaking seeds of
-      // RunTimPlus — every derived index must stay distinct.
-      std::vector<RrShard> shards = SampleRrShards(
-          ig, DeriveSeed(seed, 25 + static_cast<std::uint64_t>(i)), c_i,
-          engine.get());
-      for (const RrShard& shard : shards) {
-        local_counters += shard.counters;
-        for (std::uint64_t s = 0; s < shard.num_sets(); ++s) {
-          kappa_sum += kappa(std::span<const VertexId>(
-              shard.flat.data() + shard.offsets[s],
-              shard.flat.data() + shard.offsets[s + 1]));
-        }
-      }
-      used += c_i;
-    } else {
-      for (std::uint64_t j = 0; j < c_i; ++j) {
-        sampler->Sample(&*target_rng, &*coin_rng, &rr_set, &local_counters);
-        ++used;
-        kappa_sum += kappa(rr_set);
+    std::vector<RrShard> shards = SampleRrShards(
+        ig, DeriveSeed(seed, 25 + static_cast<std::uint64_t>(i)), c_i,
+        &engine);
+    for (const RrShard& shard : shards) {
+      local_counters += shard.counters;
+      for (std::uint64_t s = 0; s < shard.num_sets(); ++s) {
+        kappa_sum += kappa(std::span<const VertexId>(
+            shard.flat.data() + shard.offsets[s],
+            shard.flat.data() + shard.offsets[s + 1]));
       }
     }
+    used += c_i;
     double mean_kappa = kappa_sum / static_cast<double>(c_i);
     if (mean_kappa > 1.0 / std::pow(2.0, i)) {
       kpt = n * mean_kappa / 2.0;

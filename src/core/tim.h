@@ -44,9 +44,9 @@ struct TimResult {
 /// in-degree weight; it stops when the mean exceeds 2^−i and returns
 /// KPT* = n · mean / 2. Returns 1.0 when all rounds fail (KPT >= 1
 /// always: a seed activates itself).
-/// With SamplingOptions::UseEngine() each round's c_i RR sets are drawn
-/// through the engine's chunked deterministic streams; κ(R) terms are
-/// summed in sample order, so KPT* is worker-count-independent.
+/// Each round's c_i RR sets are drawn through the engine's chunked
+/// deterministic streams; κ(R) terms are summed in sample order, so KPT*
+/// is worker-count-independent.
 double EstimateKpt(const InfluenceGraph& ig, const TimParams& params,
                    std::uint64_t seed, std::uint64_t* rr_sets_used,
                    TraversalCounters* counters,

@@ -43,9 +43,9 @@ void AddExperimentFlags(ArgParser* args) {
   args->AddString("out", "", "also write results as CSV to this path");
   args->AddInt64("threads", 0, "worker threads (0 = hardware concurrency)");
   args->AddInt64("sample-threads", 1,
-                 "sample-level parallelism: 1 = sequential sampling with "
-                 "parallel trials; 0/N = deterministic chunked sampling on "
-                 "the shared pool, trials sequential");
+                 "sample-level parallelism: 1 = each trial samples inline, "
+                 "trials in parallel; 0/N = sampling chunks on the shared "
+                 "pool, trials sequential (results are identical)");
   args->AddInt64("chunk-size", 256,
                  "samples per deterministic RNG chunk (affects which "
                  "streams produce which samples, NOT the results' "
@@ -57,12 +57,11 @@ void AddExperimentFlags(ArgParser* args) {
                   "byte-identical across backends; only the cost "
                   "changes.");
   args->AddString("sweep-reuse", "on",
-                  "RIS sample-number-ladder reuse: on = one RR arena per "
-                  "trial serves every sample number as a prefix view; "
-                  "off = same prefix-closed streams with fresh per-cell "
-                  "sampling (byte-identical to on, ~2x the sampling "
-                  "work); legacy = pre-arena cell-major streams. Only "
-                  "RIS sweeps are affected.");
+                  "sample-number-ladder reuse for RIS and condensed "
+                  "Snapshot sweeps: on = one arena per trial serves every "
+                  "sample number as a prefix view; off = same "
+                  "prefix-closed streams with fresh per-cell sampling "
+                  "(byte-identical to on, ~2x the sampling work)");
   args->AddString("arena-backend", "flat",
                   "arena storage backend: flat | compressed (delta+varint "
                   "decode-on-demand) | mmap (chunk-granular disk spill). "

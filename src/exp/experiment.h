@@ -39,20 +39,19 @@ struct ExperimentOptions {
   /// call RequireIcModel so --model lt fails loudly instead of silently
   /// running IC.
   DiffusionModel model = DiffusionModel::kIc;
-  /// Sample-level parallelism: 1 = legacy sequential sampling with
-  /// trial-level fan-out (default); 0 / N>1 = chunked deterministic
-  /// sampling on the shared pool, trials sequential.
+  /// Sample-level parallelism: 1 = each trial samples inline, trials fan
+  /// out (default); 0 / N>1 = sampling chunks on the shared pool, trials
+  /// sequential. Never changes a result.
   std::int64_t sample_threads = 1;
   std::int64_t chunk_size = 256;    ///< samples per deterministic chunk
   /// IC Snapshot reachability backend (--snapshot-mode
   /// naive|residual|condensed). Backends return byte-identical seed sets
   /// and estimates — the flag selects a cost profile, never a result.
   SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
-  /// RIS sample-number-ladder reuse (--sweep-reuse on|off|legacy,
-  /// default on): on serves every RIS sweep cell from one per-trial RR
-  /// arena, off runs the same prefix-closed streams with fresh per-cell
-  /// sampling (byte-identical to on), legacy keeps the pre-arena
-  /// cell-major streams. Only RIS sweeps are affected.
+  /// Sample-number-ladder reuse (--sweep-reuse on|off, default on): on
+  /// serves every RIS (and condensed IC Snapshot) sweep cell from one
+  /// per-trial arena, off runs the same prefix-closed streams with fresh
+  /// per-cell sampling (byte-identical to on).
   SweepReuse sweep_reuse = SweepReuse::kOn;
   /// Byte budget for the serving layer's arena cache (0 = unlimited);
   /// see api::SessionOptions::arena_budget_bytes. Set by binaries that

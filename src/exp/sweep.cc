@@ -35,9 +35,8 @@ std::vector<SweepCell> RunSweep(const ModelInstance& instance,
   // exponents (and, with reuse on, one arena per trial — RrArena for
   // RIS, SnapshotArena for Snapshot — serving every exponent as a
   // prefix) instead of an independent RunTrials per cell.
-  if (config.reuse != SweepReuse::kLegacy &&
-      (config.approach == Approach::kRis ||
-       config.approach == Approach::kSnapshot)) {
+  if (config.approach == Approach::kRis ||
+      config.approach == Approach::kSnapshot) {
     TrialLadderConfig ladder;
     ladder.approach = config.approach;
     for (int exp = config.min_exponent; exp <= config.max_exponent; ++exp) {
@@ -66,6 +65,7 @@ std::vector<SweepCell> RunSweep(const ModelInstance& instance,
     return cells;
   }
 
+  // Oneshot samples nothing up front: one independent RunTrials per cell.
   for (int exp = config.min_exponent; exp <= config.max_exponent; ++exp) {
     TrialConfig cell_config;
     cell_config.approach = config.approach;

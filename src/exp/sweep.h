@@ -23,17 +23,15 @@ struct SweepConfig {
   SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
   /// Sample-level parallelism, forwarded to every cell's TrialConfig.
   SamplingOptions sampling;
-  /// Ladder policy (exp/trial_runner.h) for RIS and Snapshot sweeps: kOn
-  /// serves every cell of a trial as a prefix of one per-trial arena
-  /// (RrArena for RIS, SnapshotArena for IC condensed-mode Snapshot),
-  /// kOff runs the same trial-major prefix-closed streams with fresh
-  /// per-cell sampling (byte-identical to kOn), kLegacy keeps the
-  /// pre-arena cell-major streams. Snapshot configurations without an
-  /// arena form (LT, naive/residual modes) downgrade kOn to kOff
-  /// mechanics; Oneshot always runs kLegacy. The struct default stays
-  /// kLegacy so existing callers are byte-stable; the benches wire
-  /// --sweep-reuse (default on) through it.
-  SweepReuse reuse = SweepReuse::kLegacy;
+  /// Ladder policy (exp/trial_runner.h) for RIS and Snapshot sweeps,
+  /// which run trial-major prefix-closed streams: kOn serves every cell
+  /// of a trial as a prefix of one per-trial arena (RrArena for RIS,
+  /// SnapshotArena for IC condensed-mode Snapshot), kOff samples every
+  /// cell afresh (byte-identical to kOn). Snapshot configurations without
+  /// an arena form (LT, naive/residual modes) downgrade kOn to kOff
+  /// mechanics. Oneshot samples nothing up front, so it ignores the
+  /// policy and runs independent per-cell trials.
+  SweepReuse reuse = SweepReuse::kOn;
 };
 
 /// One sweep point: the cell's full results plus curve summaries.
@@ -48,9 +46,10 @@ struct SweepCell {
 
 /// Runs the sweep under `instance`'s diffusion model; every cell's
 /// influence is evaluated with `oracle` (which must be built for the same
-/// model — ExperimentContext::Oracle keys oracles by model). Cells use
-/// master seeds derived from (config.master_seed, exponent) so the whole
-/// sweep is reproducible and cells are independent.
+/// model — ExperimentContext::Oracle keys oracles by model). RIS and
+/// Snapshot run one trial-major ladder (RunTrialLadder); Oneshot cells
+/// use master seeds derived from (config.master_seed, exponent), so the
+/// whole sweep is reproducible either way.
 std::vector<SweepCell> RunSweep(const ModelInstance& instance,
                                 const RrOracle& oracle,
                                 const SweepConfig& config, ThreadPool* pool);

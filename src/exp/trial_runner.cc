@@ -23,10 +23,10 @@ TrialResult RunTrials(const ModelInstance& instance,
   // One shared pool serves both parallelism levels, never simultaneously:
   // sample-level parallelism runs the trials sequentially and hands the
   // pool to each trial's SamplingEngine; otherwise the trials themselves
-  // fan out across the pool and sampling stays sequential per trial.
-  // With no pool at all, one is created here for the whole call — never a
-  // private pool per trial.
-  const bool sample_parallel = config.sampling.UseEngine();
+  // fan out across the pool and each trial samples inline. With no pool
+  // at all, one is created here for the whole call — never a private
+  // pool per trial.
+  const bool sample_parallel = config.sampling.SampleParallel();
   SamplingOptions sampling = config.sampling;
   std::unique_ptr<ThreadPool> owned_pool;
   if (sample_parallel && sampling.pool == nullptr) {
@@ -89,22 +89,12 @@ void EvaluateInfluence(const RrOracle& oracle, TrialResult* result) {
 StatusOr<SweepReuse> ParseSweepReuse(const std::string& name) {
   if (name == "on") return SweepReuse::kOn;
   if (name == "off") return SweepReuse::kOff;
-  if (name == "legacy") return SweepReuse::kLegacy;
-  return Status::InvalidArgument(
-      "unknown --sweep-reuse value '" + name +
-      "' (expected on | off | legacy)");
+  return Status::InvalidArgument("unknown --sweep-reuse value '" + name +
+                                 "' (expected on | off)");
 }
 
 std::string SweepReuseName(SweepReuse reuse) {
-  switch (reuse) {
-    case SweepReuse::kLegacy:
-      return "legacy";
-    case SweepReuse::kOff:
-      return "off";
-    case SweepReuse::kOn:
-      return "on";
-  }
-  return "?";
+  return reuse == SweepReuse::kOn ? "on" : "off";
 }
 
 std::vector<TrialResult> RunTrialLadder(const ModelInstance& instance,
@@ -130,7 +120,7 @@ std::vector<TrialResult> RunTrialLadder(const ModelInstance& instance,
   const std::uint64_t capacity = config.sample_numbers.back();
 
   // Same one-pool / one-parallelism-level rule as RunTrials.
-  const bool sample_parallel = config.sampling.UseEngine();
+  const bool sample_parallel = config.sampling.SampleParallel();
   SamplingOptions sampling = config.sampling;
   std::unique_ptr<ThreadPool> owned_pool;
   if (sample_parallel && sampling.pool == nullptr) {

@@ -33,10 +33,10 @@ struct TrialConfig {
   std::uint64_t master_seed = 1;
   SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
   /// Sample-level parallelism for each trial's estimator. The default
-  /// (sequential) lets RunTrials parallelize at the *trial* level instead;
-  /// when UseEngine(), trials run sequentially and the estimators fan
-  /// their sampling chunks out onto the one shared pool — never both
-  /// levels at once, and never a private per-trial pool.
+  /// (one inline worker) lets RunTrials parallelize at the *trial* level
+  /// instead; when SampleParallel(), trials run sequentially and the
+  /// estimators fan their sampling chunks out onto the one shared pool —
+  /// never both levels at once, and never a private per-trial pool.
   SamplingOptions sampling;
 };
 
@@ -70,15 +70,12 @@ struct TrialResult {
 };
 
 /// Runs the T trials and collects seed sets + counters. `pool` (optional)
-/// is the one shared worker pool: with sequential `config.sampling` the
-/// trials fan out across it; with an engine-enabled `config.sampling` the
+/// is the one shared worker pool: with single-threaded `config.sampling`
+/// the trials fan out across it; with SampleParallel() sampling the
 /// trials run in order and the pool serves each trial's sampling chunks.
-/// Either way the worker count never affects the result — but note that
-/// for IC the two sampling modes are distinct stream families:
-/// engine-path results match other engine runs with the same chunk_size,
-/// not the legacy sequential default. (LT always uses the chunked
-/// streams, so LT results are byte-identical across ALL sampling
-/// configurations with the same chunk_size.) Influence is NOT evaluated
+/// Every estimator draws the same chunked streams either way, so results
+/// are byte-identical across ALL sampling configurations with the same
+/// chunk_size, for both diffusion models. Influence is NOT evaluated
 /// here — call EvaluateInfluence with the instance's shared oracle.
 TrialResult RunTrials(const ModelInstance& instance,
                       const TrialConfig& config, ThreadPool* pool);
@@ -92,23 +89,19 @@ TrialResult RunTrials(const InfluenceGraph& ig, const TrialConfig& config,
 /// and sample numbers of an instance (paper Section 5.2).
 void EvaluateInfluence(const RrOracle& oracle, TrialResult* result);
 
-/// \brief Stream/reuse policy for a sample-number ladder (a sweep's
-/// geometric grid of sample numbers run trial-by-trial).
+/// \brief Reuse policy for a sample-number ladder (a sweep's geometric
+/// grid of sample numbers run trial-by-trial).
 ///
-/// kLegacy is the pre-arena scheme: every (cell, trial) derives its
-/// streams from the CELL's master seed, so no two cells share any
-/// randomness — and none can share any sampling work. kOff and kOn both
-/// switch to trial-major, prefix-closed streams (one sampling stream per
-/// TRIAL, shared by every cell): kOff still samples each cell from
+/// Both values run trial-major, prefix-closed streams (one sampling
+/// stream per TRIAL, shared by every cell): kOff samples each cell from
 /// scratch, kOn samples once per trial at the ladder maximum into an
-/// RrArena and serves every cell as a prefix view. kOff and kOn are
+/// arena and serves every cell as a prefix view. kOff and kOn are
 /// byte-identical in every recorded quantity (seeds, counters,
 /// distributions) — that is the A/B the sweep-reuse bench CHECKs before
-/// recording a speedup. kLegacy differs from both in streams (equal in
-/// distribution, not in bytes).
-enum class SweepReuse { kLegacy, kOff, kOn };
+/// recording a speedup.
+enum class SweepReuse { kOff, kOn };
 
-/// Flag-value parsing/naming for --sweep-reuse ("on" | "off" | "legacy").
+/// Flag-value parsing/naming for --sweep-reuse ("on" | "off").
 StatusOr<SweepReuse> ParseSweepReuse(const std::string& name);
 std::string SweepReuseName(SweepReuse reuse);
 
@@ -156,9 +149,9 @@ struct TrialLadderConfig {
 /// (that is what reuse exploits) while trials stay fully independent.
 /// Returns one TrialResult per sample number, aligned with
 /// config.sample_numbers. Trial-level parallelism follows RunTrials'
-/// rule: sequential-sampling configs fan trials out across `pool`,
-/// engine-routed configs run trials in order and parallelize sampling.
-/// The result is a pure function of the config within a stream family —
+/// rule: single-threaded sampling configs fan trials out across `pool`,
+/// SampleParallel() configs run trials in order and parallelize sampling.
+/// The result is a pure function of the config (chunk_size included) —
 /// the worker count and `reuse` never change it.
 std::vector<TrialResult> RunTrialLadder(const ModelInstance& instance,
                                         const TrialLadderConfig& config,

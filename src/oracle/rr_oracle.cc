@@ -8,19 +8,15 @@
 
 namespace soldist {
 
+// Both models draw the oracle's sets through the inline chunked engine,
+// so the collection is a pure function of `seed`.
 RrOracle::RrOracle(const InfluenceGraph* ig, std::uint64_t num_rr_sets,
                    std::uint64_t seed)
     : ig_(ig), collection_(ig->num_vertices()) {
   SOLDIST_CHECK(num_rr_sets >= 1);
-  Rng target_rng(DeriveSeed(seed, 11));
-  Rng coin_rng(DeriveSeed(seed, 12));
-  RrSampler sampler(ig);
-  TraversalCounters scratch_counters;  // oracle work is not experiment cost
-  std::vector<VertexId> rr_set;
-  for (std::uint64_t i = 0; i < num_rr_sets; ++i) {
-    sampler.Sample(&target_rng, &coin_rng, &rr_set, &scratch_counters);
-    collection_.Add(rr_set);
-  }
+  SamplingEngine engine;
+  collection_.Merge(
+      SampleRrShards(*ig, DeriveSeed(seed, 11), num_rr_sets, &engine));
   collection_.BuildIndex();
 }
 
@@ -29,15 +25,9 @@ RrOracle::RrOracle(const LtWeights* lt_weights, std::uint64_t num_rr_sets,
     : ig_(&lt_weights->influence_graph()),
       collection_(ig_->num_vertices()) {
   SOLDIST_CHECK(num_rr_sets >= 1);
-  // Reuse the chunked shard sampler rather than a second sequential loop
-  // (the inline engine keeps the build deterministic in `seed` alone; the
-  // oracle is new with LT support, so there is no legacy stream to
-  // preserve and paper-scale builds can later attach a pool here).
   SamplingEngine engine;
-  std::vector<RrShard> shards =
-      SampleLtRrShards(*lt_weights, DeriveSeed(seed, 11), num_rr_sets,
-                       &engine);
-  collection_.Merge(std::move(shards));
+  collection_.Merge(SampleLtRrShards(*lt_weights, DeriveSeed(seed, 11),
+                                     num_rr_sets, &engine));
   collection_.BuildIndex();
 }
 

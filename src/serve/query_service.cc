@@ -29,12 +29,12 @@ WorldScratch* LocalWorldScratch() {
   return &scratch;
 }
 
-/// The manifest's stream-family name — the same component CacheKey
-/// appends, so a persisted arena's identity mirrors its cache key.
-std::string StreamName(const SamplingOptions& sampling) {
-  return sampling.UseEngine()
-             ? "engine/" + std::to_string(sampling.chunk_size)
-             : "seq";
+/// The manifest's stream name — the same component CacheKey appends, so
+/// a persisted arena's identity mirrors its cache key. Every build draws
+/// the engine's chunked streams, so the chunk size is the only sampling
+/// knob that shapes arena content.
+std::string StreamName(std::uint64_t chunk_size) {
+  return "engine/" + std::to_string(chunk_size);
 }
 
 /// The persistence directory of one cache key under the session's
@@ -432,11 +432,11 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
       session_->SamplingFor(spec.sample_threads, spec.chunk_size);
   // The key is everything that shapes arena CONTENT except its capacity:
   // arena KIND (the shared cache holds RR-set and snapshot arenas side
-  // by side), workload label (network/prob/model), seed, and the stream
-  // family (legacy sequential vs chunked engine at a chunk size — see
-  // sim/rr_arena.h). Capacity is a lower bound, not an identity, so one
-  // arena at the largest τ seen serves every smaller τ as a prefix.
-  std::string key = CacheKey(ArenaKind::kRr, workload, spec, sampling);
+  // by side), workload label (network/prob/model), seed, and the chunk
+  // size of the engine streams (sim/rr_arena.h) — never the worker
+  // count. Capacity is a lower bound, not an identity, so one arena at
+  // the largest τ seen serves every smaller τ as a prefix.
+  std::string key = CacheKey(ArenaKind::kRr, workload, spec);
   const Deadline deadline = DeadlineFor(spec);
   // Fast path: fully resident at τ — no admission, no deadline machinery.
   if (ArenaCache::ArenaPtr hit = cache_.TryGet(key, spec.sample_number)) {
@@ -489,7 +489,7 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
     expected.kind = "rr";
     expected.workload = workload.Label();
     expected.seed = spec.seed;
-    expected.stream = StreamName(sampling);
+    expected.stream = StreamName(spec.chunk_size);
     expected.capacity = capacity;
     std::shared_ptr<RrArena> built;
     if (!dir.empty()) {
@@ -577,7 +577,7 @@ StatusOr<SnapshotQueryView> QueryService::SnapshotView(
   }
   SamplingOptions sampling =
       session_->SamplingFor(spec.sample_threads, spec.chunk_size);
-  std::string key = CacheKey(ArenaKind::kSnapshot, workload, spec, sampling);
+  std::string key = CacheKey(ArenaKind::kSnapshot, workload, spec);
   const Deadline deadline = DeadlineFor(spec);
   if (ArenaCache::ArenaPtr hit = cache_.TryGet(key, spec.sample_number)) {
     return SnapshotQueryView(
@@ -619,7 +619,7 @@ StatusOr<SnapshotQueryView> QueryService::SnapshotView(
     expected.kind = "snapshot";
     expected.workload = workload.Label();
     expected.seed = spec.seed;
-    expected.stream = StreamName(sampling);
+    expected.stream = StreamName(spec.chunk_size);
     expected.capacity = capacity;
     std::shared_ptr<SnapshotArena> built;
     if (!dir.empty()) {
@@ -676,14 +676,10 @@ StatusOr<SnapshotQueryView> QueryService::SnapshotView(
 
 std::string QueryService::CacheKey(ArenaKind kind,
                                    const api::WorkloadSpec& workload,
-                                   const QuerySpec& spec,
-                                   const SamplingOptions& sampling) {
-  std::string key = std::string(ArenaKindName(kind)) + "#" +
-                    workload.Label() + "#seed=" + std::to_string(spec.seed);
-  key += sampling.UseEngine()
-             ? "#engine/" + std::to_string(sampling.chunk_size)
-             : "#seq";
-  return key;
+                                   const QuerySpec& spec) {
+  return std::string(ArenaKindName(kind)) + "#" + workload.Label() +
+         "#seed=" + std::to_string(spec.seed) + "#" +
+         StreamName(spec.chunk_size);
 }
 
 }  // namespace serve

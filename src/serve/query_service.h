@@ -2,7 +2,7 @@
 // sampled-world arenas — the ROADMAP's serving layer.
 //
 // Shape: QueryService (on top of api::Session) resolves a workload to a
-// per-(kind, network, prob, model, seed, stream-family) WorldArena held
+// per-(kind, network, prob, model, seed, chunk size) WorldArena held
 // in one byte-budgeted ArenaCache — the cache key's leading component is
 // the arena KIND, so RR-set arenas (View) and condensed-snapshot arenas
 // (SnapshotView) share the budget without ever aliasing — then hands out
@@ -60,8 +60,8 @@ namespace soldist {
 namespace serve {
 
 /// What stands behind a QueryView: RR-set count, sampling seed, and the
-/// sampling route (which selects the stream family — see
-/// Session::SamplingFor). Defaults match the paper-scale τ = 2^16.
+/// sampling knobs (Session::SamplingFor). Defaults match the paper-scale
+/// τ = 2^16.
 struct QuerySpec {
   /// RR sets the view answers from (τ). More sets = tighter estimates;
   /// the arena behind it is cached at the LARGEST τ requested so far and
@@ -70,9 +70,12 @@ struct QuerySpec {
   /// Sampling master seed (the arena content is a pure function of it).
   std::uint64_t seed = 1;
   /// Worker count for the arena build (0 = shared pool at full width,
-  /// 1 = sequential legacy streams, N >= 2 = dedicated pool).
+  /// 1 = inline on the calling thread, N >= 2 = dedicated pool). Only
+  /// speed: every width builds the same arena, so it is not part of the
+  /// cache key.
   std::int64_t sample_threads = 1;
-  /// Chunk size of the deterministic engine streams.
+  /// Chunk size of the deterministic engine streams (part of the key:
+  /// it decides which stream draws which sample).
   std::uint64_t chunk_size = 256;
   /// Per-request deadline in milliseconds; 0 = use the session's
   /// default_deadline_ms (which defaults to unlimited). A request whose
@@ -390,12 +393,11 @@ class QueryService {
   void RunScrubCycle();
 
  private:
-  /// One key format for both arena families: kind # workload label #
-  /// seed # stream family. τ is deliberately absent (see View).
+  /// One key format for both arena kinds: kind # workload label # seed #
+  /// engine/<chunk size>. τ is deliberately absent (see View).
   static std::string CacheKey(ArenaKind kind,
                               const api::WorkloadSpec& workload,
-                              const QuerySpec& spec,
-                              const SamplingOptions& sampling);
+                              const QuerySpec& spec);
 
   /// The request deadline: spec.deadline_ms, else the session default,
   /// else unlimited.
@@ -416,8 +418,8 @@ class QueryService {
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> deadline_misses_{0};
   /// Serializes pool-routed arena builds: the session pools have a
-  /// single-waiter contract, so two concurrent engine builds may not
-  /// fan out at once. Sequential (sample_threads == 1) builds skip it.
+  /// single-waiter contract, so two concurrent pooled builds may not
+  /// fan out at once. Inline (sample_threads == 1) builds skip it.
   std::mutex build_mu_;
 };
 

@@ -78,7 +78,7 @@ CondensedSnapshot SnapshotCondenser::Condense(const Snapshot& snapshot) {
 std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
     const InfluenceGraph& ig, std::uint64_t master_seed, std::uint64_t count,
     SamplingEngine* engine, bool record_per_snapshot) {
-  std::vector<CondensedSnapshotShard> shards(engine->NumChunks(count));
+  std::vector<CondensedSnapshotShard> shards(engine->NumShards(count));
   // Per-worker-slot scratch (sampler, condenser, one reusable raw
   // snapshot): schedule-dependent but output-invisible — every chunk's
   // randomness comes from its own derived stream and condensation is a
@@ -95,7 +95,7 @@ std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
   engine->Run(master_seed, count,
               [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
     // Cooperative cancel (see SampleRrShards): skip whole chunks past
-    // chunk 0 once the token fires; the empty shard marks the cut.
+    // chunk 0 once the token fires; a short or empty shard marks the cut.
     if (cancel != nullptr && chunk.index > 0 && cancel->cancelled()) {
       return;
     }
@@ -106,9 +106,11 @@ std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
     // SampleSnapshotShards, so kCondensed condenses exactly the snapshots
     // kResidual walks.
     Rng rng(DeriveSeed(chunk.seed, 1));
-    CondensedSnapshotShard& shard = shards[chunk.index];
-    shard.snapshots.reserve(chunk.end - chunk.begin);
-    if (record_per_snapshot) shard.per_snapshot.reserve(chunk.end - chunk.begin);
+    CondensedSnapshotShard& shard = shards[chunk.shard];
+    if (shard.snapshots.empty()) {
+      shard.snapshots.reserve(chunk.shard_size);
+      if (record_per_snapshot) shard.per_snapshot.reserve(chunk.shard_size);
+    }
     for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
       if (cancel != nullptr && (chunk.index > 0 || i > chunk.begin) &&
           cancel->cancelled()) {
@@ -118,14 +120,7 @@ std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
       slots[slot]->sampler.SampleInto(&rng, &shard.counters,
                                       &slots[slot]->scratch);
       if (record_per_snapshot) {
-        TraversalCounters delta;
-        delta.vertices = shard.counters.vertices - before.vertices;
-        delta.edges = shard.counters.edges - before.edges;
-        delta.sample_vertices =
-            shard.counters.sample_vertices - before.sample_vertices;
-        delta.sample_edges =
-            shard.counters.sample_edges - before.sample_edges;
-        shard.per_snapshot.push_back(delta);
+        shard.per_snapshot.push_back(shard.counters - before);
       }
       shard.snapshots.push_back(
           slots[slot]->condenser.Condense(slots[slot]->scratch));

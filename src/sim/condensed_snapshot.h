@@ -68,7 +68,7 @@ class SnapshotCondenser {
   std::vector<std::uint32_t> rev_cursor_;
 };
 
-/// \brief One chunk's worth of condensed snapshots.
+/// \brief A run of consecutive condensed snapshots.
 struct CondensedSnapshotShard {
   std::vector<CondensedSnapshot> snapshots;
   TraversalCounters counters;
@@ -77,13 +77,13 @@ struct CondensedSnapshotShard {
   std::vector<TraversalCounters> per_snapshot;
 };
 
-/// Samples `count` snapshots through `engine` (same chunk streams as
-/// SampleSnapshotShards, so a condensed build sees byte-identical
-/// live-edge graphs) and condenses each inside its chunk worker; the raw
-/// CSR never outlives the chunk. Shard concatenation in chunk order is
+/// Samples `count` snapshots through `engine` (same chunk streams and
+/// shard layout as SampleSnapshotShards, so a condensed build sees
+/// byte-identical live-edge graphs) and condenses each inside its chunk
+/// worker; the raw CSR never outlives the sample. Shard concatenation is
 /// worker-count-independent. With `record_per_snapshot`, each shard also
 /// records per-snapshot counter deltas so any prefix's sampling cost is
-/// exactly attributable.
+/// exactly attributable. Honors engine->cancel() like SampleRrShards.
 std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
     const InfluenceGraph& ig, std::uint64_t master_seed, std::uint64_t count,
     SamplingEngine* engine, bool record_per_snapshot = false);

@@ -41,6 +41,17 @@ struct TraversalCounters {
     sample_edges += other.sample_edges;
     return *this;
   }
+
+  /// Work done since `earlier`, a past value of this same counter (the
+  /// per-sample delta behind every arena's prefix cost table).
+  TraversalCounters operator-(const TraversalCounters& earlier) const {
+    TraversalCounters delta;
+    delta.vertices = vertices - earlier.vertices;
+    delta.edges = edges - earlier.edges;
+    delta.sample_vertices = sample_vertices - earlier.sample_vertices;
+    delta.sample_edges = sample_edges - earlier.sample_edges;
+    return delta;
+  }
 };
 
 /// Sum of per-thread/per-chunk counter shards (integer fields, so the

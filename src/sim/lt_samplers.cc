@@ -83,75 +83,18 @@ std::vector<RrShard> SampleLtRrShards(const LtWeights& weights,
                                       std::uint64_t count,
                                       SamplingEngine* engine,
                                       bool record_per_set) {
-  std::vector<RrShard> shards(engine->NumChunks(count));
-  // Per-worker-slot samplers: O(n) scratch built at most once per slot and
-  // reused across chunks; scratch never affects output (every chunk's
-  // randomness comes from its own derived streams).
-  std::vector<std::unique_ptr<LtRrSampler>> samplers(engine->num_workers());
-  const CancelToken* cancel = engine->cancel();
-  engine->Run(master_seed, count,
-              [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
-    // Cooperative cancel (see SampleRrShards): skip whole chunks past
-    // chunk 0 once the token fires; the empty shard marks the cut.
-    if (cancel != nullptr && chunk.index > 0 && cancel->cancelled()) {
-      return;
-    }
-    if (samplers[slot] == nullptr) {
-      samplers[slot] = std::make_unique<LtRrSampler>(&weights);
-    }
-    Rng target_rng(DeriveSeed(chunk.seed, 1));
-    Rng coin_rng(DeriveSeed(chunk.seed, 2));
-    RrShard& shard = shards[chunk.index];
-    shard.offsets.reserve(chunk.end - chunk.begin + 1);
-    shard.offsets.push_back(0);
-    std::vector<VertexId> rr_set;
-    if (record_per_set) shard.per_set.reserve(chunk.end - chunk.begin);
-    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-      if (cancel != nullptr && (chunk.index > 0 || i > chunk.begin) &&
-          cancel->cancelled()) {
-        break;
-      }
-      const TraversalCounters before = shard.counters;
-      samplers[slot]->Sample(&target_rng, &coin_rng, &rr_set,
-                             &shard.counters);
-      if (record_per_set) {
-        TraversalCounters delta;
-        delta.vertices = shard.counters.vertices - before.vertices;
-        delta.edges = shard.counters.edges - before.edges;
-        delta.sample_vertices =
-            shard.counters.sample_vertices - before.sample_vertices;
-        delta.sample_edges =
-            shard.counters.sample_edges - before.sample_edges;
-        shard.per_set.push_back(delta);
-      }
-      shard.flat.insert(shard.flat.end(), rr_set.begin(), rr_set.end());
-      shard.offsets.push_back(static_cast<std::uint64_t>(shard.flat.size()));
-    }
-  });
-  return shards;
+  return internal::SampleRrShardsWith(
+      [&weights] { return std::make_unique<LtRrSampler>(&weights); },
+      master_seed, count, engine, record_per_set);
 }
 
 std::vector<SnapshotShard> SampleLtSnapshotShards(const LtWeights& weights,
                                                   std::uint64_t master_seed,
                                                   std::uint64_t count,
                                                   SamplingEngine* engine) {
-  std::vector<SnapshotShard> shards(engine->NumChunks(count));
-  std::vector<std::unique_ptr<LtSnapshotSampler>> samplers(
-      engine->num_workers());
-  engine->Run(master_seed, count,
-              [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
-    if (samplers[slot] == nullptr) {
-      samplers[slot] = std::make_unique<LtSnapshotSampler>(&weights);
-    }
-    Rng rng(DeriveSeed(chunk.seed, 1));
-    SnapshotShard& shard = shards[chunk.index];
-    shard.snapshots.reserve(chunk.end - chunk.begin);
-    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-      shard.snapshots.push_back(
-          samplers[slot]->Sample(&rng, &shard.counters));
-    }
-  });
-  return shards;
+  return internal::SampleSnapshotShardsWith(
+      [&weights] { return std::make_unique<LtSnapshotSampler>(&weights); },
+      master_seed, count, engine);
 }
 
 }  // namespace soldist

@@ -72,23 +72,19 @@ class LtRrSampler {
   VisitedMarker visited_;
 };
 
-/// Samples `count` LT RR sets through `engine`, one RrShard per chunk.
-///
-/// Chunk c derives its (target, coin) stream pair from the chunk seed
-/// DeriveSeed(master_seed, c) exactly like the IC SampleRrShards, so the
-/// shard sequence — and therefore the merged collection — is
-/// byte-identical for any worker count. `record_per_set` fills
-/// RrShard::per_set (pure observation, drawn content unchanged).
+/// Samples `count` LT RR sets through `engine`, with the shard layout,
+/// chunk streams, cancel behavior and `record_per_set` semantics of the
+/// IC SampleRrShards (the two share one body), so the merged collection
+/// is byte-identical for any worker count.
 std::vector<RrShard> SampleLtRrShards(const LtWeights& weights,
                                       std::uint64_t master_seed,
                                       std::uint64_t count,
                                       SamplingEngine* engine,
                                       bool record_per_set = false);
 
-/// Samples `count` LT snapshots through `engine`, one SnapshotShard per
-/// chunk; chunk c draws from a stream seeded with
-/// DeriveSeed(DeriveSeed(master_seed, c), 1), mirroring the IC
-/// SampleSnapshotShards.
+/// Samples `count` LT snapshots through `engine`, mirroring the IC
+/// SampleSnapshotShards (shared body): chunk c draws from a stream seeded
+/// with DeriveSeed(DeriveSeed(master_seed, c), 1).
 std::vector<SnapshotShard> SampleLtSnapshotShards(const LtWeights& weights,
                                                   std::uint64_t master_seed,
                                                   std::uint64_t count,

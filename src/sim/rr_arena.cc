@@ -5,7 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "random/splitmix64.h"
 #include "sim/lt_samplers.h"
 #include "util/logging.h"
 
@@ -38,82 +37,18 @@ void BuildFlatIndex(store::RrFlatPayload* payload, VertexId num_vertices) {
   }
 }
 
-/// Cuts a possibly-cancelled shard list to its longest contiguous
-/// completed prefix: an empty shard (skipped chunk) or a short shard
-/// (per-set cancel inside a chunk) marks the cut; a short shard's
-/// produced prefix is kept. Returns the number of surviving sets.
-/// Because chunk c draws only from DeriveSeed(master, c) and sets are
-/// drawn in order, the survivors are byte-identical to a direct build
-/// at the returned (smaller) capacity.
-std::uint64_t TruncateCancelledShards(std::vector<RrShard>* shards,
-                                      std::uint64_t chunk_size,
-                                      std::uint64_t capacity) {
-  std::uint64_t kept = 0;
-  std::size_t keep_shards = 0;
-  for (std::size_t s = 0; s < shards->size(); ++s) {
-    const RrShard& shard = (*shards)[s];
-    if (shard.offsets.empty()) break;
-    const std::uint64_t begin = s * chunk_size;
-    const std::uint64_t expected =
-        std::min(begin + chunk_size, capacity) - begin;
-    kept += shard.num_sets();
-    keep_shards = s + 1;
-    if (shard.num_sets() < expected) break;
-  }
-  shards->resize(keep_shards);
-  return kept;
-}
-
 }  // namespace
 
 RrArena RrArena::SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
                           std::uint64_t capacity,
                           const SamplingOptions& sampling) {
   SOLDIST_CHECK(capacity >= 1);
+  SamplingEngine engine(sampling);
   RrArena arena;
   arena.num_vertices_ = ig.num_vertices();
-  if (sampling.UseEngine()) {
-    SamplingEngine engine(sampling);
-    std::vector<RrShard> shards = SampleRrShards(ig, seed, capacity, &engine,
-                                                 /*record_per_set=*/true);
-    const std::uint64_t actual =
-        sampling.cancel == nullptr
-            ? capacity
-            : TruncateCancelledShards(&shards, engine.chunk_size(), capacity);
-    arena.Finalize(std::move(shards), actual);
-    return arena;
-  }
-  // Legacy sequential discipline (RisEstimator::Build's non-engine path):
-  // one (target, coin) stream pair drives every set in order, so every
-  // prefix coincides with a direct smaller build.
-  RrSampler sampler(&ig);
-  Rng target_rng(DeriveSeed(seed, 1));
-  Rng coin_rng(DeriveSeed(seed, 2));
-  std::vector<RrShard> shards(1);
-  RrShard& shard = shards[0];
-  shard.offsets.reserve(capacity + 1);
-  shard.offsets.push_back(0);
-  shard.per_set.reserve(capacity);
-  std::vector<VertexId> rr_set;
-  for (std::uint64_t i = 0; i < capacity; ++i) {
-    // Cooperative cancel: the single-stream loop simply stops early; the
-    // produced prefix IS a direct smaller build (set 0 always lands).
-    if (sampling.cancel != nullptr && i > 0 && sampling.cancel->cancelled()) {
-      break;
-    }
-    const TraversalCounters before = shard.counters;
-    sampler.Sample(&target_rng, &coin_rng, &rr_set, &shard.counters);
-    TraversalCounters delta;
-    delta.vertices = shard.counters.vertices - before.vertices;
-    delta.edges = shard.counters.edges - before.edges;
-    delta.sample_vertices =
-        shard.counters.sample_vertices - before.sample_vertices;
-    delta.sample_edges = shard.counters.sample_edges - before.sample_edges;
-    shard.per_set.push_back(delta);
-    shard.flat.insert(shard.flat.end(), rr_set.begin(), rr_set.end());
-    shard.offsets.push_back(static_cast<std::uint64_t>(shard.flat.size()));
-  }
-  arena.Finalize(std::move(shards), shard.num_sets());
+  arena.Finalize(SampleRrShards(ig, seed, capacity, &engine,
+                                /*record_per_set=*/true),
+                 engine, capacity);
   return arena;
 }
 
@@ -121,20 +56,12 @@ RrArena RrArena::SampleLt(const LtWeights& weights, std::uint64_t seed,
                           std::uint64_t capacity,
                           const SamplingOptions& sampling) {
   SOLDIST_CHECK(capacity >= 1);
+  SamplingEngine engine(sampling);
   RrArena arena;
   arena.num_vertices_ = weights.influence_graph().num_vertices();
-  // LT RIS always draws through the chunked engine streams (the engine
-  // runs inline for the default SamplingOptions) — same as
-  // LtRisEstimator::Build.
-  SamplingEngine engine(sampling);
-  std::vector<RrShard> shards = SampleLtRrShards(weights, seed, capacity,
-                                                 &engine,
-                                                 /*record_per_set=*/true);
-  const std::uint64_t actual =
-      sampling.cancel == nullptr
-          ? capacity
-          : TruncateCancelledShards(&shards, engine.chunk_size(), capacity);
-  arena.Finalize(std::move(shards), actual);
+  arena.Finalize(SampleLtRrShards(weights, seed, capacity, &engine,
+                                  /*record_per_set=*/true),
+                 engine, capacity);
   return arena;
 }
 
@@ -173,7 +100,12 @@ RrArena RrArena::FromParts(VertexId num_vertices,
 }
 
 void RrArena::Finalize(std::vector<RrShard>&& shards,
-                       std::uint64_t capacity) {
+                       const SamplingEngine& engine, std::uint64_t capacity) {
+  if (engine.cancel() != nullptr) {
+    capacity = engine.TruncateToCompletedPrefix(
+        &shards, capacity,
+        [](const RrShard& shard) { return shard.num_sets(); });
+  }
   std::uint64_t total_entries = 0;
   for (const RrShard& shard : shards) total_entries += shard.flat.size();
   SOLDIST_CHECK(capacity <= std::numeric_limits<std::uint32_t>::max())

@@ -2,15 +2,13 @@
 // of a sweep ladder and serve every smaller sample number as a zero-copy
 // prefix view.
 //
-// Why a prefix view is exact (not an approximation): every RR sampling
-// path in this repo is prefix-closed in its master seed. The chunked
-// engine streams (sim/sampling_engine.h) give chunk c its randomness from
+// Why a prefix view is exact (not an approximation): RR sampling is
+// prefix-closed in its master seed. The chunked engine streams
+// (sim/sampling_engine.h) give chunk c its randomness from
 // DeriveSeed(master, c) alone and draw the chunk's sets in order, so the
-// first τ₁ sets of a τ₂-set build are byte-identical to a τ₁-set build;
-// the legacy sequential IC loop draws every set from one (target, coin)
-// stream pair, so its prefixes coincide trivially. The arena samples with
-// EXACTLY the stream discipline of RisEstimator::Build (IC) /
-// LtRisEstimator::Build (LT), which is what makes an arena-served sweep
+// first τ₁ sets of a τ₂-set build are byte-identical to a τ₁-set build.
+// The arena samples with EXACTLY the streams of RisEstimator::Build (IC)
+// / LtRisEstimator::Build (LT), which is what makes an arena-served sweep
 // cell byte-identical to a freshly sampled one (ctest rr_arena_test
 // enforces this for worker counts 1/2/4, both models).
 //
@@ -72,17 +70,17 @@ class RrPrefixView;
 /// behind a store::RrStorage backend.
 class RrArena : public WorldArena {
  public:
-  /// Samples `capacity` IC RR sets with RisEstimator::Build's exact
-  /// stream discipline: the engine path (chunked deterministic streams)
-  /// when sampling.UseEngine(), the legacy sequential two-stream loop
-  /// otherwise. A fresh RisEstimator(ig, τ, seed, sampling) for any
-  /// τ <= capacity builds the byte-identical prefix of this arena.
+  /// Samples `capacity` IC RR sets through the chunked engine streams,
+  /// exactly as RisEstimator::Build does: a fresh RisEstimator(ig, τ,
+  /// seed, sampling) for any τ <= capacity builds the byte-identical
+  /// prefix of this arena, at any worker count. A fired sampling.cancel
+  /// truncates the arena to its completed prefix (capacity() tells).
   static RrArena SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
                           std::uint64_t capacity,
                           const SamplingOptions& sampling);
 
-  /// LT counterpart (LtRisEstimator::Build discipline: always the chunked
-  /// engine streams, backward-walk RR sets).
+  /// LT counterpart (LtRisEstimator::Build streams, backward-walk RR
+  /// sets).
   static RrArena SampleLt(const LtWeights& weights, std::uint64_t seed,
                           std::uint64_t capacity,
                           const SamplingOptions& sampling);
@@ -178,7 +176,8 @@ class RrArena : public WorldArena {
 
  private:
   RrArena() = default;
-  void Finalize(std::vector<RrShard>&& shards, std::uint64_t capacity);
+  void Finalize(std::vector<RrShard>&& shards, const SamplingEngine& engine,
+                std::uint64_t capacity);
   void AdoptPayload(store::RrFlatPayload&& payload);
 
   std::shared_ptr<const store::RrStorage> storage_;

@@ -52,77 +52,9 @@ std::vector<RrShard> SampleRrShards(const InfluenceGraph& ig,
                                     std::uint64_t count,
                                     SamplingEngine* engine,
                                     bool record_per_set) {
-  std::vector<RrShard> shards(engine->NumChunks(count));
-  // Per-worker-slot samplers: the O(n) scratch is built at most once per
-  // slot and reused across chunks; sampler scratch never affects output
-  // (every chunk's randomness comes from its own derived streams).
-  std::vector<std::unique_ptr<RrSampler>> samplers(engine->num_workers());
-  // Per-slot running mean RR-set size: later chunks pre-reserve their
-  // flat buffer instead of growing it through doubling reallocations.
-  // Slot statistics are schedule-dependent scratch — they size capacity
-  // only, never content.
-  struct SlotStats {
-    std::uint64_t sets = 0;
-    std::uint64_t entries = 0;
-  };
-  std::vector<SlotStats> stats(engine->num_workers());
-  const CancelToken* cancel = engine->cancel();
-  engine->Run(master_seed, count,
-              [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
-    // Cooperative cancel: a fired token skips whole chunks (the empty
-    // shard marks the cut) — except chunk 0, so at least one set always
-    // lands. Completed-prefix content is untouched, so a cancelled
-    // build truncates to a byte-identical smaller arena.
-    if (cancel != nullptr && chunk.index > 0 && cancel->cancelled()) {
-      return;
-    }
-    if (samplers[slot] == nullptr) {
-      samplers[slot] = std::make_unique<RrSampler>(&ig);
-    }
-    Rng target_rng(DeriveSeed(chunk.seed, 1));
-    Rng coin_rng(DeriveSeed(chunk.seed, 2));
-    RrShard& shard = shards[chunk.index];
-    const std::uint64_t chunk_sets = chunk.end - chunk.begin;
-    shard.offsets.reserve(chunk_sets + 1);
-    shard.offsets.push_back(0);
-    SlotStats& st = stats[slot];
-    if (st.sets > 0) {
-      const double mean = static_cast<double>(st.entries) /
-                          static_cast<double>(st.sets);
-      shard.flat.reserve(
-          static_cast<std::size_t>(mean * static_cast<double>(chunk_sets) *
-                                   1.25) +
-          16);
-    }
-    std::vector<VertexId> rr_set;
-    if (record_per_set) shard.per_set.reserve(chunk_sets);
-    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-      // Per-set cancel inside the chunk (guarded so the global first set
-      // always completes); a partial shard keeps its produced prefix.
-      if (cancel != nullptr && (chunk.index > 0 || i > chunk.begin) &&
-          cancel->cancelled()) {
-        break;
-      }
-      const TraversalCounters before = shard.counters;
-      samplers[slot]->Sample(&target_rng, &coin_rng, &rr_set,
-                             &shard.counters);
-      if (record_per_set) {
-        TraversalCounters delta;
-        delta.vertices = shard.counters.vertices - before.vertices;
-        delta.edges = shard.counters.edges - before.edges;
-        delta.sample_vertices =
-            shard.counters.sample_vertices - before.sample_vertices;
-        delta.sample_edges =
-            shard.counters.sample_edges - before.sample_edges;
-        shard.per_set.push_back(delta);
-      }
-      shard.flat.insert(shard.flat.end(), rr_set.begin(), rr_set.end());
-      shard.offsets.push_back(static_cast<std::uint64_t>(shard.flat.size()));
-    }
-    st.sets += chunk_sets;
-    st.entries += static_cast<std::uint64_t>(shard.flat.size());
-  });
-  return shards;
+  return internal::SampleRrShardsWith(
+      [&ig] { return std::make_unique<RrSampler>(&ig); }, master_seed, count,
+      engine, record_per_set);
 }
 
 RrCollection::RrCollection(VertexId num_vertices)

@@ -8,12 +8,14 @@
 #ifndef SOLDIST_SIM_RR_SAMPLER_H_
 #define SOLDIST_SIM_RR_SAMPLER_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "graph/traversal.h"
 #include "model/influence_graph.h"
 #include "random/rng.h"
+#include "random/splitmix64.h"
 #include "sim/counters.h"
 #include "sim/sampling_engine.h"
 
@@ -66,18 +68,93 @@ struct RrShard {
   }
 };
 
-/// Samples `count` RR sets through `engine`, one shard per chunk.
+/// Samples `count` RR sets through `engine` into engine->NumShards(count)
+/// shards (one per chunk, or a single one for an inline run).
 ///
 /// Chunk c derives its (target, coin) stream pair from the chunk seed
-/// DeriveSeed(master_seed, c), so the shard sequence — and therefore the
-/// merged collection — is byte-identical for any worker count.
+/// DeriveSeed(master_seed, c), so the shard concatenation — and therefore
+/// the merged collection — is byte-identical for any worker count.
 /// `record_per_set` additionally fills RrShard::per_set (never affects
 /// the sampled content: recording draws nothing from the streams).
+///
+/// Cooperative cancel (engine->cancel()): once the token fires, later
+/// chunks skip and the running chunk stops between sets — except before
+/// the first set, which always lands. The shards then hold a contiguous
+/// prefix of the full build up to the first short or empty shard.
 std::vector<RrShard> SampleRrShards(const InfluenceGraph& ig,
                                     std::uint64_t master_seed,
                                     std::uint64_t count,
                                     SamplingEngine* engine,
                                     bool record_per_set = false);
+
+namespace internal {
+
+/// The body SampleRrShards and SampleLtRrShards share: `make_sampler()`
+/// returns a std::unique_ptr to a sampler with RrSampler's Sample
+/// signature, built at most once per worker slot and reused across
+/// chunks (scratch never affects output — every chunk's randomness comes
+/// from its own derived streams).
+template <typename MakeSampler>
+std::vector<RrShard> SampleRrShardsWith(const MakeSampler& make_sampler,
+                                        std::uint64_t master_seed,
+                                        std::uint64_t count,
+                                        SamplingEngine* engine,
+                                        bool record_per_set) {
+  std::vector<RrShard> shards(engine->NumShards(count));
+  std::vector<decltype(make_sampler())> samplers(engine->num_workers());
+  // Per-slot running mean RR-set size: a fresh per-chunk shard pre-
+  // reserves its flat buffer instead of growing it through doubling
+  // reallocations (a single inline shard just grows geometrically). Slot
+  // statistics are schedule-dependent scratch — capacity only, never
+  // content.
+  struct SlotStats {
+    std::uint64_t sets = 0;
+    std::uint64_t entries = 0;
+  };
+  std::vector<SlotStats> stats(engine->num_workers());
+  const CancelToken* cancel = engine->cancel();
+  engine->Run(master_seed, count,
+              [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
+    if (cancel != nullptr && chunk.index > 0 && cancel->cancelled()) return;
+    if (samplers[slot] == nullptr) samplers[slot] = make_sampler();
+    Rng target_rng(DeriveSeed(chunk.seed, 1));
+    Rng coin_rng(DeriveSeed(chunk.seed, 2));
+    RrShard& shard = shards[chunk.shard];
+    SlotStats& st = stats[slot];
+    if (shard.offsets.empty()) {
+      shard.offsets.reserve(chunk.shard_size + 1);
+      shard.offsets.push_back(0);
+      if (record_per_set) shard.per_set.reserve(chunk.shard_size);
+      if (st.sets > 0) {
+        const double mean = static_cast<double>(st.entries) /
+                            static_cast<double>(st.sets);
+        shard.flat.reserve(static_cast<std::size_t>(
+                               mean * static_cast<double>(chunk.shard_size) *
+                               1.25) +
+                           16);
+      }
+    }
+    const std::size_t entries_before = shard.flat.size();
+    std::vector<VertexId> rr_set;
+    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+      if (cancel != nullptr && (chunk.index > 0 || i > chunk.begin) &&
+          cancel->cancelled()) {
+        break;
+      }
+      const TraversalCounters before = shard.counters;
+      samplers[slot]->Sample(&target_rng, &coin_rng, &rr_set,
+                             &shard.counters);
+      if (record_per_set) shard.per_set.push_back(shard.counters - before);
+      shard.flat.insert(shard.flat.end(), rr_set.begin(), rr_set.end());
+      shard.offsets.push_back(static_cast<std::uint64_t>(shard.flat.size()));
+    }
+    st.sets += chunk.end - chunk.begin;
+    st.entries += shard.flat.size() - entries_before;
+  });
+  return shards;
+}
+
+}  // namespace internal
 
 /// \brief A flattened collection of RR sets with an inverted index.
 ///

@@ -1,5 +1,6 @@
 #include "sim/sampling_engine.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 
@@ -27,14 +28,29 @@ std::uint64_t SamplingEngine::NumChunks(std::uint64_t count) const {
   return (count + chunk_size_ - 1) / chunk_size_;
 }
 
+bool SamplingEngine::RunsInline(std::uint64_t num_chunks) const {
+  // Submitting and latching from a pool worker would idle that worker.
+  return pool_ == nullptr || pool_->num_threads() <= 1 || num_chunks <= 1 ||
+         pool_->InWorkerThread();
+}
+
+std::uint64_t SamplingEngine::NumShards(std::uint64_t count) const {
+  const std::uint64_t num_chunks = NumChunks(count);
+  return RunsInline(num_chunks) ? std::min<std::uint64_t>(num_chunks, 1)
+                                : num_chunks;
+}
+
 SamplingEngine::Chunk SamplingEngine::MakeChunk(std::uint64_t master_seed,
                                                 std::uint64_t index,
-                                                std::uint64_t count) const {
+                                                std::uint64_t count,
+                                                bool inline_run) const {
   Chunk chunk;
   chunk.index = index;
   chunk.begin = index * chunk_size_;
   chunk.end = std::min(chunk.begin + chunk_size_, count);
   chunk.seed = DeriveSeed(master_seed, index);
+  chunk.shard = inline_run ? 0 : index;
+  chunk.shard_size = inline_run ? count : chunk.end - chunk.begin;
   return chunk;
 }
 
@@ -42,12 +58,10 @@ void SamplingEngine::Run(std::uint64_t master_seed, std::uint64_t count,
                          const ChunkFn& fn) {
   const std::uint64_t num_chunks = NumChunks(count);
   if (num_chunks == 0) return;
-  // Inline when there is nothing to fan out (or when executing on a pool
-  // worker already: submitting and latching here would idle that worker).
-  if (pool_ == nullptr || pool_->num_threads() <= 1 || num_chunks == 1 ||
-      pool_->InWorkerThread()) {
+  if (RunsInline(num_chunks)) {
     for (std::uint64_t c = 0; c < num_chunks; ++c) {
-      fn(MakeChunk(master_seed, c, count), /*worker_slot=*/0);
+      fn(MakeChunk(master_seed, c, count, /*inline_run=*/true),
+         /*worker_slot=*/0);
     }
     return;
   }
@@ -62,7 +76,7 @@ void SamplingEngine::Run(std::uint64_t master_seed, std::uint64_t count,
   std::vector<std::size_t> free_slots(pool_->num_threads());
   for (std::size_t s = 0; s < free_slots.size(); ++s) free_slots[s] = s;
   for (std::uint64_t c = 0; c < num_chunks; ++c) {
-    Chunk chunk = MakeChunk(master_seed, c, count);
+    Chunk chunk = MakeChunk(master_seed, c, count, /*inline_run=*/false);
     pool_->Submit([&, chunk] {
       std::size_t slot;
       {

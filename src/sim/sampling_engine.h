@@ -1,4 +1,5 @@
-// SamplingEngine: deterministic chunked parallel sampling.
+// SamplingEngine: deterministic chunked sampling — the one stream family
+// every sampler in this repo draws from.
 //
 // The paper's methodology runs every estimator T times with fresh PRNG
 // states and compares the resulting solution distributions, so a parallel
@@ -13,25 +14,32 @@
 //   * Chunk c always draws from PRNG streams seeded with
 //     DeriveSeed(master, c) — regardless of which worker executes it or
 //     how many workers exist.
-//   * Per-chunk outputs land in per-chunk shards, merged in chunk order.
+//   * Per-chunk outputs land in shards concatenated in chunk order. A run
+//     that executes inline (one worker) appends every chunk to a single
+//     shard — its chunks already run in index order — so it skips the
+//     merge copy without changing a byte of the concatenation.
 //
-// Consequently the output of any engine-routed build is a pure function
-// of (master seed, count, chunk_size): byte-identical for 1 or N threads.
-// Chunk results are accumulated per chunk and merged in chunk-index order,
-// so even floating-point reductions stay bit-reproducible.
+// Consequently the output of any build is a pure function of (master
+// seed, count, chunk_size): byte-identical for 1 or N threads, including
+// the default single-threaded options. Chunk results are accumulated per
+// chunk and merged in chunk-index order, so even floating-point
+// reductions stay bit-reproducible.
 //
 // The engine either borrows a shared ThreadPool (SamplingOptions::pool —
-// the experiment harness passes its trial pool) or owns a private one.
-// Completion uses a per-Run latch rather than ThreadPool::Wait(), keeping
-// the pool's single-waiter contract available to the caller.
+// the experiment harness passes its trial pool), owns a private one, or
+// runs inline on the calling thread. Completion uses a per-Run latch
+// rather than ThreadPool::Wait(), keeping the pool's single-waiter
+// contract available to the caller.
 
 #ifndef SOLDIST_SIM_SAMPLING_ENGINE_H_
 #define SOLDIST_SIM_SAMPLING_ENGINE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "util/thread_pool.h"
 
@@ -78,12 +86,11 @@ class CancelToken {
 };
 
 /// \brief Sampling parallelism knob threaded through the estimator factory.
+/// No field but chunk_size ever changes a sampled byte.
 struct SamplingOptions {
-  /// 1 (default): sampling stays on the calling thread through the legacy
-  /// single-stream loops — bit-identical to the pre-engine code. Any other
-  /// value routes sampling through SamplingEngine's chunked deterministic
-  /// streams: 0 = hardware concurrency, N >= 2 = N workers. A non-null
-  /// `pool` also selects the engine path (its width then caps parallelism).
+  /// Worker count: 1 (default) runs the chunks inline on the calling
+  /// thread, 0 = hardware concurrency, N >= 2 = N workers. A non-null
+  /// `pool` overrides it (the pool's width then caps parallelism).
   int num_threads = 1;
 
   /// Samples per deterministic chunk. Smaller chunks balance load better;
@@ -92,8 +99,8 @@ struct SamplingOptions {
   /// comparing runs (the thread count never matters).
   std::uint64_t chunk_size = 256;
 
-  /// Optional shared pool (not owned). When null and the engine path is
-  /// selected, each SamplingEngine owns a private pool of `num_threads`.
+  /// Optional shared pool (not owned). When null and num_threads != 1,
+  /// each SamplingEngine owns a private pool of `num_threads`.
   ThreadPool* pool = nullptr;
 
   /// Optional cooperative cancel token (not owned). Samplers that honor
@@ -102,8 +109,11 @@ struct SamplingOptions {
   /// completed prefix. Null = never cancelled.
   CancelToken* cancel = nullptr;
 
-  /// True when sampling should route through SamplingEngine.
-  bool UseEngine() const { return num_threads != 1 || pool != nullptr; }
+  /// True when sampling asks for worker threads (a pool, or a width other
+  /// than 1). Callers that could instead parallelize a coarser level —
+  /// trials, batch specs — use it to pick one level; it never changes a
+  /// sampled byte.
+  bool SampleParallel() const { return num_threads != 1 || pool != nullptr; }
 };
 
 /// \brief Fans chunked sampling work out across a thread pool.
@@ -116,6 +126,12 @@ class SamplingEngine {
     std::uint64_t begin;
     std::uint64_t end;
     std::uint64_t seed;
+    /// Output shard this chunk appends to (< NumShards(count)): the chunk
+    /// index when chunks may run concurrently, 0 for every chunk of an
+    /// inline run, whose chunks execute in index order.
+    std::uint64_t shard;
+    /// Samples that shard holds once every chunk ran (reserve hint).
+    std::uint64_t shard_size;
   };
 
   /// Chunk callback. `worker_slot` < num_workers() identifies a slot held
@@ -133,7 +149,7 @@ class SamplingEngine {
 
   /// Invokes fn once per chunk of [0, count), possibly concurrently, and
   /// blocks until all chunks are done. fn must write only to state owned
-  /// by its chunk (e.g. shards[chunk.index]) or its worker slot. Chunk
+  /// by its chunk (e.g. shards[chunk.shard]) or its worker slot. Chunk
   /// seeds depend only on `master_seed` and the chunk index, never on the
   /// worker count.
   void Run(std::uint64_t master_seed, std::uint64_t count,
@@ -142,7 +158,38 @@ class SamplingEngine {
   /// Number of chunks Run() will produce for `count` samples.
   std::uint64_t NumChunks(std::uint64_t count) const;
 
+  /// Number of output shards a Run() over `count` samples from this thread
+  /// fills: 1 when it runs inline, NumChunks(count) otherwise. Shard
+  /// contents concatenated in order are the same either way.
+  std::uint64_t NumShards(std::uint64_t count) const;
+
   std::uint64_t chunk_size() const { return chunk_size_; }
+
+  /// Cuts the shards of a cancelled Run over `count` samples to their
+  /// longest contiguous completed prefix and returns the samples kept.
+  /// An empty shard (skipped chunk) or a short one (stopped mid-chunk)
+  /// marks the cut; a short shard keeps what it produced, and a single
+  /// inline shard already holds exactly the completed prefix.
+  /// `size(shard)` counts a shard's samples. Because chunk c draws only
+  /// from its own streams, the survivors equal a direct build at the
+  /// returned count.
+  template <typename Shard, typename SizeFn>
+  std::uint64_t TruncateToCompletedPrefix(std::vector<Shard>* shards,
+                                          std::uint64_t count,
+                                          SizeFn size) const {
+    std::uint64_t kept = 0;
+    std::size_t s = 0;
+    while (s < shards->size()) {
+      const std::uint64_t produced = size((*shards)[s]);
+      if (produced == 0) break;
+      const std::uint64_t begin = s * chunk_size_;
+      kept += produced;
+      ++s;
+      if (produced < std::min(begin + chunk_size_, count) - begin) break;
+    }
+    shards->resize(s);
+    return kept;
+  }
 
   /// The cancel token carried in from SamplingOptions (may be null).
   /// Chunk fns poll it to skip work once a request budget expires.
@@ -154,8 +201,11 @@ class SamplingEngine {
   }
 
  private:
+  /// Whether a Run over `num_chunks` chunks from this thread executes on
+  /// the calling thread (nothing to fan out, or already on a pool worker).
+  bool RunsInline(std::uint64_t num_chunks) const;
   Chunk MakeChunk(std::uint64_t master_seed, std::uint64_t index,
-                  std::uint64_t count) const;
+                  std::uint64_t count, bool inline_run) const;
 
   std::uint64_t chunk_size_;
   std::unique_ptr<ThreadPool> owned_pool_;

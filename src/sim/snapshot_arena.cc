@@ -66,21 +66,15 @@ std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
     }
   };
 
-  const auto count = static_cast<std::uint64_t>(snaps.size());
-  if (sampling.UseEngine() && count > 0) {
-    SamplingEngine engine(sampling);
-    std::vector<std::unique_ptr<Slot>> slots(engine.num_workers());
-    engine.Run(/*master_seed=*/0, count,
-               [&](const SamplingEngine::Chunk& chunk, std::size_t idx) {
-      if (slots[idx] == nullptr) {
-        slots[idx] = std::make_unique<Slot>(n, kSnapshotSketchK);
-      }
-      warm_range(chunk.begin, chunk.end, slots[idx].get());
-    });
-  } else if (count > 0) {
-    Slot slot(n, kSnapshotSketchK);
-    warm_range(0, count, &slot);
-  }
+  SamplingEngine engine(sampling);
+  std::vector<std::unique_ptr<Slot>> slots(engine.num_workers());
+  engine.Run(/*master_seed=*/0, static_cast<std::uint64_t>(snaps.size()),
+             [&](const SamplingEngine::Chunk& chunk, std::size_t idx) {
+    if (slots[idx] == nullptr) {
+      slots[idx] = std::make_unique<Slot>(n, kSnapshotSketchK);
+    }
+    warm_range(chunk.begin, chunk.end, slots[idx].get());
+  });
   return warmth;
 }
 
@@ -93,62 +87,21 @@ SnapshotArena SnapshotArena::Sample(const InfluenceGraph& ig,
   arena.num_vertices_ = ig.num_vertices();
   arena.snaps_.reserve(capacity);
   arena.counters_.Reserve(capacity);
-  std::uint64_t actual = capacity;
-  if (sampling.UseEngine()) {
-    SamplingEngine engine(sampling);
-    std::vector<CondensedSnapshotShard> shards = SampleCondensedSnapshotShards(
-        ig, seed, capacity, &engine, /*record_per_snapshot=*/true);
-    if (sampling.cancel != nullptr) {
-      // Truncate a cancelled build to its contiguous completed prefix:
-      // an empty shard (skipped chunk) or a short shard marks the cut;
-      // the survivors are byte-identical to a direct smaller build
-      // (chunk c draws only from DeriveSeed(seed, c)).
-      std::size_t keep = 0;
-      actual = 0;
-      for (std::size_t s = 0; s < shards.size(); ++s) {
-        if (shards[s].snapshots.empty()) break;
-        const std::uint64_t begin = s * engine.chunk_size();
-        const std::uint64_t expected =
-            std::min(begin + engine.chunk_size(), capacity) - begin;
-        actual += shards[s].snapshots.size();
-        keep = s + 1;
-        if (shards[s].snapshots.size() < expected) break;
-      }
-      shards.resize(keep);
-    }
-    for (CondensedSnapshotShard& shard : shards) {
-      SOLDIST_CHECK(shard.per_snapshot.size() == shard.snapshots.size());
-      for (std::size_t j = 0; j < shard.snapshots.size(); ++j) {
-        arena.counters_.Append(shard.per_snapshot[j]);
-        arena.snaps_.push_back(std::move(shard.snapshots[j]));
-      }
-    }
-  } else {
-    // Legacy single-stream path: same snapshot stream as the fresh
-    // condensed backend, condensed one at a time so the raw CSR never
-    // accumulates; per-snapshot counter deltas feed the prefix table.
-    Rng rng(seed);
-    SnapshotSampler sampler(&ig);
-    SnapshotCondenser condenser(ig.num_vertices());
-    Snapshot scratch;
-    TraversalCounters running;
-    for (std::uint64_t i = 0; i < capacity; ++i) {
-      // Cooperative cancel: stop early; the produced prefix IS a direct
-      // smaller build (snapshot 0 always lands).
-      if (sampling.cancel != nullptr && i > 0 &&
-          sampling.cancel->cancelled()) {
-        actual = i;
-        break;
-      }
-      const TraversalCounters before = running;
-      sampler.SampleInto(&rng, &running, &scratch);
-      TraversalCounters delta;
-      delta.vertices = running.vertices - before.vertices;
-      delta.edges = running.edges - before.edges;
-      delta.sample_vertices = running.sample_vertices - before.sample_vertices;
-      delta.sample_edges = running.sample_edges - before.sample_edges;
-      arena.counters_.Append(delta);
-      arena.snaps_.push_back(condenser.Condense(scratch));
+  SamplingEngine engine(sampling);
+  std::vector<CondensedSnapshotShard> shards = SampleCondensedSnapshotShards(
+      ig, seed, capacity, &engine, /*record_per_snapshot=*/true);
+  const std::uint64_t actual =
+      sampling.cancel == nullptr
+          ? capacity
+          : engine.TruncateToCompletedPrefix(
+                &shards, capacity, [](const CondensedSnapshotShard& shard) {
+                  return shard.snapshots.size();
+                });
+  for (CondensedSnapshotShard& shard : shards) {
+    SOLDIST_CHECK(shard.per_snapshot.size() == shard.snapshots.size());
+    for (std::size_t j = 0; j < shard.snapshots.size(); ++j) {
+      arena.counters_.Append(shard.per_snapshot[j]);
+      arena.snaps_.push_back(std::move(shard.snapshots[j]));
     }
   }
   SOLDIST_CHECK(arena.capacity() == actual);

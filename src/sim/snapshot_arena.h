@@ -4,13 +4,11 @@
 // over the sampled worlds themselves (reachability probability, expected
 // component size; serve/query_service.h).
 //
-// Why a prefix is exact: both snapshot stream disciplines are
-// prefix-closed in the master seed. The chunked engine gives chunk c its
-// randomness from DeriveSeed(master, c) alone and draws the chunk's
-// snapshots in order, so the first τ₁ snapshots of a τ₂ build are
-// byte-identical to a τ₁ build; the legacy sequential loop draws every
-// snapshot from ONE Rng(seed) stream, so its prefixes coincide
-// trivially. The arena samples with EXACTLY the stream discipline of
+// Why a prefix is exact: snapshot sampling is prefix-closed in the
+// master seed. The chunked engine gives chunk c its randomness from
+// DeriveSeed(master, c) alone and draws the chunk's snapshots in order,
+// so the first τ₁ snapshots of a τ₂ build are byte-identical to a τ₁
+// build. The arena samples with EXACTLY the streams of
 // SnapshotEstimator's condensed backend, which is what makes an
 // arena-served sweep cell byte-identical to a freshly sampled one
 // (ctest snapshot_arena_test enforces this for worker counts 1/2/4).
@@ -66,10 +64,9 @@ struct SnapshotWarmth {
 
 /// Computes warmth for every snapshot: ONE distinct-rank permutation
 /// drawn from Rng(perm_seed), bottom-k sketches per DAG, then the capped
-/// successor-sum bounds. Chunked over snapshots through the engine when
-/// sampling.UseEngine() (per-slot sketcher scratch; each snapshot's
-/// warmth is a pure function of that snapshot, so the worker count never
-/// changes a byte), else sequential.
+/// successor-sum bounds. Chunked over snapshots through the engine
+/// (per-slot sketcher scratch; each snapshot's warmth is a pure function
+/// of that snapshot, so the worker count never changes a byte).
 std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
     std::span<const CondensedSnapshot> snaps, VertexId num_vertices,
     std::uint64_t perm_seed, const SamplingOptions& sampling);
@@ -80,13 +77,13 @@ std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
 /// prefixes and point queries from one arena concurrently.
 class SnapshotArena : public WorldArena {
  public:
-  /// Samples `capacity` snapshots with the condensed backend's exact
-  /// stream discipline (engine chunk streams when sampling.UseEngine(),
-  /// legacy sequential Rng(seed) loop otherwise), condensing each as it
-  /// is sampled, then precomputes warmth with the permutation stream
-  /// DeriveSeed(seed, capacity + 1). A fresh condensed
-  /// SnapshotEstimator(ig, τ, seed, sampling) for any τ <= capacity
-  /// consumes the byte-identical prefix of this arena.
+  /// Samples `capacity` snapshots through the condensed backend's engine
+  /// chunk streams, condensing each as it is sampled, then precomputes
+  /// warmth with the permutation stream DeriveSeed(seed, capacity + 1).
+  /// A fresh condensed SnapshotEstimator(ig, τ, seed, sampling) for any
+  /// τ <= capacity consumes the byte-identical prefix of this arena, at
+  /// any worker count. A fired sampling.cancel truncates the arena to its
+  /// completed prefix (capacity() tells).
   static SnapshotArena Sample(const InfluenceGraph& ig, std::uint64_t seed,
                               std::uint64_t capacity,
                               const SamplingOptions& sampling);

@@ -73,23 +73,9 @@ std::vector<SnapshotShard> SampleSnapshotShards(const InfluenceGraph& ig,
                                                 std::uint64_t master_seed,
                                                 std::uint64_t count,
                                                 SamplingEngine* engine) {
-  std::vector<SnapshotShard> shards(engine->NumChunks(count));
-  std::vector<std::unique_ptr<SnapshotSampler>> samplers(
-      engine->num_workers());
-  engine->Run(master_seed, count,
-              [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
-    if (samplers[slot] == nullptr) {
-      samplers[slot] = std::make_unique<SnapshotSampler>(&ig);
-    }
-    Rng rng(DeriveSeed(chunk.seed, 1));
-    SnapshotShard& shard = shards[chunk.index];
-    shard.snapshots.reserve(chunk.end - chunk.begin);
-    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-      shard.snapshots.push_back(
-          samplers[slot]->Sample(&rng, &shard.counters));
-    }
-  });
-  return shards;
+  return internal::SampleSnapshotShardsWith(
+      [&ig] { return std::make_unique<SnapshotSampler>(&ig); }, master_seed,
+      count, engine);
 }
 
 }  // namespace soldist

@@ -4,11 +4,13 @@
 #ifndef SOLDIST_SIM_SNAPSHOT_SAMPLER_H_
 #define SOLDIST_SIM_SNAPSHOT_SAMPLER_H_
 
+#include <memory>
 #include <vector>
 
 #include "graph/traversal.h"
 #include "model/influence_graph.h"
 #include "random/rng.h"
+#include "random/splitmix64.h"
 #include "sim/counters.h"
 #include "sim/sampling_engine.h"
 
@@ -62,19 +64,47 @@ class SnapshotSampler {
   std::vector<VertexId> queue_;
 };
 
-/// \brief One chunk's worth of snapshots, produced by SampleSnapshotShards.
+/// \brief A run of consecutive snapshots, produced by SampleSnapshotShards.
 struct SnapshotShard {
   std::vector<Snapshot> snapshots;
   TraversalCounters counters;
 };
 
-/// Samples `count` snapshots through `engine`, one shard per chunk; chunk
-/// c draws from a stream seeded with DeriveSeed(DeriveSeed(master_seed, c),
-/// 1), so the concatenation in shard order is worker-count-independent.
+/// Samples `count` snapshots through `engine` into engine->NumShards(count)
+/// shards; chunk c draws from a stream seeded with
+/// DeriveSeed(DeriveSeed(master_seed, c), 1), so the concatenation in
+/// shard order is worker-count-independent.
 std::vector<SnapshotShard> SampleSnapshotShards(const InfluenceGraph& ig,
                                                 std::uint64_t master_seed,
                                                 std::uint64_t count,
                                                 SamplingEngine* engine);
+
+namespace internal {
+
+/// The body SampleSnapshotShards and SampleLtSnapshotShards share:
+/// `make_sampler()` returns a std::unique_ptr to a per-worker-slot sampler
+/// with SnapshotSampler's Sample(rng, counters) signature.
+template <typename MakeSampler>
+std::vector<SnapshotShard> SampleSnapshotShardsWith(
+    const MakeSampler& make_sampler, std::uint64_t master_seed,
+    std::uint64_t count, SamplingEngine* engine) {
+  std::vector<SnapshotShard> shards(engine->NumShards(count));
+  std::vector<decltype(make_sampler())> samplers(engine->num_workers());
+  engine->Run(master_seed, count,
+              [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
+    if (samplers[slot] == nullptr) samplers[slot] = make_sampler();
+    Rng rng(DeriveSeed(chunk.seed, 1));
+    SnapshotShard& shard = shards[chunk.shard];
+    if (shard.snapshots.empty()) shard.snapshots.reserve(chunk.shard_size);
+    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+      shard.snapshots.push_back(
+          samplers[slot]->Sample(&rng, &shard.counters));
+    }
+  });
+  return shards;
+}
+
+}  // namespace internal
 
 }  // namespace soldist
 

@@ -7,10 +7,10 @@
 //
 //   <dir>/manifest.txt   key=value identity + integrity record:
 //                        format_version, kind (rr|snapshot), workload
-//                        label, seed, stream family ("seq" or
-//                        "engine/<chunk>"), capacity, num_vertices,
-//                        payload_bytes, checksum (FNV-1a 64 over the
-//                        payload file).
+//                        label, seed, stream ("engine/<chunk>": the
+//                        chunk size of the sampling streams), capacity,
+//                        num_vertices, payload_bytes, checksum (FNV-1a
+//                        64 over the payload file).
 //   <dir>/payload.bin    binary payload. Starts with a u64 magic that
 //                        reads back wrong on an opposite-endian machine
 //                        (endianness guard), then version/kind/shape,
@@ -38,9 +38,9 @@
 // ctest arena_store_test drives each failure mode.
 //
 // Determinism contract: Save(Load(x)) == x and Load(Save(arena)) serves
-// byte-identical queries to `arena` at every prefix cut, both stream
-// families, because the payload IS the sampled bytes (no re-encoding)
-// and the index rebuild is the same counting sort as the original build.
+// byte-identical queries to `arena` at every prefix cut, because the
+// payload IS the sampled bytes (no re-encoding) and the index rebuild is
+// the same counting sort as the original build.
 
 #ifndef SOLDIST_STORE_ARENA_IO_H_
 #define SOLDIST_STORE_ARENA_IO_H_
@@ -69,7 +69,7 @@ struct ArenaManifest {
   std::string kind;      // "rr" | "snapshot"
   std::string workload;  // workload label (network/prob/model key)
   std::uint64_t seed = 0;
-  std::string stream;    // "seq" | "engine/<chunk_size>"
+  std::string stream;    // "engine/<chunk_size>"
   std::uint64_t capacity = 0;
   std::uint64_t num_vertices = 0;
   std::uint64_t payload_bytes = 0;

@@ -203,7 +203,7 @@ TEST(SessionTest, NegativeSamplingWidthFallsBackToSequential) {
   SamplingOptions sampling = session.SamplingFor(-1);
   EXPECT_EQ(sampling.num_threads, 1);
   EXPECT_EQ(sampling.pool, nullptr);
-  EXPECT_FALSE(sampling.UseEngine());
+  EXPECT_FALSE(sampling.SampleParallel());
 }
 
 TEST(SessionTest, MissingFileIsStatus) {
@@ -317,11 +317,13 @@ TEST(SessionTest, SolveMatchesLegacyMakeEstimatorLt) {
 
 /// The batch acceptance contract: SolveBatch results (seed sets AND
 /// influence estimates) are byte-identical to issuing the same specs
-/// sequentially through Solve, for sample_threads 1, 2, and 4.
+/// sequentially through Solve, for sample_threads 1, 2, and 4 — and
+/// width 1 (batch fan-out, inline sampling) equals widths 2 and 4.
 TEST(SessionTest, SolveBatchMatchesSequentialAcrossSampleThreads) {
   api::SessionOptions options;
   options.threads = 4;  // make the batch fan-out path real
   options.oracle_rr = 20000;
+  std::vector<api::SolveResult> width1;
   for (std::int64_t sample_threads : {1, 2, 4}) {
     api::Session session(options);
     auto workload = api::WorkloadSpec::Dataset("Karate").Probability(
@@ -354,6 +356,19 @@ TEST(SessionTest, SolveBatchMatchesSequentialAcrossSampleThreads) {
       EXPECT_EQ(batch.value()[i].counters.edges,
                 sequential.value().counters.edges);
     }
+    if (sample_threads == 1) width1 = batch.value();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const api::SolveResult& got = batch.value()[i];
+      EXPECT_EQ(got.seeds, width1[i].seeds)
+          << "spec " << i << " sample_threads " << sample_threads;
+      EXPECT_EQ(got.estimates, width1[i].estimates);
+      EXPECT_EQ(got.influence, width1[i].influence);
+      EXPECT_EQ(got.counters.vertices, width1[i].counters.vertices);
+      EXPECT_EQ(got.counters.edges, width1[i].counters.edges);
+      EXPECT_EQ(got.counters.sample_vertices,
+                width1[i].counters.sample_vertices);
+      EXPECT_EQ(got.counters.sample_edges, width1[i].counters.sample_edges);
+    }
   }
 }
 
@@ -361,9 +376,10 @@ TEST(SessionTest, SolveBatchMatchesSequentialAcrossSampleThreads) {
 /// sample_number share one RR arena (SessionOptions::batch_reuse), and
 /// every result — seeds, estimates, influence, counters — still equals a
 /// sequential Solve (which never uses arenas) AND a reuse-off batch, for
-/// IC and LT and for sample_threads 1, 2, 4.
+/// IC and LT and for sample_threads 1, 2, 4 — which all agree.
 TEST(SessionTest, SolveBatchLadderReuseIsByteIdentical) {
   for (DiffusionModel model : {DiffusionModel::kIc, DiffusionModel::kLt}) {
+    std::vector<api::SolveResult> width1;
     for (std::int64_t sample_threads : {1, 2, 4}) {
       api::SessionOptions reuse_options;
       reuse_options.threads = 4;
@@ -408,12 +424,20 @@ TEST(SessionTest, SolveBatchLadderReuseIsByteIdentical) {
         EXPECT_EQ(shared.seeds, unshared.value()[i].seeds);
         EXPECT_EQ(shared.influence, unshared.value()[i].influence);
       }
+      if (sample_threads == 1) width1 = batch.value();
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(batch.value()[i].seeds, width1[i].seeds)
+            << "spec " << i << " threads " << sample_threads;
+        EXPECT_EQ(batch.value()[i].estimates, width1[i].estimates);
+        EXPECT_EQ(batch.value()[i].counters.sample_vertices,
+                  width1[i].counters.sample_vertices);
+      }
     }
   }
 }
 
-/// LT always draws through the chunked deterministic streams, so batch
-/// results must also be identical ACROSS sample-thread widths.
+/// LT batches (ladder arenas included) are identical ACROSS sample-thread
+/// widths too.
 TEST(SessionTest, LtBatchIdenticalAcrossWidths) {
   api::SessionOptions options;
   options.threads = 4;

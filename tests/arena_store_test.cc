@@ -1,6 +1,6 @@
-// The store/ subsystem's ctest contract (ISSUE 8): persisted arenas
-// round-trip byte-identically (both stream families, prefix cuts, worker
-// counts 1/2/4), every corruption / identity-mismatch mode is a Status
+// The store/ subsystem's ctest contract: persisted arenas round-trip
+// byte-identically (prefix cuts, worker counts 1/2/4), every
+// corruption / identity-mismatch mode is a Status
 // the caller falls back from (never an abort), and the compressed / mmap
 // backends answer Solve / TopK / Spread byte-identically to flat. Plus
 // the serve-layer regressions: ArenaCache charges backend-reported
@@ -99,26 +99,15 @@ void ExpectRrArenasIdentical(const RrArena& a, const RrArena& b) {
 }
 
 // ---------------------------------------------------------------------
-// Save/load round trips: both stream families, workers 1/2/4.
+// Save/load round trips: workers 1/2/4.
 // ---------------------------------------------------------------------
 
-TEST(ArenaIoTest, RrRoundTripSeqFamily) {
-  InfluenceGraph ig = KarateUc01();
-  RrArena arena = RrArena::SampleIc(ig, 7, 96, Threads(1, 64));
-  std::string dir = FreshDir("rr_seq");
-  ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(7, "seq", 96), dir).ok());
-  auto loaded = store::LoadRrArena(dir, RrManifest(7, "seq", 96));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectRrArenasIdentical(arena, *loaded.value());
-}
-
-TEST(ArenaIoTest, RrRoundTripEngineFamilyWorkers2And4) {
+TEST(ArenaIoTest, RrRoundTripWorkers1To4) {
   InfluenceGraph ig = KarateUc01();
   std::vector<std::shared_ptr<RrArena>> reloaded;
-  for (int workers : {2, 4}) {
+  for (int workers : {1, 2, 4}) {
     RrArena arena = RrArena::SampleIc(ig, 7, 96, Threads(workers, 32));
-    std::string dir =
-        FreshDir("rr_engine_w" + std::to_string(workers));
+    std::string dir = FreshDir("rr_w" + std::to_string(workers));
     ASSERT_TRUE(
         store::SaveRrArena(arena, RrManifest(7, "engine/32", 96), dir).ok());
     auto loaded = store::LoadRrArena(dir, RrManifest(7, "engine/32", 96));
@@ -126,8 +115,9 @@ TEST(ArenaIoTest, RrRoundTripEngineFamilyWorkers2And4) {
     ExpectRrArenasIdentical(arena, *loaded.value());
     reloaded.push_back(loaded.value());
   }
-  // The engine family's thread-count invariance survives persistence.
+  // Thread-count invariance survives persistence.
   ExpectRrArenasIdentical(*reloaded[0], *reloaded[1]);
+  ExpectRrArenasIdentical(*reloaded[0], *reloaded[2]);
 }
 
 TEST(ArenaIoTest, LoadServesSmallerCapacityAsExactPrefix) {
@@ -135,11 +125,11 @@ TEST(ArenaIoTest, LoadServesSmallerCapacityAsExactPrefix) {
   RrArena arena = RrArena::SampleIc(ig, 9, 128, Threads(1, 64));
   std::string dir = FreshDir("rr_prefix");
   ASSERT_TRUE(
-      store::SaveRrArena(arena, RrManifest(9, "seq", 128), dir).ok());
+      store::SaveRrArena(arena, RrManifest(9, "engine/64", 128), dir).ok());
   // Requesting LESS than the saved capacity is a hit; the loaded arena
   // keeps the full capacity and the prefix is byte-identical to a direct
   // sample at the smaller τ.
-  auto loaded = store::LoadRrArena(dir, RrManifest(9, "seq", 64));
+  auto loaded = store::LoadRrArena(dir, RrManifest(9, "engine/64", 64));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value()->capacity(), 128u);
   RrArena direct = RrArena::SampleIc(ig, 9, 64, Threads(1, 64));
@@ -152,7 +142,7 @@ TEST(ArenaIoTest, LoadServesSmallerCapacityAsExactPrefix) {
   }
 }
 
-TEST(ArenaIoTest, SnapshotRoundTripBothFamilies) {
+TEST(ArenaIoTest, SnapshotRoundTripWorkers1To4) {
   InfluenceGraph ig = KarateUc01();
   for (int workers : {1, 2, 4}) {
     SamplingOptions sampling = Threads(workers, 16);
@@ -161,7 +151,7 @@ TEST(ArenaIoTest, SnapshotRoundTripBothFamilies) {
     manifest.kind = "snapshot";
     manifest.workload = "Karate/uc0.1";
     manifest.seed = 11;
-    manifest.stream = workers == 1 ? "seq" : "engine/16";
+    manifest.stream = "engine/16";
     manifest.capacity = 48;
     std::string dir =
         FreshDir("snapshot_w" + std::to_string(workers));
@@ -198,7 +188,7 @@ TEST(ArenaIoTest, SnapshotRoundTripBothFamilies) {
 
 TEST(ArenaIoTest, MissingDirectoryIsNotFound) {
   std::string dir = FreshDir("does_not_exist");
-  auto loaded = store::LoadRrArena(dir, RrManifest(1, "seq", 8));
+  auto loaded = store::LoadRrArena(dir, RrManifest(1, "engine/64", 8));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
@@ -207,9 +197,10 @@ TEST(ArenaIoTest, IdentityMismatchIsFailedPrecondition) {
   InfluenceGraph ig = KarateUc01();
   RrArena arena = RrArena::SampleIc(ig, 7, 32, Threads(1, 64));
   std::string dir = FreshDir("rr_identity");
-  ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(7, "seq", 32), dir).ok());
+  ASSERT_TRUE(
+      store::SaveRrArena(arena, RrManifest(7, "engine/64", 32), dir).ok());
 
-  auto wrong_seed = store::LoadRrArena(dir, RrManifest(8, "seq", 32));
+  auto wrong_seed = store::LoadRrArena(dir, RrManifest(8, "engine/64", 32));
   ASSERT_FALSE(wrong_seed.ok());
   EXPECT_EQ(wrong_seed.status().code(), StatusCode::kFailedPrecondition);
 
@@ -218,19 +209,20 @@ TEST(ArenaIoTest, IdentityMismatchIsFailedPrecondition) {
   ASSERT_FALSE(wrong_stream.ok());
   EXPECT_EQ(wrong_stream.status().code(), StatusCode::kFailedPrecondition);
 
-  store::ArenaManifest wrong_workload = RrManifest(7, "seq", 32);
+  store::ArenaManifest wrong_workload = RrManifest(7, "engine/64", 32);
   wrong_workload.workload = "Karate/iwc";
   auto mismatch = store::LoadRrArena(dir, wrong_workload);
   ASSERT_FALSE(mismatch.ok());
   EXPECT_EQ(mismatch.status().code(), StatusCode::kFailedPrecondition);
 
   // A saved arena SMALLER than the request cannot serve it as a prefix.
-  auto too_small = store::LoadRrArena(dir, RrManifest(7, "seq", 64));
+  auto too_small = store::LoadRrArena(dir, RrManifest(7, "engine/64", 64));
   ASSERT_FALSE(too_small.ok());
   EXPECT_EQ(too_small.status().code(), StatusCode::kFailedPrecondition);
 
   // Kind cross-load: a snapshot loader pointed at an RR directory.
-  auto wrong_kind = store::LoadSnapshotArena(dir, RrManifest(7, "seq", 32));
+  auto wrong_kind =
+      store::LoadSnapshotArena(dir, RrManifest(7, "engine/64", 32));
   ASSERT_FALSE(wrong_kind.ok());
   EXPECT_EQ(wrong_kind.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -239,7 +231,8 @@ TEST(ArenaIoTest, CorruptedPayloadIsStatusNotAbort) {
   InfluenceGraph ig = KarateUc01();
   RrArena arena = RrArena::SampleIc(ig, 7, 32, Threads(1, 64));
   std::string dir = FreshDir("rr_corrupt");
-  ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(7, "seq", 32), dir).ok());
+  ASSERT_TRUE(
+      store::SaveRrArena(arena, RrManifest(7, "engine/64", 32), dir).ok());
   const std::string payload = dir + "/payload.bin";
   const auto original_size = std::filesystem::file_size(payload);
 
@@ -254,14 +247,15 @@ TEST(ArenaIoTest, CorruptedPayloadIsStatusNotAbort) {
     f.seekp(static_cast<std::streamoff>(original_size / 2));
     f.put(static_cast<char>(byte ^ 0x5a));
   }
-  auto flipped = store::LoadRrArena(dir, RrManifest(7, "seq", 32));
+  auto flipped = store::LoadRrArena(dir, RrManifest(7, "engine/64", 32));
   ASSERT_FALSE(flipped.ok());
   EXPECT_EQ(flipped.status().code(), StatusCode::kIoError);
 
   // Re-save, then truncate: the size guard must catch it.
-  ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(7, "seq", 32), dir).ok());
+  ASSERT_TRUE(
+      store::SaveRrArena(arena, RrManifest(7, "engine/64", 32), dir).ok());
   std::filesystem::resize_file(payload, original_size - 8);
-  auto truncated = store::LoadRrArena(dir, RrManifest(7, "seq", 32));
+  auto truncated = store::LoadRrArena(dir, RrManifest(7, "engine/64", 32));
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.status().code(), StatusCode::kIoError);
 }
@@ -270,7 +264,8 @@ TEST(ArenaIoTest, WrongFormatVersionIsFailedPrecondition) {
   InfluenceGraph ig = KarateUc01();
   RrArena arena = RrArena::SampleIc(ig, 7, 32, Threads(1, 64));
   std::string dir = FreshDir("rr_version");
-  ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(7, "seq", 32), dir).ok());
+  ASSERT_TRUE(
+      store::SaveRrArena(arena, RrManifest(7, "engine/64", 32), dir).ok());
   // Rewrite the manifest claiming a future format version: the loader
   // must refuse BEFORE touching the payload (callers resample).
   const std::string manifest_path = dir + "/manifest.txt";
@@ -289,7 +284,7 @@ TEST(ArenaIoTest, WrongFormatVersionIsFailedPrecondition) {
     std::ofstream out(manifest_path, std::ios::trunc);
     out << text;
   }
-  auto loaded = store::LoadRrArena(dir, RrManifest(7, "seq", 32));
+  auto loaded = store::LoadRrArena(dir, RrManifest(7, "engine/64", 32));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -508,13 +503,13 @@ TEST(QueryServicePersistenceTest, ReloadsSavedArenaAcrossServices) {
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     first = view.value().TopK(3);
   }
-  const std::string arena_dir = dir + "/rr_Karate_uc0.1_seed_17_seq";
+  const std::string arena_dir = dir + "/rr_Karate_uc0.1_seed_17_engine_256";
   auto manifest = store::ReadArenaManifest(arena_dir);
   ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
   EXPECT_EQ(manifest.value().capacity, 512u);
   EXPECT_EQ(manifest.value().kind, "rr");
   EXPECT_EQ(manifest.value().seed, 17u);
-  EXPECT_EQ(manifest.value().stream, "seq");
+  EXPECT_EQ(manifest.value().stream, "engine/256");
 
   // A second process asking for a SMALLER τ must be served from the
   // saved arena, byte-identically to a fresh build at that τ.
@@ -611,15 +606,17 @@ TEST(ArenaIoResilienceTest, TornWriteReportsOkButLoadCatchesTheDamage) {
     // success with the full size/checksum — exactly a power-cut between
     // write and the sector actually landing. The read-side guards are
     // the contract under test.
-    Status saved = store::SaveRrArena(arena, RrManifest(7, "seq", 96), dir);
+    Status saved =
+        store::SaveRrArena(arena, RrManifest(7, "engine/64", 96), dir);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
-    auto loaded = store::LoadRrArena(dir, RrManifest(7, "seq", 96));
+    auto loaded = store::LoadRrArena(dir, RrManifest(7, "engine/64", 96));
     EXPECT_FALSE(loaded.ok()) << "torn payload loaded as valid";
   }
   // Clean retry over the damaged directory: save again, load, identical.
   dir = FreshDir("resilience_torn");
-  ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(7, "seq", 96), dir).ok());
-  auto reloaded = store::LoadRrArena(dir, RrManifest(7, "seq", 96));
+  ASSERT_TRUE(
+      store::SaveRrArena(arena, RrManifest(7, "engine/64", 96), dir).ok());
+  auto reloaded = store::LoadRrArena(dir, RrManifest(7, "engine/64", 96));
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ExpectRrArenasIdentical(*reloaded.value(), arena);
 }
@@ -628,13 +625,14 @@ TEST(ArenaIoResilienceTest, ShortReadOfACleanPayloadIsStatusNotAbort) {
   InfluenceGraph ig = KarateUc01();
   RrArena arena = RrArena::SampleIc(ig, 7, 96, Threads(1, 64));
   std::string dir = FreshDir("resilience_short");
-  ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(7, "seq", 96), dir).ok());
+  ASSERT_TRUE(
+      store::SaveRrArena(arena, RrManifest(7, "engine/64", 96), dir).ok());
   {
     ScopedFaultInjection faults("short-read");
-    auto loaded = store::LoadRrArena(dir, RrManifest(7, "seq", 96));
+    auto loaded = store::LoadRrArena(dir, RrManifest(7, "engine/64", 96));
     EXPECT_FALSE(loaded.ok()) << "truncated read loaded as valid";
   }
-  auto reloaded = store::LoadRrArena(dir, RrManifest(7, "seq", 96));
+  auto reloaded = store::LoadRrArena(dir, RrManifest(7, "engine/64", 96));
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   ExpectRrArenasIdentical(*reloaded.value(), arena);
 }
@@ -646,8 +644,9 @@ TEST(ArenaIoResilienceTest, IoErrorStormSaveLoadIsOkOrStatusNeverAbort) {
   int round_trips = 0;
   for (int i = 0; i < 20; ++i) {
     std::string dir = FreshDir("resilience_storm_" + std::to_string(i));
-    Status saved = store::SaveRrArena(arena, RrManifest(7, "seq", 96), dir);
-    auto loaded = store::LoadRrArena(dir, RrManifest(7, "seq", 96));
+    Status saved =
+        store::SaveRrArena(arena, RrManifest(7, "engine/64", 96), dir);
+    auto loaded = store::LoadRrArena(dir, RrManifest(7, "engine/64", 96));
     // Every outcome is a Status; and a load that DOES succeed must be
     // the genuine arena — a fault may fail an op, never corrupt one.
     if (saved.ok() && loaded.ok()) {
@@ -670,9 +669,9 @@ TEST(ArenaIoResilienceTest, ErrorEveryNthOpFailsDeterministically) {
     ScopedFaultInjection faults("error-every=5");
     for (int i = 0; i < 6; ++i) {
       std::string dir = FreshDir("resilience_every_" + std::to_string(i));
-      Status saved = store::SaveRrArena(arena, RrManifest(7, "seq", 96), dir);
-      ok.push_back(saved.ok() &&
-                   store::LoadRrArena(dir, RrManifest(7, "seq", 96)).ok());
+      const store::ArenaManifest manifest = RrManifest(7, "engine/64", 96);
+      Status saved = store::SaveRrArena(arena, manifest, dir);
+      ok.push_back(saved.ok() && store::LoadRrArena(dir, manifest).ok());
     }
     return ok;
   };

@@ -1,4 +1,4 @@
-// Crash consistency of the arena store (ISSUE 10): a fork-based crash
+// Crash consistency of the arena store: a fork-based crash
 // matrix proves that killing the saving process at EVERY injected crash
 // point (`crash-at=<boundary>:<n>`, store/fault_injection.h) leaves a
 // directory from which the startup sweep (store/recovery.h) recovers to
@@ -150,80 +150,60 @@ void RunCrashCase(const std::string& label, const CrashPoint& point,
   EXPECT_EQ(again.value().sweep_errors, 0u);
 }
 
-TEST(CrashMatrixTest, RrArenaEveryCrashPointBothStreamFamilies) {
+TEST(CrashMatrixTest, RrArenaEveryCrashPoint) {
   InfluenceGraph ig = KarateUc01();
-  struct Family {
-    const char* name;
-    std::string stream;
-    SamplingOptions sampling;
-  };
-  // Both stream families; the engine pool is private to Sample and its
-  // threads are joined before any fork below.
-  const Family families[] = {{"rr_seq", "seq", Threads(1, 64)},
-                             {"rr_engine", "engine/16", Threads(2, 16)}};
-  for (const Family& family : families) {
-    const RrArena arena = RrArena::SampleIc(ig, 7, 48, family.sampling);
-    const std::uint64_t want_checksum = arena.ContentChecksum();
-    const store::ArenaManifest manifest =
-        Manifest("rr", 7, family.stream, 48);
-    for (const CrashPoint& point : CrashMatrix()) {
-      RunCrashCase(
-          family.name, point,
-          [&](const std::string& dir) {
-            return store::SaveRrArena(arena, manifest, dir);
-          },
-          [&](const std::string& dir) {
-            auto loaded = store::LoadRrArena(dir, manifest);
-            if (!loaded.ok()) {
-              EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound)
-                  << loaded.status().ToString()
-                  << " — a crashed save must be a clean miss, not a "
-                     "corrupt read";
-              return false;
-            }
-            EXPECT_EQ(loaded.value()->ContentChecksum(), want_checksum);
-            EXPECT_EQ(loaded.value()->capacity(), arena.capacity());
-            EXPECT_EQ(loaded.value()->total_entries(),
-                      arena.total_entries());
-            return true;
-          });
-    }
+  // The engine pool is private to Sample and its threads are joined
+  // before any fork below.
+  const RrArena arena = RrArena::SampleIc(ig, 7, 48, Threads(2, 16));
+  const std::uint64_t want_checksum = arena.ContentChecksum();
+  const store::ArenaManifest manifest = Manifest("rr", 7, "engine/16", 48);
+  for (const CrashPoint& point : CrashMatrix()) {
+    RunCrashCase(
+        "rr", point,
+        [&](const std::string& dir) {
+          return store::SaveRrArena(arena, manifest, dir);
+        },
+        [&](const std::string& dir) {
+          auto loaded = store::LoadRrArena(dir, manifest);
+          if (!loaded.ok()) {
+            EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound)
+                << loaded.status().ToString()
+                << " — a crashed save must be a clean miss, not a "
+                   "corrupt read";
+            return false;
+          }
+          EXPECT_EQ(loaded.value()->ContentChecksum(), want_checksum);
+          EXPECT_EQ(loaded.value()->capacity(), arena.capacity());
+          EXPECT_EQ(loaded.value()->total_entries(), arena.total_entries());
+          return true;
+        });
   }
 }
 
-TEST(CrashMatrixTest, SnapshotArenaEveryCrashPointBothStreamFamilies) {
+TEST(CrashMatrixTest, SnapshotArenaEveryCrashPoint) {
   InfluenceGraph ig = KarateUc01();
-  struct Family {
-    const char* name;
-    std::string stream;
-    SamplingOptions sampling;
-  };
-  const Family families[] = {{"snap_seq", "seq", Threads(1, 16)},
-                             {"snap_engine", "engine/16", Threads(2, 16)}};
-  for (const Family& family : families) {
-    const SnapshotArena arena = SnapshotArena::Sample(ig, 11, 24,
-                                                      family.sampling);
-    const std::uint64_t want_checksum = arena.ContentChecksum();
-    const store::ArenaManifest manifest =
-        Manifest("snapshot", 11, family.stream, 24);
-    for (const CrashPoint& point : CrashMatrix()) {
-      RunCrashCase(
-          family.name, point,
-          [&](const std::string& dir) {
-            return store::SaveSnapshotArena(arena, manifest, dir);
-          },
-          [&](const std::string& dir) {
-            auto loaded = store::LoadSnapshotArena(dir, manifest);
-            if (!loaded.ok()) {
-              EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound)
-                  << loaded.status().ToString();
-              return false;
-            }
-            EXPECT_EQ(loaded.value()->ContentChecksum(), want_checksum);
-            EXPECT_EQ(loaded.value()->capacity(), arena.capacity());
-            return true;
-          });
-    }
+  const SnapshotArena arena =
+      SnapshotArena::Sample(ig, 11, 24, Threads(2, 16));
+  const std::uint64_t want_checksum = arena.ContentChecksum();
+  const store::ArenaManifest manifest =
+      Manifest("snapshot", 11, "engine/16", 24);
+  for (const CrashPoint& point : CrashMatrix()) {
+    RunCrashCase(
+        "snap", point,
+        [&](const std::string& dir) {
+          return store::SaveSnapshotArena(arena, manifest, dir);
+        },
+        [&](const std::string& dir) {
+          auto loaded = store::LoadSnapshotArena(dir, manifest);
+          if (!loaded.ok()) {
+            EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound)
+                << loaded.status().ToString();
+            return false;
+          }
+          EXPECT_EQ(loaded.value()->ContentChecksum(), want_checksum);
+          EXPECT_EQ(loaded.value()->capacity(), arena.capacity());
+          return true;
+        });
   }
 }
 
@@ -278,7 +258,7 @@ TEST(CrashSpecTest, CountsOccurrencesPerBoundaryNotGlobally) {
 TEST(RecoverySweepTest, ClassifiesDebrisOrphansCorruptionAndForeign) {
   InfluenceGraph ig = KarateUc01();
   const RrArena arena = RrArena::SampleIc(ig, 7, 32, Threads(1, 64));
-  const store::ArenaManifest manifest = Manifest("rr", 7, "seq", 32);
+  const store::ArenaManifest manifest = Manifest("rr", 7, "engine/64", 32);
   const std::string root = FreshDir("classify");
   ASSERT_TRUE(fs::create_directories(root));
 

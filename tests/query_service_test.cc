@@ -46,20 +46,13 @@ serve::QuerySpec SpecAt(std::uint64_t tau) {
   return spec;
 }
 
-/// The RR collection a fresh sequential-family RIS build at `tau` draws
-/// (RisEstimator::Build's non-engine streams — what the default
+/// The RR collection a fresh RIS build at `tau` draws with the default
+/// sampling options (RisEstimator::Build's streams — what the default
 /// QuerySpec's arena must prefix-match).
 RrCollection DirectCollection(const InfluenceGraph& ig, std::uint64_t tau) {
   RrCollection collection(ig.num_vertices());
-  RrSampler sampler(&ig);
-  Rng target_rng(DeriveSeed(kSeed, 1));
-  Rng coin_rng(DeriveSeed(kSeed, 2));
-  TraversalCounters counters;
-  std::vector<VertexId> rr_set;
-  for (std::uint64_t i = 0; i < tau; ++i) {
-    sampler.Sample(&target_rng, &coin_rng, &rr_set, &counters);
-    collection.Add(rr_set);
-  }
+  SamplingEngine engine;
+  collection.Merge(SampleRrShards(ig, kSeed, tau, &engine));
   collection.BuildIndex();
   return collection;
 }
@@ -271,6 +264,25 @@ TEST(QueryServiceTest, CacheHitsPrefixesAndCapacityUpgrades) {
   EXPECT_DOUBLE_EQ(small_again.value().Spread(probe), before);
   // The pre-upgrade view stays alive and valid through its shared arena.
   EXPECT_DOUBLE_EQ(small.value().Spread(probe), before);
+}
+
+TEST(QueryServiceTest, SampleThreadsAreNotPartOfTheCacheKey) {
+  // Every width builds the same arena, so a View at sample_threads 1 and
+  // then 0 (shared pool) for the same seed is one build plus one hit.
+  api::SessionOptions options;
+  options.threads = 2;
+  api::Session session(options);
+  serve::QueryService service(&session);
+  serve::QuerySpec spec = SpecAt(kTau);
+  spec.sample_threads = 1;
+  auto inline_view = service.View(KarateUc01(), spec);
+  ASSERT_TRUE(inline_view.ok());
+  spec.sample_threads = 0;
+  auto pooled_view = service.View(KarateUc01(), spec);
+  ASSERT_TRUE(pooled_view.ok());
+  EXPECT_EQ(service.cache_stats().builds, 1u);
+  EXPECT_EQ(service.cache_stats().hits, 1u);
+  EXPECT_EQ(&inline_view.value().arena(), &pooled_view.value().arena());
 }
 
 TEST(QueryServiceTest, CappedCacheEvictsAndRebuildsIdentically) {

@@ -9,8 +9,9 @@
 //    beyond the queue watermark, RAII release.
 //  * FaultSpec::Parse round-trips valid specs and rejects bad input
 //    with a Status, never an abort.
-//  * Cooperative cancel truncates a sampled arena to a contiguous
-//    prefix that is byte-identical to a direct smaller build.
+//  * Cooperative cancel — before the build or partway through, inline
+//    or on a pool — truncates a sampled RR or snapshot arena to a
+//    contiguous prefix that is byte-identical to a direct smaller build.
 //  * ArenaCache admits cancelled (partial) builds at their actual τ,
 //    upgrades them on the next full-τ request, prefers FULL arenas as
 //    eviction victims, and refunds charged bytes exactly when a partial
@@ -35,6 +36,7 @@
 #include "serve/resilience.h"
 #include "sim/rr_arena.h"
 #include "sim/sampling_engine.h"
+#include "sim/snapshot_arena.h"
 #include "store/fault_injection.h"
 #include "util/status.h"
 
@@ -362,6 +364,14 @@ TEST(FaultSpecTest, ErrorEveryIsDeterministicAndRateIsSeedStable) {
   }
 }
 
+void ExpectCountersEq(const TraversalCounters& a,
+                      const TraversalCounters& b) {
+  EXPECT_EQ(a.vertices, b.vertices);
+  EXPECT_EQ(a.edges, b.edges);
+  EXPECT_EQ(a.sample_vertices, b.sample_vertices);
+  EXPECT_EQ(a.sample_edges, b.sample_edges);
+}
+
 TEST(ResilienceCancelTest, CancelledEngineBuildIsAPrefixOfTheFullBuild) {
   InfluenceGraph ig = KarateUc01();
   // A pre-fired token: every chunk after the global first set skips, so
@@ -382,6 +392,42 @@ TEST(ResilienceCancelTest, CancelledEngineBuildIsAPrefixOfTheFullBuild) {
     std::span<const VertexId> f = full.Set(i);
     EXPECT_TRUE(std::equal(p.begin(), p.end(), f.begin(), f.end()))
         << "set " << i;
+  }
+
+  // A token that fires on its n-th poll cancels partway through a chunk.
+  // Whatever the cut (schedule-dependent at width 2), the partial arena
+  // must be byte-identical to a direct build at its capacity — at width
+  // 1 that is the single-shard inline path.
+  for (int threads : {1, 2}) {
+    for (int n : {5, 20, 50}) {
+      std::atomic<int> polls{0};
+      CancelToken token([&polls, n] { return polls.fetch_add(1) + 1 >= n; });
+      SamplingOptions partway = Threads(threads, 16);
+      partway.cancel = &token;
+      RrArena rr = RrArena::SampleIc(ig, 7, 96, partway);
+      ASSERT_GE(rr.capacity(), 1u);
+      ASSERT_LT(rr.capacity(), 96u) << "threads=" << threads << " n=" << n;
+      RrArena direct =
+          RrArena::SampleIc(ig, 7, rr.capacity(), Threads(threads, 16));
+      EXPECT_EQ(rr.ContentChecksum(), direct.ContentChecksum())
+          << "threads=" << threads << " n=" << n;
+      ExpectCountersEq(rr.PrefixCounters(rr.capacity()),
+                       direct.PrefixCounters(direct.capacity()));
+
+      polls = 0;
+      CancelToken snap_token(
+          [&polls, n] { return polls.fetch_add(1) + 1 >= n; });
+      partway.cancel = &snap_token;
+      SnapshotArena snap = SnapshotArena::Sample(ig, 7, 96, partway);
+      ASSERT_GE(snap.capacity(), 1u);
+      ASSERT_LT(snap.capacity(), 96u) << "threads=" << threads << " n=" << n;
+      SnapshotArena snap_direct =
+          SnapshotArena::Sample(ig, 7, snap.capacity(), Threads(threads, 16));
+      EXPECT_EQ(snap.ContentChecksum(), snap_direct.ContentChecksum())
+          << "threads=" << threads << " n=" << n;
+      ExpectCountersEq(snap.PrefixCounters(snap.capacity()),
+                       snap_direct.PrefixCounters(snap_direct.capacity()));
+    }
   }
 }
 

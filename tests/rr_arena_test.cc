@@ -1,10 +1,11 @@
 // The arena's load-bearing contract, ctest-enforced: a prefix view of a
 // τ₂ arena is BYTE-IDENTICAL to sampling τ₁ < τ₂ directly — same sets in
 // the same order, same inverted lists, same traversal counters — for the
-// legacy sequential IC stream family, the chunked engine streams at
-// worker counts 1/2/4, both chunk sizes, and both diffusion models. On
-// top of that, ArenaRisEstimator must be indistinguishable from
-// RisEstimator/LtRisEstimator through the greedy framework.
+// chunked engine streams at worker counts 1/2/4 (width 1 being the
+// default inline engine, byte-identical to 2 and 4), both chunk sizes,
+// and both diffusion models. On top of that, ArenaRisEstimator must be
+// indistinguishable from RisEstimator/LtRisEstimator through the greedy
+// framework.
 
 #include <gtest/gtest.h>
 
@@ -61,21 +62,10 @@ struct DirectBuild {
 DirectBuild DirectIc(const InfluenceGraph& ig, std::uint64_t seed,
                      std::uint64_t tau, const SamplingOptions& sampling) {
   DirectBuild direct{RrCollection(ig.num_vertices()), {}};
-  if (sampling.UseEngine()) {
-    SamplingEngine engine(sampling);
-    auto shards = SampleRrShards(ig, seed, tau, &engine);
-    for (const RrShard& shard : shards) direct.counters += shard.counters;
-    direct.collection.Merge(std::move(shards));
-  } else {
-    RrSampler sampler(&ig);
-    Rng target_rng(DeriveSeed(seed, 1));
-    Rng coin_rng(DeriveSeed(seed, 2));
-    std::vector<VertexId> rr_set;
-    for (std::uint64_t i = 0; i < tau; ++i) {
-      sampler.Sample(&target_rng, &coin_rng, &rr_set, &direct.counters);
-      direct.collection.Add(rr_set);
-    }
-  }
+  SamplingEngine engine(sampling);
+  auto shards = SampleRrShards(ig, seed, tau, &engine);
+  for (const RrShard& shard : shards) direct.counters += shard.counters;
+  direct.collection.Merge(std::move(shards));
   direct.collection.BuildIndex();
   return direct;
 }
@@ -119,11 +109,15 @@ TEST(RrArenaTest, IcPrefixViewsMatchDirectSampling) {
   InfluenceGraph ig = KarateUc01();
   const std::uint64_t capacity = 500;
   for (std::uint64_t chunk_size : {256u, 64u}) {
-    // num_threads == 1 without a pool is the legacy sequential family;
-    // 2 and 4 are the chunked engine streams (worker-count invariant).
+    // Width 1 (the default inline engine) must equal widths 2 and 4 byte
+    // for byte.
+    std::uint64_t width1_checksum = 0;
     for (int threads : {1, 2, 4}) {
       SamplingOptions sampling = Threads(threads, chunk_size);
       RrArena arena = RrArena::SampleIc(ig, 77, capacity, sampling);
+      if (threads == 1) width1_checksum = arena.ContentChecksum();
+      EXPECT_EQ(arena.ContentChecksum(), width1_checksum)
+          << "threads=" << threads << " chunk=" << chunk_size;
       for (std::uint64_t tau : {1u, 63u, 64u, 257u, 300u, 500u}) {
         ExpectPrefixEqualsDirect(arena, DirectIc(ig, 77, tau, sampling),
                                  tau);
@@ -137,9 +131,13 @@ TEST(RrArenaTest, LtPrefixViewsMatchDirectSampling) {
   LtWeights weights(&ig);
   const std::uint64_t capacity = 400;
   for (std::uint64_t chunk_size : {256u, 64u}) {
+    std::uint64_t width1_checksum = 0;
     for (int threads : {1, 2, 4}) {
       SamplingOptions sampling = Threads(threads, chunk_size);
       RrArena arena = RrArena::SampleLt(weights, 31, capacity, sampling);
+      if (threads == 1) width1_checksum = arena.ContentChecksum();
+      EXPECT_EQ(arena.ContentChecksum(), width1_checksum)
+          << "threads=" << threads << " chunk=" << chunk_size;
       for (std::uint64_t tau : {1u, 100u, 256u, 399u, 400u}) {
         ExpectPrefixEqualsDirect(arena,
                                  DirectLt(weights, 31, tau, sampling), tau);
@@ -150,8 +148,8 @@ TEST(RrArenaTest, LtPrefixViewsMatchDirectSampling) {
 
 TEST(RrArenaTest, ArenaContentIsWorkerCountInvariant) {
   InfluenceGraph ig = KarateUc01();
-  RrArena reference = RrArena::SampleIc(ig, 5, 300, Threads(2, 64));
-  for (int threads : {3, 4}) {
+  RrArena reference = RrArena::SampleIc(ig, 5, 300, Threads(1, 64));
+  for (int threads : {2, 3, 4}) {
     RrArena arena = RrArena::SampleIc(ig, 5, 300, Threads(threads, 64));
     ASSERT_EQ(arena.capacity(), reference.capacity());
     ASSERT_EQ(arena.total_entries(), reference.total_entries());

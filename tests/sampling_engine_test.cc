@@ -1,7 +1,8 @@
 // Tests for the deterministic chunked sampling engine: the output of any
-// engine-routed build must be a pure function of (master seed, count,
-// chunk_size) — byte-identical for 1 or N worker threads — and the bulk
-// RrCollection::Merge path must agree with the per-set Add path.
+// build must be a pure function of (master seed, count, chunk_size) —
+// byte-identical for the default inline engine, a 1-thread pool, or N
+// worker threads — and the bulk RrCollection::Merge path must agree with
+// the per-set Add path.
 
 #include <gtest/gtest.h>
 
@@ -31,8 +32,7 @@ InfluenceGraph KarateUc01() {
   return MakeInfluenceGraph(std::move(g), ProbabilityModel::kUc01);
 }
 
-/// Engine running chunks on exactly one worker thread (still the chunked
-/// deterministic streams, unlike the default SamplingOptions{}).
+/// Engine running chunks on exactly one pool worker thread.
 SamplingOptions OneThreadEngine(ThreadPool* one_thread_pool,
                                 std::uint64_t chunk_size = 64) {
   SamplingOptions options;
@@ -49,12 +49,45 @@ SamplingOptions FourThreadEngine(std::uint64_t chunk_size = 64) {
   return options;
 }
 
-TEST(SamplingOptionsTest, DefaultIsLegacySequential) {
+/// Flattens a shard sequence: the determinism contract is on the
+/// concatenation (an inline run fills one shard, a pooled run one per
+/// chunk).
+RrShard Concat(const std::vector<RrShard>& shards) {
+  RrShard out;
+  out.offsets.push_back(0);
+  for (const RrShard& shard : shards) {
+    const std::uint64_t base = out.flat.size();
+    out.flat.insert(out.flat.end(), shard.flat.begin(), shard.flat.end());
+    for (std::size_t j = 1; j < shard.offsets.size(); ++j) {
+      out.offsets.push_back(base + shard.offsets[j]);
+    }
+    out.counters += shard.counters;
+  }
+  return out;
+}
+
+TEST(SamplingOptionsTest, DefaultSamplesInlineThroughTheSameChunks) {
+  // The only question num_threads/pool answer is WHICH level of
+  // parallelism a caller uses; the default asks for none.
   SamplingOptions options;
-  EXPECT_FALSE(options.UseEngine());
-  EXPECT_TRUE(FourThreadEngine().UseEngine());
+  EXPECT_FALSE(options.SampleParallel());
+  EXPECT_TRUE(FourThreadEngine().SampleParallel());
   ThreadPool pool(1);
-  EXPECT_TRUE(OneThreadEngine(&pool).UseEngine());
+  EXPECT_TRUE(OneThreadEngine(&pool).SampleParallel());
+
+  // ...and the default draws exactly the sets a 4-worker engine draws.
+  InfluenceGraph ig = KarateUc01();
+  options.chunk_size = 64;
+  SamplingEngine inline_engine(options);
+  SamplingEngine parallel(FourThreadEngine(64));
+  EXPECT_EQ(inline_engine.NumShards(500), 1u);
+  EXPECT_EQ(parallel.NumShards(500), parallel.NumChunks(500));
+  const RrShard a = Concat(SampleRrShards(ig, 3, 500, &inline_engine));
+  const RrShard b = Concat(SampleRrShards(ig, 3, 500, &parallel));
+  EXPECT_EQ(a.flat, b.flat);
+  EXPECT_EQ(a.offsets, b.offsets);
+  EXPECT_EQ(a.counters.vertices, b.counters.vertices);
+  EXPECT_EQ(a.counters.edges, b.counters.edges);
 }
 
 TEST(SamplingEngineTest, ChunkSeedsDependOnlyOnMasterAndIndex) {
@@ -98,16 +131,13 @@ TEST(SamplingEngineTest, RrShardsIdenticalAcrossWorkerCounts) {
   ThreadPool one(1);
   SamplingEngine sequentialish(OneThreadEngine(&one, 32));
   SamplingEngine parallel(FourThreadEngine(32));
-  auto a = SampleRrShards(ig, 5, 500, &sequentialish);
-  auto b = SampleRrShards(ig, 5, 500, &parallel);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    EXPECT_EQ(a[s].flat, b[s].flat);
-    EXPECT_EQ(a[s].offsets, b[s].offsets);
-    EXPECT_EQ(a[s].counters.vertices, b[s].counters.vertices);
-    EXPECT_EQ(a[s].counters.edges, b[s].counters.edges);
-    EXPECT_EQ(a[s].counters.sample_vertices, b[s].counters.sample_vertices);
-  }
+  const RrShard a = Concat(SampleRrShards(ig, 5, 500, &sequentialish));
+  const RrShard b = Concat(SampleRrShards(ig, 5, 500, &parallel));
+  EXPECT_EQ(a.flat, b.flat);
+  EXPECT_EQ(a.offsets, b.offsets);
+  EXPECT_EQ(a.counters.vertices, b.counters.vertices);
+  EXPECT_EQ(a.counters.edges, b.counters.edges);
+  EXPECT_EQ(a.counters.sample_vertices, b.counters.sample_vertices);
 }
 
 TEST(RrCollectionTest, MergeMatchesPerSetAdd) {
@@ -229,20 +259,24 @@ TEST(SamplingEngineTest, OneshotEstimatesIdenticalFor1And4Threads) {
 TEST(SamplingEngineTest, FactoryRoutesOptionsToAllThreeApproaches) {
   InfluenceGraph ig = KarateUc01();
   ThreadPool one(1);
+  SamplingOptions inline_default;
+  inline_default.chunk_size = 64;
   for (Approach approach :
        {Approach::kOneshot, Approach::kSnapshot, Approach::kRis}) {
-    auto [seeds1, counters1] = GreedyWith(ig, [&] {
+    auto [seeds, counters] = GreedyWith(ig, [&] {
       return MakeEstimator(ModelInstance::Ic(&ig), approach, 256, 19,
                            SnapshotEstimator::Mode::kResidual,
-                           OneThreadEngine(&one));
+                           inline_default);
     }, 2);
-    auto [seeds4, counters4] = GreedyWith(ig, [&] {
-      return MakeEstimator(ModelInstance::Ic(&ig), approach, 256, 19,
-                           SnapshotEstimator::Mode::kResidual,
-                           FourThreadEngine());
-    }, 2);
-    EXPECT_EQ(seeds1, seeds4) << ApproachName(approach);
-    ExpectCountersEq(counters1, counters4);
+    for (const SamplingOptions& sampling :
+         {OneThreadEngine(&one), FourThreadEngine()}) {
+      auto [seeds_n, counters_n] = GreedyWith(ig, [&] {
+        return MakeEstimator(ModelInstance::Ic(&ig), approach, 256, 19,
+                             SnapshotEstimator::Mode::kResidual, sampling);
+      }, 2);
+      EXPECT_EQ(seeds_n, seeds) << ApproachName(approach);
+      ExpectCountersEq(counters_n, counters);
+    }
   }
 }
 
@@ -252,20 +286,28 @@ TEST(SamplingEngineTest, ImmAndTimIdenticalFor1And4Threads) {
   ImmParams imm_params;
   imm_params.k = 3;
   imm_params.epsilon = 0.3;
+  SamplingOptions inline_default;
+  inline_default.chunk_size = 64;
+  ImmResult imm0 = RunImm(ig, imm_params, 23, inline_default);
   ImmResult imm1 = RunImm(ig, imm_params, 23, OneThreadEngine(&one));
   ImmResult imm4 = RunImm(ig, imm_params, 23, FourThreadEngine());
-  EXPECT_EQ(imm1.seeds, imm4.seeds);
-  EXPECT_EQ(imm1.theta, imm4.theta);
-  EXPECT_DOUBLE_EQ(imm1.estimated_influence, imm4.estimated_influence);
+  for (const ImmResult* imm : {&imm1, &imm4}) {
+    EXPECT_EQ(imm->seeds, imm0.seeds);
+    EXPECT_EQ(imm->theta, imm0.theta);
+    EXPECT_DOUBLE_EQ(imm->estimated_influence, imm0.estimated_influence);
+  }
 
   TimParams tim_params;
   tim_params.k = 2;
   tim_params.epsilon = 0.5;
+  TimResult tim0 = RunTimPlus(ig, tim_params, 29, inline_default);
   TimResult tim1 = RunTimPlus(ig, tim_params, 29, OneThreadEngine(&one));
   TimResult tim4 = RunTimPlus(ig, tim_params, 29, FourThreadEngine());
-  EXPECT_EQ(tim1.greedy.seeds, tim4.greedy.seeds);
-  EXPECT_EQ(tim1.theta, tim4.theta);
-  EXPECT_DOUBLE_EQ(tim1.kpt, tim4.kpt);
+  for (const TimResult* tim : {&tim1, &tim4}) {
+    EXPECT_EQ(tim->greedy.seeds, tim0.greedy.seeds);
+    EXPECT_EQ(tim->theta, tim0.theta);
+    EXPECT_DOUBLE_EQ(tim->kpt, tim0.kpt);
+  }
 }
 
 TEST(SamplingEngineTest, RunTrialsSampleParallelIdenticalToOneThread) {
@@ -290,10 +332,18 @@ TEST(SamplingEngineTest, RunTrialsSampleParallelIdenticalToOneThread) {
 
   EXPECT_EQ(r1.seed_sets, r4.seed_sets);
   ExpectCountersEq(r1.total_counters, r4.total_counters);
+
+  // The default width parallelizes the other level — trials fan out over
+  // the pool, each sampling inline — and still yields the same bytes.
+  TrialConfig config_inline = config;
+  config_inline.sampling.chunk_size = 64;
+  TrialResult r_inline = RunTrials(ig, config_inline, &four);
+  EXPECT_EQ(r_inline.seed_sets, r4.seed_sets);
+  ExpectCountersEq(r_inline.total_counters, r4.total_counters);
 }
 
 TEST(SamplingEngineTest, TrialParallelAndSequentialAgree) {
-  // Trial-level parallelism (legacy sampling) must also be schedule-free:
+  // Trial-level parallelism (inline sampling) must also be schedule-free:
   // per-trial seeds are derived from (master, t) regardless of workers.
   InfluenceGraph ig = KarateUc01();
   TrialConfig config;

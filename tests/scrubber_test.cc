@@ -37,9 +37,8 @@ InfluenceGraph KarateUc01() {
   return MakeInfluenceGraph(std::move(g), ProbabilityModel::kUc01);
 }
 
-SamplingOptions SeqSampling() {
+SamplingOptions InlineSampling() {
   SamplingOptions options;
-  options.num_threads = 1;
   options.chunk_size = 64;
   return options;
 }
@@ -55,7 +54,7 @@ store::ArenaManifest RrManifest(std::uint64_t capacity) {
   manifest.kind = "rr";
   manifest.workload = "Karate/uc0.1";
   manifest.seed = 7;
-  manifest.stream = "seq";
+  manifest.stream = "engine/64";
   manifest.capacity = capacity;
   return manifest;
 }
@@ -143,7 +142,7 @@ TEST(ScrubberTest, HealthyRealArenaPassesTheResidentPass) {
   ArenaCache cache(/*budget_bytes=*/0);
   const ArenaCache::Builder builder = [&](std::uint64_t capacity) {
     return std::make_shared<RrArena>(
-        RrArena::SampleIc(ig, 7, capacity, SeqSampling()));
+        RrArena::SampleIc(ig, 7, capacity, InlineSampling()));
   };
   ASSERT_NE(cache.GetOrBuild("rr/karate", 32, builder), nullptr);
 
@@ -156,7 +155,7 @@ TEST(ScrubberTest, HealthyRealArenaPassesTheResidentPass) {
 
 TEST(ScrubberTest, DiskCorruptionIsQuarantinedExactlyOnce) {
   InfluenceGraph ig = KarateUc01();
-  const RrArena arena = RrArena::SampleIc(ig, 7, 32, SeqSampling());
+  const RrArena arena = RrArena::SampleIc(ig, 7, 32, InlineSampling());
   const std::string root = FreshDir("disk_corruption");
   ASSERT_TRUE(fs::create_directories(root));
   ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(32), root + "/entry").ok());
@@ -197,7 +196,7 @@ TEST(ScrubberTest, MidSaveEntryIsLeftForTheCommitProtocol) {
 
 TEST(ScrubberTest, IncrementalCursorCoversEveryDiskEntryAcrossCycles) {
   InfluenceGraph ig = KarateUc01();
-  const RrArena arena = RrArena::SampleIc(ig, 7, 32, SeqSampling());
+  const RrArena arena = RrArena::SampleIc(ig, 7, 32, InlineSampling());
   const std::string root = FreshDir("round_robin");
   ASSERT_TRUE(fs::create_directories(root));
   for (const char* name : {"a_entry", "b_entry", "c_entry"}) {

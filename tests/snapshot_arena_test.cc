@@ -1,9 +1,9 @@
 // The SnapshotArena acceptance contract: an arena-served condensed
 // Snapshot estimator at any τ <= capacity is BYTE-IDENTICAL to a fresh
 // condensed SnapshotEstimator at that τ — greedy seeds, per-step
-// estimates, and full traversal counters — in BOTH stream families
-// (legacy sequential and chunked engine), at several prefix cuts, and
-// for any worker count. Plus the serving contracts: capacity upgrades
+// estimates, and full traversal counters — at several prefix cuts, and
+// byte-identical for any worker count, the default inline width 1
+// included. Plus the serving contracts: capacity upgrades
 // through the cache never change a prefix answer, a byte-budgeted cache
 // rebuilds evicted snapshot arenas identically, and invalid requests
 // (LT workloads, bad specs) are Status — never an abort.
@@ -50,15 +50,19 @@ void ExpectCountersEq(const TraversalCounters& a, const TraversalCounters& b,
   EXPECT_EQ(a.sample_edges, b.sample_edges) << label;
 }
 
-TEST(SnapshotArenaTest, PrefixMatchesFreshEstimatorBothStreamFamilies) {
+TEST(SnapshotArenaTest, PrefixMatchesFreshEstimatorAtEveryWidth) {
   InfluenceGraph ig = KarateIwc();
   ModelInstance instance = ModelInstance::Ic(&ig);
-  // Family 1: legacy sequential Rng(seed). Family 2: chunked engine.
-  for (int threads : {1, 2}) {
+  std::uint64_t width1_checksum = 0;
+  for (int threads : {1, 2, 4}) {
     const SamplingOptions sampling = Threads(threads);
     SnapshotArena arena =
         SnapshotArena::Sample(ig, kSeed, kCapacity, sampling);
     ASSERT_EQ(arena.capacity(), kCapacity);
+    // Width 1 (the default inline engine) equals widths 2 and 4.
+    if (threads == 1) width1_checksum = arena.ContentChecksum();
+    EXPECT_EQ(arena.ContentChecksum(), width1_checksum)
+        << "threads=" << threads;
     // Three cuts: a tiny prefix, a non-power-of-two interior cut, and
     // the full arena.
     for (std::uint64_t tau : {std::uint64_t{7}, std::uint64_t{23},
@@ -83,25 +87,29 @@ TEST(SnapshotArenaTest, PrefixMatchesFreshEstimatorBothStreamFamilies) {
   }
 }
 
-TEST(SnapshotArenaTest, EngineBuildIsWorkerCountInvariant) {
+TEST(SnapshotArenaTest, BuildIsWorkerCountInvariant) {
   InfluenceGraph ig = KarateIwc();
-  SnapshotArena a = SnapshotArena::Sample(ig, kSeed, kCapacity, Threads(2));
-  SnapshotArena b = SnapshotArena::Sample(ig, kSeed, kCapacity, Threads(4));
-  ASSERT_EQ(a.capacity(), b.capacity());
-  EXPECT_EQ(a.max_components(), b.max_components());
-  for (std::uint64_t i = 0; i < a.capacity(); ++i) {
-    const CondensedSnapshot& wa = a.World(i);
-    const CondensedSnapshot& wb = b.World(i);
-    EXPECT_EQ(wa.comp_of, wb.comp_of) << "world " << i;
-    EXPECT_EQ(wa.comp_size, wb.comp_size) << "world " << i;
-    EXPECT_EQ(wa.dag.offsets, wb.dag.offsets) << "world " << i;
-    EXPECT_EQ(wa.dag.targets, wb.dag.targets) << "world " << i;
-    EXPECT_EQ(a.Warmth(i).bound, b.Warmth(i).bound) << "world " << i;
-    EXPECT_EQ(a.Warmth(i).is_exact, b.Warmth(i).is_exact) << "world " << i;
-  }
-  for (std::uint64_t tau = 1; tau <= a.capacity(); ++tau) {
-    ExpectCountersEq(a.PrefixCounters(tau), b.PrefixCounters(tau),
-                     "prefix " + std::to_string(tau));
+  SnapshotArena a = SnapshotArena::Sample(ig, kSeed, kCapacity, Threads(1));
+  for (int threads : {2, 4}) {
+    SnapshotArena b =
+        SnapshotArena::Sample(ig, kSeed, kCapacity, Threads(threads));
+    ASSERT_EQ(a.capacity(), b.capacity());
+    EXPECT_EQ(a.max_components(), b.max_components());
+    for (std::uint64_t i = 0; i < a.capacity(); ++i) {
+      const CondensedSnapshot& wa = a.World(i);
+      const CondensedSnapshot& wb = b.World(i);
+      EXPECT_EQ(wa.comp_of, wb.comp_of) << "world " << i;
+      EXPECT_EQ(wa.comp_size, wb.comp_size) << "world " << i;
+      EXPECT_EQ(wa.dag.offsets, wb.dag.offsets) << "world " << i;
+      EXPECT_EQ(wa.dag.targets, wb.dag.targets) << "world " << i;
+      EXPECT_EQ(a.Warmth(i).bound, b.Warmth(i).bound) << "world " << i;
+      EXPECT_EQ(a.Warmth(i).is_exact, b.Warmth(i).is_exact)
+          << "world " << i;
+    }
+    for (std::uint64_t tau = 1; tau <= a.capacity(); ++tau) {
+      ExpectCountersEq(a.PrefixCounters(tau), b.PrefixCounters(tau),
+                       "prefix " + std::to_string(tau));
+    }
   }
 }
 

@@ -104,15 +104,25 @@ ModeRun RunBothDrivers(const InfluenceGraph& ig, SnapshotEstimator::Mode mode,
 }
 
 /// Byte-identical seeds AND estimates across all three backends, for the
-/// plain greedy driver and the CELF driver, at sampling widths 1 (legacy
-/// sequential stream), 2, and 4 (engine-chunked streams).
+/// plain greedy driver and the CELF driver, at sampling widths 1 (the
+/// default inline engine), 2, and 4 — and across those widths too.
 void CheckBackendParity(const InfluenceGraph& ig, std::uint64_t tau,
                         std::uint64_t seed, int k) {
+  ModeRun width1;
   for (int sample_threads : {1, 2, 4}) {
     SamplingOptions sampling;
     sampling.num_threads = sample_threads;
     ModeRun residual = RunBothDrivers(
         ig, SnapshotEstimator::Mode::kResidual, tau, seed, k, sampling);
+    if (sample_threads == 1) width1 = residual;
+    EXPECT_EQ(residual.greedy.seeds, width1.greedy.seeds)
+        << "st=" << sample_threads;
+    EXPECT_EQ(residual.greedy.estimates, width1.greedy.estimates)
+        << "st=" << sample_threads;
+    EXPECT_EQ(residual.celf.seeds, width1.celf.seeds)
+        << "st=" << sample_threads;
+    EXPECT_EQ(residual.celf.estimates, width1.celf.estimates)
+        << "st=" << sample_threads;
     for (SnapshotEstimator::Mode mode :
          {SnapshotEstimator::Mode::kNaive,
           SnapshotEstimator::Mode::kCondensed}) {

@@ -2,7 +2,7 @@
 // with reuse ON (one per-trial RR arena serving prefix views) is
 // byte-identical — seed sets, counters, distributions — to reuse OFF
 // (same prefix-closed streams, fresh sampling per cell), for IC and LT
-// and for worker counts 1/2/4. kLegacy stays available and untouched.
+// and for worker counts 1/2/4.
 
 #include <gtest/gtest.h>
 
@@ -119,20 +119,11 @@ TEST(SweepReuseTest, RunSweepReuseOnEqualsOff) {
               off[l].summary.mean_sample_size);
   }
 
-  // kLegacy is a different stream family: same shape, still valid cells.
-  config.reuse = SweepReuse::kLegacy;
-  auto legacy = RunSweep(ig, oracle, config, nullptr);
-  ASSERT_EQ(legacy.size(), on.size());
-  for (std::size_t l = 0; l < legacy.size(); ++l) {
-    EXPECT_EQ(legacy[l].sample_number, on[l].sample_number);
-    EXPECT_EQ(legacy[l].result.seed_sets.size(),
-              on[l].result.seed_sets.size());
-  }
 }
 
 TEST(SweepReuseTest, OneshotIgnoresReuse) {
   // Oneshot has no reusable sample collection: the reuse field must
-  // leave it on the legacy path (byte-identical to kLegacy).
+  // leave its independent per-cell trials untouched.
   InfluenceGraph ig = KarateUc01();
   RrOracle oracle(&ig, 2000, 9);
   SweepConfig config;
@@ -143,11 +134,11 @@ TEST(SweepReuseTest, OneshotIgnoresReuse) {
   config.max_exponent = 4;
   config.reuse = SweepReuse::kOn;
   auto with_reuse = RunSweep(ig, oracle, config, nullptr);
-  config.reuse = SweepReuse::kLegacy;
-  auto legacy = RunSweep(ig, oracle, config, nullptr);
-  ASSERT_EQ(with_reuse.size(), legacy.size());
-  for (std::size_t l = 0; l < legacy.size(); ++l) {
-    EXPECT_EQ(with_reuse[l].result.seed_sets, legacy[l].result.seed_sets);
+  config.reuse = SweepReuse::kOff;
+  auto without = RunSweep(ig, oracle, config, nullptr);
+  ASSERT_EQ(with_reuse.size(), without.size());
+  for (std::size_t l = 0; l < without.size(); ++l) {
+    EXPECT_EQ(with_reuse[l].result.seed_sets, without[l].result.seed_sets);
   }
 }
 
@@ -188,11 +179,10 @@ TEST(SweepReuseTest, SnapshotSweepReuseOnEqualsOff) {
 TEST(SweepReuseTest, ParseSweepReuseFlagValues) {
   EXPECT_EQ(ParseSweepReuse("on").value(), SweepReuse::kOn);
   EXPECT_EQ(ParseSweepReuse("off").value(), SweepReuse::kOff);
-  EXPECT_EQ(ParseSweepReuse("legacy").value(), SweepReuse::kLegacy);
+  EXPECT_FALSE(ParseSweepReuse("legacy").ok());
   EXPECT_FALSE(ParseSweepReuse("sometimes").ok());
   EXPECT_EQ(SweepReuseName(SweepReuse::kOn), "on");
   EXPECT_EQ(SweepReuseName(SweepReuse::kOff), "off");
-  EXPECT_EQ(SweepReuseName(SweepReuse::kLegacy), "legacy");
 }
 
 }  // namespace

@@ -19,10 +19,9 @@
 // --sample-threads value and requires that every trial's seed set and
 // every distribution statistic is byte-identical across the runs — the
 // "parallelism must never silently change the experiment" invariant,
-// executable end-to-end. Under --model lt this holds for ANY list
-// including 1 (LT always draws through the chunked deterministic
-// streams); under --model ic the sequential default (1) is a distinct
-// legacy stream family, so only counts >= 2 are mutually comparable.
+// executable end-to-end. It holds for ANY list under either model: every
+// estimator draws through the chunked deterministic streams, so only
+// --chunk-size can change a result.
 //
 // --query switches the binary into the serving REPL: one arena for the
 // (network, prob, model, seed) workload is built through
@@ -47,7 +46,7 @@
 // Usage:
 //   soldist_experiment --network Karate --prob iwc --model lt --k 2
 //                      --sample-threads 4
-//   soldist_experiment --model lt --verify-threads 1,2,4   # determinism
+//   soldist_experiment --verify-threads 1,2,4              # determinism
 //   soldist_experiment --json | jq .influence              # JSON records
 //   echo "spread 0,33" | soldist_experiment --query        # point query
 
@@ -567,8 +566,7 @@ int Run(int argc, const char* const* argv) {
   args.AddString("verify-threads", "",
                  "comma-separated --sample-threads values; re-runs the "
                  "experiment per value and requires byte-identical seed "
-                 "sets and stats (with --model ic, 1 is the legacy stream "
-                 "family — include it only for lt)");
+                 "sets and stats (any values, either model)");
   args.AddBool("query", false,
                "serving REPL: build one arena for the workload via "
                "serve::QueryService, answer stdin lines (spread v1,v2,... "
