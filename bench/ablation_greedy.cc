@@ -31,7 +31,7 @@ void BM_SnapshotGreedy(benchmark::State& state, SnapshotEstimator::Mode mode) {
   std::uint64_t seed = 0;
   std::uint64_t total_edges = 0;
   for (auto _ : state) {
-    SnapshotEstimator estimator(&ig, 64, ++seed, mode);
+    SnapshotEstimator estimator(ModelInstance::Ic(&ig), 64, ++seed, mode);
     Rng tie_rng(seed);
     auto result = RunGreedy(&estimator, ig.num_vertices(), k, &tie_rng);
     benchmark::DoNotOptimize(result.seeds.data());
@@ -61,7 +61,7 @@ void BM_RisGreedyPlain(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    RisEstimator estimator(&ig, 4096, ++seed);
+    RisEstimator estimator(ModelInstance::Ic(&ig), 4096, ++seed);
     Rng tie_rng(seed);
     auto result = RunGreedy(&estimator, ig.num_vertices(), k, &tie_rng);
     benchmark::DoNotOptimize(result.seeds.data());
@@ -75,7 +75,7 @@ void BM_RisGreedyCelf(benchmark::State& state) {
   std::uint64_t seed = 0;
   std::uint64_t total_calls = 0;
   for (auto _ : state) {
-    RisEstimator estimator(&ig, 4096, ++seed);
+    RisEstimator estimator(ModelInstance::Ic(&ig), 4096, ++seed);
     Rng tie_rng(seed);
     auto result = RunCelfGreedy(&estimator, ig.num_vertices(), k, &tie_rng);
     benchmark::DoNotOptimize(result.greedy.seeds.data());

@@ -1,12 +1,13 @@
 // Memory ablation: RR-set compression (paper Section 7's space-reduction
-// direction). Samples θ RR sets per instance and compares the plain
-// RrCollection layout against the delta+varint CompressedRrCollection,
-// verifying query equivalence as it goes.
+// direction). Samples θ RR sets per instance into an RrArena and compares
+// its flat layout against the same arena re-homed into the delta+varint
+// compressed storage backend, verifying query equivalence as it goes.
+
+#include <algorithm>
 
 #include "bench_common.h"
 #include "core/snapshot.h"
 #include "sim/rr_arena.h"
-#include "sim/rr_sampler.h"
 #include "store/arena_storage.h"
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -46,55 +47,54 @@ int Run(int argc, const char* const* argv) {
     for (ProbabilityModel model :
          {ProbabilityModel::kUc001, ProbabilityModel::kIwc}) {
       const InfluenceGraph& ig = context.Instance(network, model);
-      RrSampler sampler(&ig);
-      Rng target_rng(options.seed), coin_rng(options.seed + 1);
-      TraversalCounters counters;
-      RrCollection plain(ig.num_vertices());
-      CompressedRrCollection compressed(ig.num_vertices());
-      std::vector<VertexId> rr_set;
-      for (std::uint64_t i = 0; i < theta; ++i) {
-        sampler.Sample(&target_rng, &coin_rng, &rr_set, &counters);
-        plain.Add(rr_set);
-        compressed.Add(rr_set);
-      }
-      plain.BuildIndex();
-      compressed.BuildIndex();
+      const RrArena plain =
+          RrArena::SampleIc(ig, options.seed, theta, context.sampling());
+      RrArena compressed = plain;
+      store::StorageOptions compress_options;
+      compress_options.backend = store::ArenaBackend::kCompressed;
+      SOLDIST_CHECK(compressed.ConvertStorage(compress_options).ok());
 
       // Query equivalence spot check: this ablation must not trade
-      // correctness for bytes.
+      // correctness for bytes. A vertex's inverted list is exactly the
+      // RR sets its singleton seed set covers.
       Rng query_rng(options.seed + 2);
+      store::StorageScratch scratch;
       for (int q = 0; q < 50; ++q) {
-        std::vector<VertexId> seeds{
-            static_cast<VertexId>(query_rng.UniformInt(ig.num_vertices()))};
-        SOLDIST_CHECK(plain.CountCovered(seeds) ==
-                      compressed.CountCovered(seeds));
+        const auto v =
+            static_cast<VertexId>(query_rng.UniformInt(ig.num_vertices()));
+        const std::span<const std::uint32_t> want = plain.InvertedAll(v);
+        const std::span<const std::uint32_t> got =
+            compressed.InvertedAll(v, &scratch);
+        SOLDIST_CHECK(std::equal(want.begin(), want.end(), got.begin(),
+                                 got.end()));
       }
 
-      std::uint64_t plain_bytes = compressed.UncompressedBytes();
-      std::uint64_t compressed_bytes = compressed.MemoryBytes();
+      const std::uint64_t entries = plain.total_entries();
+      const std::uint64_t plain_bytes = plain.storage().MemoryBytes();
+      const std::uint64_t compressed_bytes =
+          compressed.storage().MemoryBytes();
       table.AddRow(
           {network, ProbabilityModelName(model), FormatPowerOfTwo(theta),
-           WithThousands(compressed.total_entries()),
-           WithThousands(plain_bytes), WithThousands(compressed_bytes),
+           WithThousands(entries), WithThousands(plain_bytes),
+           WithThousands(compressed_bytes),
            FormatDouble(static_cast<double>(compressed_bytes) /
                             static_cast<double>(plain_bytes),
                         3),
            FormatDouble(static_cast<double>(compressed_bytes) /
-                            std::max<std::uint64_t>(
-                                1, compressed.total_entries()),
+                            std::max<std::uint64_t>(1, entries),
                         2)});
       csv.Row()
           .Str(network)
           .Str(ProbabilityModelName(model))
           .UInt(theta)
-          .UInt(compressed.total_entries())
+          .UInt(entries)
           .UInt(plain_bytes)
           .UInt(compressed_bytes)
           .Done();
     }
   }
-  PrintTable("RR-set storage: plain (4 B/set entry + 4 B/index entry) vs "
-             "delta+varint compressed",
+  PrintTable("RR-set storage: flat arena (4 B/set entry + 4 B/index entry) "
+             "vs delta+varint compressed backend",
              table);
 
   // Snapshot estimator storage: full live-edge CSRs + O(n·τ) removal
@@ -117,8 +117,8 @@ int Run(int argc, const char* const* argv) {
           SnapshotEstimator::Mode::kResidual,
           SnapshotEstimator::Mode::kCondensed};
       for (int i = 0; i < 2; ++i) {
-        SnapshotEstimator estimator(&ig, snapshot_tau, options.seed,
-                                    modes[i]);
+        SnapshotEstimator estimator(ModelInstance::Ic(&ig), snapshot_tau,
+                                    options.seed, modes[i]);
         estimator.Build();
         bytes[i] = estimator.MemoryBytes();
       }
@@ -139,8 +139,8 @@ int Run(int argc, const char* const* argv) {
 
   // Arena storage backends (store/): ONE sampled RrArena held through
   // each backend. The flat column is today's zero-copy layout; the
-  // compressed column is the delta+varint promotion of the section-1
-  // encoding to a queryable backend; the mmap column reports RESIDENT
+  // compressed column is the section-1 backend; the mmap column reports
+  // RESIDENT
   // bytes (offsets + hot chunks), the number the serve-layer cache
   // budget actually charges. Every backend answers byte-identically, so
   // the columns are a pure memory trade.

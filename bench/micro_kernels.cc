@@ -140,7 +140,7 @@ void BM_GreedyRis(benchmark::State& state) {
   std::uint64_t theta = static_cast<std::uint64_t>(state.range(0));
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    RisEstimator estimator(&ig, theta, ++seed);
+    RisEstimator estimator(ModelInstance::Ic(&ig), theta, ++seed);
     Rng tie_rng(seed);
     auto result = RunGreedy(&estimator, ig.num_vertices(), 4, &tie_rng);
     benchmark::DoNotOptimize(result.seeds.data());

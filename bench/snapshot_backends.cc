@@ -120,13 +120,15 @@ int Run(int argc, const char* const* argv) {
       // Dedicated instance for the build-only figure (sampling [+
       // condensation]); the timed driver runs below rebuild from the
       // same streams.
-      SnapshotEstimator estimator(&ig, tau, estimator_seed, mode, sampling);
+      SnapshotEstimator estimator(ModelInstance::Ic(&ig), tau,
+                                  estimator_seed, mode, sampling);
       WallTimer timer;
       estimator.Build();
       record.build_seconds = timer.Seconds();
     }
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      SnapshotEstimator estimator(&ig, tau, estimator_seed, mode, sampling);
+      SnapshotEstimator estimator(ModelInstance::Ic(&ig), tau,
+                                  estimator_seed, mode, sampling);
       Rng tie_rng(shuffle_seed);
       WallTimer timer;
       GreedyRunResult greedy;

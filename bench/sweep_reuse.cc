@@ -20,8 +20,14 @@
 // configurations are the Figure 2 / Figure 5 instances on their
 // half-stepped RIS grids.
 //
+// Both diffusion models: --model lt ladders the same configurations over
+// LT RR arenas and LT condensed-world arenas (LT needs in-weights summing
+// to at most 1, so the uc0.1/owc configurations are rejected with a
+// Status under LT).
+//
 // CI runs this scaled down and fails when reuse-on stops beating
-// reuse-off (--check-speedup 1.0).
+// reuse-off (--check-speedup 1.0); an LT run without a speedup gate
+// exercises the on/off identity CHECK for the LT arenas.
 
 #include <cmath>
 #include <cstdio>
@@ -85,7 +91,6 @@ int Run(int argc, const char* const* argv) {
   if (ShouldExitAfterParse(&args, argc, argv, &exit_code, &options)) {
     return exit_code;
   }
-  RequireIcModel(options, "bench_sweep_reuse");
   if (!args.Provided("trials")) options.trials = 40;
   double check_speedup = 0.0;
   if (!args.GetString("check-speedup").empty() &&
@@ -138,8 +143,14 @@ int Run(int argc, const char* const* argv) {
   std::uint64_t max_arena_bytes = 0;
 
   for (const SweepInstance& inst : instances) {
-    const RrOracle& oracle = context.Oracle(inst.network, inst.prob);
-    ModelInstance model = context.Model(inst.network, inst.prob);
+    StatusOr<ModelInstance> resolved = context.TryModel(inst.network,
+                                                        inst.prob);
+    if (!resolved.ok()) return ExitWithError(resolved.status());
+    const ModelInstance model = resolved.value();
+    StatusOr<const RrOracle*> resolved_oracle =
+        context.TryOracle(inst.network, inst.prob);
+    if (!resolved_oracle.ok()) return ExitWithError(resolved_oracle.status());
+    const RrOracle& oracle = *resolved_oracle.value();
     GridCaps caps = ScaledGridCaps(inst.network, options.full);
     int max_exp = static_cast<int>(args.GetInt64("max-exp"));
     if (max_exp < 0) max_exp = caps.MaxExp(inst.approach);

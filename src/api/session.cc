@@ -202,7 +202,7 @@ SolveResult Session::RunResolved(const ResolvedSolve& resolved) {
   if (resolved.arena_slot != nullptr) {
     // Batch ladder group: the shared arena holds this spec's collection
     // as its first sample_number sets (sampled with the group's common
-    // DeriveSeed(seed, 0) stream), so the prefix-view estimator is
+    // DeriveSeed(seed, 0) stream), so the borrowing estimator is
     // byte-identical to the fresh build below.
     ArenaSlot* slot = resolved.arena_slot.get();
     std::call_once(slot->once, [&] {
@@ -225,8 +225,8 @@ SolveResult Session::RunResolved(const ResolvedSolve& resolved) {
         }
       }
     });
-    estimator = std::make_unique<ArenaRisEstimator>(slot->arena.get(),
-                                                    spec.sample_number);
+    estimator = std::make_unique<RisEstimator>(slot->arena.get(),
+                                               spec.sample_number);
   } else {
     estimator =
         MakeEstimator(resolved.instance, spec.approach, spec.sample_number,

@@ -1,6 +1,5 @@
 #include "core/factory.h"
 
-#include "core/lt_estimators.h"
 #include "core/oneshot.h"
 #include "core/ris.h"
 
@@ -11,22 +10,19 @@ std::unique_ptr<InfluenceEstimator> MakeEstimator(
     std::uint64_t sample_number, std::uint64_t seed,
     SnapshotEstimator::Mode snapshot_mode, const SamplingOptions& sampling) {
   SOLDIST_CHECK(instance.ig != nullptr);
-  if (instance.model == DiffusionModel::kLt) {
-    SOLDIST_CHECK(instance.lt_weights != nullptr)
-        << "LT instance without LtWeights — resolve it through "
-           "InstanceRegistry::GetModelInstance or ModelInstance::Lt";
-    return MakeLtEstimator(instance.lt_weights, approach, sample_number,
-                           seed, sampling);
-  }
+  SOLDIST_CHECK(instance.model != DiffusionModel::kLt ||
+                instance.lt_weights != nullptr)
+      << "LT instance without LtWeights — resolve it through "
+         "InstanceRegistry::GetModelInstance or ModelInstance::Lt";
   switch (approach) {
     case Approach::kOneshot:
-      return std::make_unique<OneshotEstimator>(instance.ig, sample_number,
-                                                seed, sampling);
+      return std::make_unique<OneshotEstimator>(instance, sample_number, seed,
+                                                sampling);
     case Approach::kSnapshot:
       return std::make_unique<SnapshotEstimator>(
-          instance.ig, sample_number, seed, snapshot_mode, sampling);
+          instance, sample_number, seed, snapshot_mode, sampling);
     case Approach::kRis:
-      return std::make_unique<RisEstimator>(instance.ig, sample_number, seed,
+      return std::make_unique<RisEstimator>(instance, sample_number, seed,
                                             sampling);
   }
   SOLDIST_CHECK(false) << "unreachable";

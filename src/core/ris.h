@@ -3,20 +3,27 @@
 // coverage. Estimate(v) is the marginal coverage n·F_R(v); Update removes
 // the RR sets covered by the new seed.
 //
-// Build parallelism: the θ RR sets are drawn through SamplingEngine's
-// deterministic chunked streams (inline on the calling thread by default)
-// and merged shard-by-shard into the collection, so the build is
-// byte-identical at any worker count.
+// The RR sets always live in an RrArena (sim/rr_arena.h), under either
+// diffusion model — the model only picks the sampler. A fresh build
+// samples a private arena of exactly θ sets through SamplingEngine's
+// deterministic chunked streams (inline on the calling thread by
+// default), so it is byte-identical at any worker count. A borrowing
+// estimator serves the first θ sets of a shared arena instead (the
+// sweep-reuse and SolveBatch paths); because the streams are
+// prefix-closed, both answer identically — same Estimate sequence,
+// Update effects and counters (ctest rr_arena_test, sweep_reuse_test,
+// api_test).
 
 #ifndef SOLDIST_CORE_RIS_H_
 #define SOLDIST_CORE_RIS_H_
 
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/estimator.h"
-#include "model/influence_graph.h"
+#include "model/diffusion.h"
 #include "sim/rr_arena.h"
-#include "sim/rr_sampler.h"
 #include "sim/sampling_engine.h"
 
 namespace soldist {
@@ -24,12 +31,20 @@ namespace soldist {
 /// \brief The RIS estimator.
 class RisEstimator : public InfluenceEstimator {
  public:
-  /// \param theta number of RR sets (must be >= 1)
-  RisEstimator(const InfluenceGraph* ig, std::uint64_t theta,
+  /// Fresh build: Build samples θ RR sets of `instance`'s model (two
+  /// PRNG streams per chunk: targets and edge coins, as in paper Section
+  /// 4.1) into a private arena. \param theta must be >= 1.
+  RisEstimator(const ModelInstance& instance, std::uint64_t theta,
                std::uint64_t seed, const SamplingOptions& sampling = {});
 
-  /// Draws the θ RR sets (two PRNG streams per chunk: targets and edge
-  /// coins, as in paper Section 4.1) and builds coverage counts.
+  /// Borrowing build: serves the first θ sets of `arena` (1 <= θ <=
+  /// arena->capacity(); `arena` must outlive the estimator). Build then
+  /// samples nothing and counters() reports the prefix's exact sampling
+  /// cost, as a fresh build at θ with the arena's seed would.
+  RisEstimator(const RrArena* arena, std::uint64_t theta);
+
+  /// Cuts the θ-set prefix view (sampling the private arena first for a
+  /// fresh build) and seeds the cover counts from its cut lengths.
   void Build() override;
 
   /// n · (# uncovered RR sets containing v) / θ — the unbiased estimate of
@@ -40,62 +55,7 @@ class RisEstimator : public InfluenceEstimator {
   /// set it deactivates, v included. DCHECK-guarded here.
   double Estimate(VertexId v) override;
 
-  /// Deactivates all RR sets containing v and decrements the coverage
-  /// counts of their members.
-  void Update(VertexId v) override;
-
-  bool EstimatesAreMarginal() const override { return true; }
-  std::uint64_t sample_number() const override { return theta_; }
-  const TraversalCounters& counters() const override { return counters_; }
-  std::string name() const override { return "RIS"; }
-
-  /// Empirical mean RR-set size (EPT); valid after Build.
-  double EmpiricalEpt() const { return collection_.MeanSize(); }
-
- private:
-  const InfluenceGraph* ig_;
-  std::uint64_t theta_;
-  std::uint64_t seed_;
-  SamplingOptions sampling_;
-  RrCollection collection_;
-  std::vector<std::uint32_t> cover_count_;  // per vertex, active sets only
-  std::vector<std::uint8_t> set_active_;
-  std::vector<std::uint8_t> chosen_;  // seeds committed via Update
-  TraversalCounters counters_;
-  bool built_ = false;
-};
-
-/// \brief RIS served from a prefix of a pre-sampled RrArena instead of a
-/// fresh build — the sweep-reuse fast path (IC and LT alike; the arena
-/// already carries the model's RR sets).
-///
-/// Byte-identical contract: for an arena sampled with seed S and options
-/// O, ArenaRisEstimator(arena, θ) produces the same Estimate sequence,
-/// Update effects, and counters as RisEstimator(ig, θ, S, O) /
-/// LtRisEstimator(weights, θ, S, O) — the arena's prefix IS that
-/// estimator's collection (sim/rr_arena.h), the marginal-coverage
-/// arithmetic is identical, and counters() returns the prefix's exact
-/// sampling cost. Enforced by ctest (sweep_reuse_test, api_test).
-///
-/// Mechanically it is the word-packed variant: set-active state lives in
-/// packed uint64 words and set ids flow through the arena's 32-bit
-/// vertex-major index, so Update touches half the bytes RisEstimator
-/// does.
-class ArenaRisEstimator : public InfluenceEstimator {
- public:
-  /// \param theta prefix length (1 <= theta <= arena->capacity());
-  /// `arena` must outlive the estimator.
-  ArenaRisEstimator(const RrArena* arena, std::uint64_t theta);
-
-  /// Cuts the prefix view and seeds cover counts from its cut lengths —
-  /// O(n log) instead of a pass over the collection; no sampling happens.
-  void Build() override;
-
-  /// n · (# uncovered prefix sets containing v) / θ, exactly as
-  /// RisEstimator::Estimate.
-  double Estimate(VertexId v) override;
-
-  /// Deactivates the prefix sets containing v (word-packed) and
+  /// Deactivates all RR sets containing v (word-packed active bits) and
   /// decrements the coverage counts of their members.
   void Update(VertexId v) override;
 
@@ -104,16 +64,23 @@ class ArenaRisEstimator : public InfluenceEstimator {
   const TraversalCounters& counters() const override { return counters_; }
   std::string name() const override { return "RIS"; }
 
-  /// Empirical mean RR-set size of the prefix (EPT).
-  double EmpiricalEpt() const { return view_.MeanSize(); }
+  /// Empirical mean RR-set size (EPT) of the θ sets; requires Build.
+  double EmpiricalEpt() const {
+    SOLDIST_CHECK(built_);
+    return view_->MeanSize();
+  }
 
  private:
+  ModelInstance instance_;  // fresh build only
+  std::uint64_t seed_ = 0;
+  SamplingOptions sampling_;
+  std::unique_ptr<RrArena> owned_;  // a fresh build's private arena
   const RrArena* arena_;
   std::uint64_t theta_;
-  RrPrefixView view_;
+  std::optional<RrPrefixView> view_;
   std::vector<std::uint32_t> cover_count_;  // per vertex, active sets only
   std::vector<std::uint64_t> active_words_;  // packed set-active bits
-  std::vector<std::uint8_t> chosen_;
+  std::vector<std::uint8_t> chosen_;  // seeds committed via Update
   TraversalCounters counters_;
   bool built_ = false;
 };

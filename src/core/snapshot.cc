@@ -8,6 +8,7 @@
 #include "graph/traversal.h"
 #include "random/splitmix64.h"
 #include "sim/condensed_snapshot.h"
+#include "sim/lt_samplers.h"
 #include "sim/snapshot_arena.h"
 
 namespace soldist {
@@ -43,29 +44,31 @@ namespace {
 
 /// kNaive / kResidual: the pre-condensation code, verbatim — full
 /// snapshots in CSR form, per-candidate BFS on the (residual) live-edge
-/// graphs.
+/// graphs. The BFS never looks at the model: IC and LT differ only in
+/// the sampler that draws the live edges.
 class FullSnapshotBackend : public SnapshotEstimator::Backend {
  public:
-  FullSnapshotBackend(const InfluenceGraph* ig, std::uint64_t tau,
+  FullSnapshotBackend(const ModelInstance& instance, std::uint64_t tau,
                       std::uint64_t seed, SnapshotEstimator::Mode mode,
                       const SamplingOptions& sampling,
                       TraversalCounters* counters)
-      : ig_(ig),
+      : instance_(instance),
+        n_(instance.ig->num_vertices()),
         tau_(tau),
         seed_(seed),
         mode_(mode),
         sampling_(sampling),
-        sampler_(ig),
+        sampler_(instance.ig),
         counters_(counters),
-        visited_(ig->num_vertices()) {
-    queue_.reserve(ig->num_vertices());
+        visited_(n_) {
+    queue_.reserve(n_);
   }
 
   void Build() override {
     snapshots_.reserve(tau_);
     SamplingEngine engine(sampling_);
     std::vector<SnapshotShard> shards =
-        SampleSnapshotShards(*ig_, seed_, tau_, &engine);
+        SampleSnapshotShardsFor(instance_, seed_, tau_, &engine);
     for (SnapshotShard& shard : shards) {
       *counters_ += shard.counters;
       for (Snapshot& snap : shard.snapshots) {
@@ -75,8 +78,7 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
     if (mode_ == SnapshotEstimator::Mode::kNaive) {
       base_reach_.assign(tau_, 0);  // r_i(∅) = 0
     } else {
-      removed_.assign(
-          tau_ * static_cast<std::uint64_t>(ig_->num_vertices()), 0);
+      removed_.assign(tau_ * static_cast<std::uint64_t>(n_), 0);
     }
   }
 
@@ -134,7 +136,7 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
                               bool mark_removed) {
     const Snapshot& snap = snapshots_[i];
     const std::uint8_t* removed =
-        removed_.data() + i * static_cast<std::uint64_t>(ig_->num_vertices());
+        removed_.data() + i * static_cast<std::uint64_t>(n_);
     visited_.NextEpoch();
     queue_.clear();
     for (VertexId s : sources) {
@@ -157,19 +159,19 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
     }
     if (mark_removed) {
       auto* removed_mut =
-          removed_.data() +
-          i * static_cast<std::uint64_t>(ig_->num_vertices());
+          removed_.data() + i * static_cast<std::uint64_t>(n_);
       for (VertexId u : queue_) removed_mut[u] = 1;
     }
     return static_cast<std::uint32_t>(queue_.size());
   }
 
-  const InfluenceGraph* ig_;
+  ModelInstance instance_;
+  VertexId n_;
   std::uint64_t tau_;
   std::uint64_t seed_;
   SnapshotEstimator::Mode mode_;
   SamplingOptions sampling_;
-  SnapshotSampler sampler_;
+  SnapshotSampler sampler_;  // its model-agnostic reachability BFS only
   TraversalCounters* counters_;
   std::vector<Snapshot> snapshots_;
   /// Naive mode: r_i(S) for the current seed set S.
@@ -182,83 +184,95 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
   std::vector<VertexId> scratch_;
 };
 
-/// \brief The condensed incremental-gain engine, shared by the fresh
-/// kCondensed backend (which owns its worlds) and ArenaSnapshotEstimator
-/// (which borrows a SnapshotArena prefix). Init consumes worlds +
-/// precomputed warmth (sim/snapshot_arena.h); Estimate/Update are the
-/// incrementally maintained marginal gains of PR 4, verbatim.
+/// kCondensed: SCC DAGs with incrementally maintained marginal gains.
 ///
-/// Init is deterministic and counter-free: the warm cache entries and
-/// CELF bound totals are pure functions of the worlds (order-independent
-/// integer sums), so the same worlds + warmth always yield byte-identical
-/// state no matter who owns the worlds or how they were chunked.
-class CondensedGainCore {
+/// Exactness argument, component by component:
+///  * Condensation preserves reachability, so r_i(v) = Σ sizes of the
+///    DAG components reachable from comp(v).
+///  * Every set removed by Update is a reachability set — closed under
+///    successors and a union of whole components (reaching one member of
+///    an SCC reaches all of it). Hence "removed" is component-granular
+///    and successor-closed, and a residual walk may skip removed
+///    components without missing live ones (a live component reachable
+///    only through removed ones would itself be removed).
+///  * Gains are cached per (snapshot, component); Update invalidates a
+///    conservative superset of the stale entries — the live DAG
+///    *ancestors* of the newly removed components (precise reverse walk)
+///    or, when the removal is large, every entry of the snapshot (O(1)
+///    generation bump). Invalidation can only cause recomputation, never
+///    change a value.
+///
+/// Layout, tuned for the access pattern (τ up to 2^16 snapshots means
+/// every per-snapshot indirection in Estimate is a cache miss):
+///  * comp_of is TRANSPOSED after Build into one vertex-major array —
+///    Estimate(v) streams its τ component ids sequentially;
+///  * per-component state is one packed 8-byte {value, gen} record in a
+///    single flat array (removed = sentinel generation), so the state
+///    lookup is one cache line, not three.
+///
+/// The worlds come from one of two places: a fresh build samples and
+/// owns them (and frees each world's comp_of once it is transposed); a
+/// borrowing build serves the first τ worlds of a SnapshotArena with the
+/// arena's precomputed warmth (sim/snapshot_arena.h). Init is
+/// deterministic and counter-free — the warm cache entries and CELF
+/// bound totals are pure functions of the worlds (order-independent
+/// integer sums) — so the same worlds + warmth yield byte-identical state
+/// no matter who owns the worlds or how they were chunked.
+class CondensedBackend : public SnapshotEstimator::Backend {
  public:
-  CondensedGainCore() : visited_(0) {}
+  /// A null `arena` means a fresh build of `instance`.
+  CondensedBackend(const ModelInstance& instance, const SnapshotArena* arena,
+                   std::uint64_t tau, std::uint64_t seed,
+                   const SamplingOptions& sampling,
+                   TraversalCounters* counters)
+      : instance_(instance),
+        arena_(arena),
+        tau_(tau),
+        seed_(seed),
+        sampling_(sampling),
+        counters_(counters),
+        visited_(0) {}
 
-  /// Sizes the packed state, pre-seeds the gain cache from warmth's
-  /// exact entries, accumulates the per-vertex CELF bound totals, and
-  /// transposes comp_of vertex-major (comp_of_by_vertex_[v·τ + i]) so
-  /// the Estimate/Update hot loops stream their per-vertex component ids
-  /// sequentially instead of taking one cache miss per snapshot. The
-  /// caller may free each world's comp_of afterwards (the fresh backend
-  /// does; an arena keeps them for point queries).
-  void Init(std::span<const CondensedSnapshot> snaps, VertexId n,
-            std::span<const SnapshotWarmth> warmth,
-            TraversalCounters* counters) {
-    SOLDIST_CHECK(warmth.size() == snaps.size());
-    snaps_ = snaps;
-    tau_ = static_cast<std::uint64_t>(snaps.size());
-    counters_ = counters;
-    std::uint32_t max_components = 0;
-    state_offset_.resize(snaps_.size() + 1);
-    for (std::size_t i = 0; i < snaps_.size(); ++i) {
-      const std::uint32_t c = snaps_[i].num_components();
-      state_offset_[i + 1] = state_offset_[i] + c;
-      max_components = std::max(max_components, c);
+  void Build() override {
+    if (arena_ != nullptr) {
+      // The sampling cost of exactly the first τ worlds — identical to
+      // what a fresh build at τ would have accumulated.
+      *counters_ = arena_->PrefixCounters(tau_);
+      Init(arena_->Worlds(tau_), arena_->num_vertices(),
+           arena_->Warmths(tau_));
+      return;
     }
-    // gen 0 != generation 1: everything starts stale (then the warmth
-    // pass below pre-seeds the saturated components).
-    state_.assign(state_offset_.back(), CompState{0, 0});
-    generation_.assign(snaps_.size(), 1);
-    live_.resize(snaps_.size());
-    for (std::size_t i = 0; i < snaps_.size(); ++i) {
-      live_[i] = snaps_[i].num_components();
+    owned_.reserve(tau_);
+    // Same chunk streams as kNaive/kResidual, condensed sample by sample
+    // so the raw CSR never accumulates.
+    SamplingEngine engine(sampling_);
+    std::vector<CondensedSnapshotShard> shards =
+        SampleCondensedSnapshotShards(instance_, seed_, tau_, &engine);
+    for (CondensedSnapshotShard& shard : shards) {
+      *counters_ += shard.counters;
+      for (CondensedSnapshot& snap : shard.snapshots) {
+        owned_.push_back(std::move(snap));
+      }
     }
-    // Component-granular scratch: sized to the largest DAG, not to n
-    // (the scratch-per-mode contract MemoryBytes reports on).
-    visited_.Resize(max_components);
-    queue_.reserve(max_components);
-    rqueue_.reserve(max_components);
-    comp_of_by_vertex_.resize(static_cast<std::uint64_t>(n) * tau_);
-    bound_total_.assign(n, 0);
-    for (std::size_t i = 0; i < snaps_.size(); ++i) {
-      const CondensedSnapshot& snap = snaps_[i];
-      const SnapshotWarmth& w = warmth[i];
-      CompState* state = state_.data() + state_offset_[i];
-      const std::uint32_t num_components = snap.num_components();
-      for (std::uint32_t c = 0; c < num_components; ++c) {
-        if (w.is_exact[c]) {
-          // Exact warmth IS the reachable count: pre-seed the gain
-          // cache so the first greedy iteration is a lookup for the
-          // long small-reach tail.
-          state[c].value = w.bound[c];
-          state[c].gen = 1;  // == the initial generation: warm
-        }
-      }
-      const std::uint32_t* comp_of = snap.comp_of.data();
-      std::uint32_t* transposed = comp_of_by_vertex_.data() + i;
-      for (VertexId v = 0; v < n; ++v) {
-        bound_total_[v] += w.bound[comp_of[v]];
-        transposed[static_cast<std::uint64_t>(v) * tau_] = comp_of[v];
-      }
+    // Warmth (sketch exact counts + CELF bounds) is a pure function of
+    // each snapshot — the permutation stream below only orders the
+    // sketch internals, never the results — so this matches a
+    // SnapshotArena's precomputed warmth byte for byte.
+    const VertexId n = instance_.ig->num_vertices();
+    const std::vector<SnapshotWarmth> warmth = ComputeSnapshotWarmth(
+        owned_, n, DeriveSeed(seed_, tau_ + 1), sampling_);
+    Init(owned_, n, warmth);
+    // comp_of now lives transposed in comp_of_by_vertex_; free the
+    // per-snapshot copies (a transpose, not a second copy).
+    for (CondensedSnapshot& snap : owned_) {
+      std::vector<std::uint32_t>().swap(snap.comp_of);
     }
   }
 
-  std::uint64_t EstimateTotal(VertexId v) {
+  std::uint64_t EstimateTotal(VertexId v) override {
     std::uint64_t total = 0;
-    const std::uint32_t* comps =
-        comp_of_by_vertex_.data() + static_cast<std::uint64_t>(v) * tau_;
+    const std::uint32_t* comps = comp_of_by_vertex_.data() +
+                                 static_cast<std::uint64_t>(v) * snaps_.size();
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
       const std::uint32_t c = comps[i];
       CompState& cs = state_[state_offset_[i] + c];
@@ -272,9 +286,9 @@ class CondensedGainCore {
     return total;
   }
 
-  void Update(VertexId v) {
-    const std::uint32_t* comps =
-        comp_of_by_vertex_.data() + static_cast<std::uint64_t>(v) * tau_;
+  void Update(VertexId v) override {
+    const std::uint32_t* comps = comp_of_by_vertex_.data() +
+                                 static_cast<std::uint64_t>(v) * snaps_.size();
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
       const CondensedSnapshot& snap = snaps_[i];
       CompState* state = state_.data() + state_offset_[i];
@@ -333,20 +347,80 @@ class CondensedGainCore {
     }
   }
 
-  std::uint64_t InitialBoundTotal(VertexId v) const {
+  std::uint64_t InitialBoundTotal(VertexId v) override {
     return bound_total_[v];
   }
 
-  /// Bookkeeping bytes only — the worlds belong to the caller.
-  std::uint64_t MemoryBytes() const {
-    return VecBytes(bound_total_) + VecBytes(queue_) + VecBytes(rqueue_) +
-           VecBytes(state_) + VecBytes(state_offset_) +
-           VecBytes(generation_) + VecBytes(live_) +
-           VecBytes(comp_of_by_vertex_) +
-           static_cast<std::uint64_t>(visited_.size()) * 4;
+  /// Bookkeeping bytes plus the worlds a fresh build owns (a borrowing
+  /// build's worlds belong to the arena and are not counted).
+  std::uint64_t MemoryBytes() const override {
+    std::uint64_t bytes =
+        VecBytes(bound_total_) + VecBytes(queue_) + VecBytes(rqueue_) +
+        VecBytes(state_) + VecBytes(state_offset_) + VecBytes(generation_) +
+        VecBytes(live_) + VecBytes(comp_of_by_vertex_) +
+        static_cast<std::uint64_t>(visited_.size()) * 4;
+    for (const CondensedSnapshot& snap : owned_) bytes += snap.MemoryBytes();
+    return bytes;
   }
 
  private:
+  /// Sizes the packed state, pre-seeds the gain cache from warmth's
+  /// exact entries, accumulates the per-vertex CELF bound totals, and
+  /// transposes comp_of vertex-major (comp_of_by_vertex_[v·τ + i]) so
+  /// the Estimate/Update hot loops stream their per-vertex component ids
+  /// sequentially instead of taking one cache miss per snapshot. A
+  /// fresh build frees each world's comp_of afterwards; an arena keeps
+  /// them for point queries.
+  void Init(std::span<const CondensedSnapshot> snaps, VertexId n,
+            std::span<const SnapshotWarmth> warmth) {
+    SOLDIST_CHECK(warmth.size() == snaps.size());
+    snaps_ = snaps;
+    std::uint32_t max_components = 0;
+    state_offset_.resize(snaps_.size() + 1);
+    for (std::size_t i = 0; i < snaps_.size(); ++i) {
+      const std::uint32_t c = snaps_[i].num_components();
+      state_offset_[i + 1] = state_offset_[i] + c;
+      max_components = std::max(max_components, c);
+    }
+    // gen 0 != generation 1: everything starts stale (then the warmth
+    // pass below pre-seeds the saturated components).
+    state_.assign(state_offset_.back(), CompState{0, 0});
+    generation_.assign(snaps_.size(), 1);
+    live_.resize(snaps_.size());
+    for (std::size_t i = 0; i < snaps_.size(); ++i) {
+      live_[i] = snaps_[i].num_components();
+    }
+    // Component-granular scratch: sized to the largest DAG, not to n
+    // (the scratch-per-mode contract MemoryBytes reports on).
+    visited_.Resize(max_components);
+    queue_.reserve(max_components);
+    rqueue_.reserve(max_components);
+    const std::uint64_t stride = snaps_.size();  // vertex-major rows
+    comp_of_by_vertex_.resize(static_cast<std::uint64_t>(n) * stride);
+    bound_total_.assign(n, 0);
+    for (std::size_t i = 0; i < snaps_.size(); ++i) {
+      const CondensedSnapshot& snap = snaps_[i];
+      const SnapshotWarmth& w = warmth[i];
+      CompState* state = state_.data() + state_offset_[i];
+      const std::uint32_t num_components = snap.num_components();
+      for (std::uint32_t c = 0; c < num_components; ++c) {
+        if (w.is_exact[c]) {
+          // Exact warmth IS the reachable count: pre-seed the gain
+          // cache so the first greedy iteration is a lookup for the
+          // long small-reach tail.
+          state[c].value = w.bound[c];
+          state[c].gen = 1;  // == the initial generation: warm
+        }
+      }
+      const std::uint32_t* comp_of = snap.comp_of.data();
+      std::uint32_t* transposed = comp_of_by_vertex_.data() + i;
+      for (VertexId v = 0; v < n; ++v) {
+        bound_total_[v] += w.bound[comp_of[v]];
+        transposed[static_cast<std::uint64_t>(v) * stride] = comp_of[v];
+      }
+    }
+  }
+
   /// Packed per-(snapshot, component) state: one 8-byte record, one
   /// cache line per lookup. gen == kRemovedGen marks the component
   /// removed; otherwise value is valid iff gen == generation_[snapshot].
@@ -384,9 +458,14 @@ class CondensedGainCore {
     return static_cast<std::uint32_t>(total);
   }
 
-  std::span<const CondensedSnapshot> snaps_;
-  std::uint64_t tau_ = 0;
-  TraversalCounters* counters_ = nullptr;
+  ModelInstance instance_;  // fresh build only
+  const SnapshotArena* arena_;  // borrowing build only
+  std::uint64_t tau_;
+  std::uint64_t seed_;
+  SamplingOptions sampling_;
+  TraversalCounters* counters_;
+  std::vector<CondensedSnapshot> owned_;  // a fresh build's worlds
+  std::span<const CondensedSnapshot> snaps_;  // owned_ or the arena prefix
   /// comp_of_by_vertex_[v·τ + i] = component of v in snapshot i.
   std::vector<std::uint32_t> comp_of_by_vertex_;
   std::vector<CompState> state_;            // flat, all snapshots
@@ -399,103 +478,29 @@ class CondensedGainCore {
   std::vector<std::uint32_t> rqueue_;
 };
 
-/// kCondensed: SCC DAGs with incrementally maintained marginal gains.
-///
-/// Exactness argument, component by component:
-///  * Condensation preserves reachability, so r_i(v) = Σ sizes of the
-///    DAG components reachable from comp(v).
-///  * Every set removed by Update is a reachability set — closed under
-///    successors and a union of whole components (reaching one member of
-///    an SCC reaches all of it). Hence "removed" is component-granular
-///    and successor-closed, and a residual walk may skip removed
-///    components without missing live ones (a live component reachable
-///    only through removed ones would itself be removed).
-///  * Gains are cached per (snapshot, component); Update invalidates a
-///    conservative superset of the stale entries — the live DAG
-///    *ancestors* of the newly removed components (precise reverse walk)
-///    or, when the removal is large, every entry of the snapshot (O(1)
-///    generation bump). Invalidation can only cause recomputation, never
-///    change a value.
-///
-/// Layout, tuned for the access pattern (τ up to 2^16 snapshots means
-/// every per-snapshot indirection in Estimate is a cache miss):
-///  * comp_of is TRANSPOSED after Build into one vertex-major array —
-///    Estimate(v) streams its τ component ids sequentially;
-///  * per-component state is one packed 8-byte {value, gen} record in a
-///    single flat array (removed = sentinel generation), so the state
-///    lookup is one cache line, not three.
-class CondensedBackend : public SnapshotEstimator::Backend {
- public:
-  CondensedBackend(const InfluenceGraph* ig, std::uint64_t tau,
-                   std::uint64_t seed, const SamplingOptions& sampling,
-                   TraversalCounters* counters)
-      : ig_(ig),
-        tau_(tau),
-        seed_(seed),
-        sampling_(sampling),
-        counters_(counters) {}
-
-  void Build() override {
-    snaps_.reserve(tau_);
-    // Same chunk streams as kResidual, condensed sample by sample so the
-    // raw CSR never accumulates.
-    SamplingEngine engine(sampling_);
-    std::vector<CondensedSnapshotShard> shards =
-        SampleCondensedSnapshotShards(*ig_, seed_, tau_, &engine);
-    for (CondensedSnapshotShard& shard : shards) {
-      *counters_ += shard.counters;
-      for (CondensedSnapshot& snap : shard.snapshots) {
-        snaps_.push_back(std::move(snap));
-      }
-    }
-    // Warmth (sketch exact counts + CELF bounds) is a pure function of
-    // each snapshot — the permutation stream below only orders the
-    // sketch internals, never the results — so this matches a
-    // SnapshotArena's precomputed warmth byte for byte.
-    const std::vector<SnapshotWarmth> warmth = ComputeSnapshotWarmth(
-        snaps_, ig_->num_vertices(), DeriveSeed(seed_, tau_ + 1), sampling_);
-    core_.Init(snaps_, ig_->num_vertices(), warmth, counters_);
-    // comp_of now lives transposed inside the core; free the per-snapshot
-    // copies (a transpose, not a second copy).
-    for (CondensedSnapshot& snap : snaps_) {
-      std::vector<std::uint32_t>().swap(snap.comp_of);
-    }
-  }
-
-  std::uint64_t EstimateTotal(VertexId v) override {
-    return core_.EstimateTotal(v);
-  }
-
-  void Update(VertexId v) override { core_.Update(v); }
-
-  std::uint64_t InitialBoundTotal(VertexId v) override {
-    return core_.InitialBoundTotal(v);
-  }
-
-  std::uint64_t MemoryBytes() const override {
-    std::uint64_t bytes = core_.MemoryBytes();
-    for (const CondensedSnapshot& snap : snaps_) bytes += snap.MemoryBytes();
-    return bytes;
-  }
-
- private:
-  const InfluenceGraph* ig_;
-  std::uint64_t tau_;
-  std::uint64_t seed_;
-  SamplingOptions sampling_;
-  TraversalCounters* counters_;
-  std::vector<CondensedSnapshot> snaps_;
-  CondensedGainCore core_;
-};
-
 }  // namespace
 
-SnapshotEstimator::SnapshotEstimator(const InfluenceGraph* ig,
+SnapshotEstimator::SnapshotEstimator(const ModelInstance& instance,
                                      std::uint64_t tau, std::uint64_t seed,
                                      Mode mode,
                                      const SamplingOptions& sampling)
-    : ig_(ig), tau_(tau), seed_(seed), mode_(mode), sampling_(sampling) {
+    : instance_(instance),
+      tau_(tau),
+      seed_(seed),
+      mode_(mode),
+      sampling_(sampling) {
+  SOLDIST_CHECK(instance_.ig != nullptr);
   SOLDIST_CHECK(tau_ >= 1);
+}
+
+SnapshotEstimator::SnapshotEstimator(const SnapshotArena* arena,
+                                     std::uint64_t tau)
+    : arena_(arena), tau_(tau), mode_(Mode::kCondensed) {
+  SOLDIST_CHECK(arena_ != nullptr);
+  SOLDIST_CHECK(tau_ >= 1);
+  SOLDIST_CHECK(tau_ <= arena_->capacity())
+      << "prefix " << tau_ << " exceeds arena capacity "
+      << arena_->capacity();
 }
 
 SnapshotEstimator::~SnapshotEstimator() = default;
@@ -507,11 +512,11 @@ void SnapshotEstimator::Build() {
   // backend: the condensed backend keeps component-granular state only
   // and never allocates the O(n)-per-snapshot arrays of the full modes.
   if (mode_ == Mode::kCondensed) {
-    backend_ = std::make_unique<CondensedBackend>(ig_, tau_, seed_,
-                                                  sampling_, &counters_);
+    backend_ = std::make_unique<CondensedBackend>(
+        instance_, arena_, tau_, seed_, sampling_, &counters_);
   } else {
     backend_ = std::make_unique<FullSnapshotBackend>(
-        ig_, tau_, seed_, mode_, sampling_, &counters_);
+        instance_, tau_, seed_, mode_, sampling_, &counters_);
   }
   backend_->Build();
 }
@@ -536,57 +541,6 @@ double SnapshotEstimator::InitialBound(VertexId v) {
 
 std::uint64_t SnapshotEstimator::MemoryBytes() const {
   return backend_ == nullptr ? 0 : backend_->MemoryBytes();
-}
-
-/// Pimpl wrapper: the shared gain core is file-local, so the header only
-/// forward-declares this.
-class ArenaSnapshotEstimator::Core {
- public:
-  CondensedGainCore gain;
-};
-
-ArenaSnapshotEstimator::ArenaSnapshotEstimator(const SnapshotArena* arena,
-                                               std::uint64_t tau)
-    : arena_(arena), tau_(tau) {
-  SOLDIST_CHECK(arena_ != nullptr);
-  SOLDIST_CHECK(tau_ >= 1);
-  SOLDIST_CHECK(tau_ <= arena_->capacity())
-      << "prefix " << tau_ << " exceeds arena capacity "
-      << arena_->capacity();
-}
-
-ArenaSnapshotEstimator::~ArenaSnapshotEstimator() = default;
-
-void ArenaSnapshotEstimator::Build() {
-  SOLDIST_CHECK(!built_) << "Build() must be called exactly once";
-  built_ = true;
-  // The sampling cost of exactly the first τ worlds — identical to what
-  // a fresh build at τ would have accumulated.
-  counters_ = arena_->PrefixCounters(tau_);
-  core_ = std::make_unique<Core>();
-  core_->gain.Init(arena_->Worlds(tau_), arena_->num_vertices(),
-                   arena_->Warmths(tau_), &counters_);
-}
-
-double ArenaSnapshotEstimator::Estimate(VertexId v) {
-  SOLDIST_CHECK(built_);
-  return static_cast<double>(core_->gain.EstimateTotal(v)) /
-         static_cast<double>(tau_);
-}
-
-void ArenaSnapshotEstimator::Update(VertexId v) {
-  SOLDIST_CHECK(built_);
-  core_->gain.Update(v);
-}
-
-double ArenaSnapshotEstimator::InitialBound(VertexId v) {
-  SOLDIST_CHECK(built_);
-  return static_cast<double>(core_->gain.InitialBoundTotal(v)) /
-         static_cast<double>(tau_);
-}
-
-std::uint64_t ArenaSnapshotEstimator::MemoryBytes() const {
-  return core_ == nullptr ? 0 : core_->gain.MemoryBytes();
 }
 
 std::string SnapshotModeName(SnapshotEstimator::Mode mode) {

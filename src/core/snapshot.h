@@ -1,6 +1,9 @@
 // Snapshot (paper Algorithm 3.3): τ live-edge random graphs sampled in
 // Build and shared across the greedy selection. The estimator is monotone
-// and submodular because the snapshots are fixed (Section 3.4.1).
+// and submodular because the snapshots are fixed (Section 3.4.1). The
+// diffusion model only picks the live-edge sampler (IC: every edge kept
+// with its probability; LT: at most one live in-edge per vertex); every
+// backend below serves both models.
 //
 // Three reachability backends with *identical* seed sets and estimates:
 //  * kNaive     — BFS from S ∪ {v} on the full snapshot each call
@@ -27,8 +30,17 @@
 // Because all three backends consume the SAME engine-chunked sampler
 // streams, the choice of backend — like the worker count — can never
 // change the experiment, only its cost. ctest
-// (snapshot_condensed_test) asserts byte-identical RunGreedy and
-// RunCelfGreedy outputs across backends and thread counts.
+// (snapshot_condensed_test, lt_sampling_engine_test) asserts
+// byte-identical RunGreedy and RunCelfGreedy outputs across backends and
+// thread counts.
+//
+// A condensed estimator can also borrow its worlds: constructed over a
+// SnapshotArena (sim/snapshot_arena.h) it serves the arena's first τ
+// condensed worlds and precomputed warmth instead of sampling, with the
+// same Estimate/Update/InitialBound sequence and counters as a fresh
+// condensed build at τ with the arena's seed (ctest snapshot_arena_test).
+// Fresh condensed builds keep sampling their own worlds: a private arena
+// would keep every world's comp_of alive next to the transposed copy.
 
 #ifndef SOLDIST_CORE_SNAPSHOT_H_
 #define SOLDIST_CORE_SNAPSHOT_H_
@@ -37,22 +49,32 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "model/influence_graph.h"
+#include "model/diffusion.h"
 #include "sim/sampling_engine.h"
 #include "sim/snapshot_sampler.h"
 #include "util/status.h"
 
 namespace soldist {
 
+class SnapshotArena;
+
 /// \brief The Snapshot estimator.
 class SnapshotEstimator : public InfluenceEstimator {
  public:
   enum class Mode { kNaive, kResidual, kCondensed };
 
-  /// \param tau number of snapshots (must be >= 1)
-  SnapshotEstimator(const InfluenceGraph* ig, std::uint64_t tau,
+  /// Fresh build: Build samples τ live-edge graphs of `instance`'s model
+  /// (LT requires lt_weights). \param tau number of snapshots (>= 1)
+  SnapshotEstimator(const ModelInstance& instance, std::uint64_t tau,
                     std::uint64_t seed, Mode mode = Mode::kResidual,
                     const SamplingOptions& sampling = {});
+
+  /// Borrowing build, always kCondensed: serves the first τ worlds of
+  /// `arena` (1 <= τ <= arena->capacity(); `arena` must outlive the
+  /// estimator). Build samples nothing — it costs one warm-state init
+  /// over the τ worlds — and charges the prefix's exact sampling cost to
+  /// counters() through the arena's prefix counter table.
+  SnapshotEstimator(const SnapshotArena* arena, std::uint64_t tau);
   ~SnapshotEstimator() override;
 
   /// Samples the τ snapshots through SamplingEngine's deterministic
@@ -84,9 +106,9 @@ class SnapshotEstimator : public InfluenceEstimator {
   Mode mode() const { return mode_; }
 
   /// Heap bytes of estimator-owned state after Build: sample storage plus
-  /// per-mode residual bookkeeping and scratch. The condensed backend's
-  /// memory win (no raw CSR, component-granular state) is measured here
-  /// by ablation_memory.
+  /// per-mode residual bookkeeping and scratch (a borrowing build owns no
+  /// worlds). The condensed backend's memory win (no raw CSR,
+  /// component-granular state) is measured here by ablation_memory.
   std::uint64_t MemoryBytes() const;
 
   /// Per-mode reachability backend (an implementation detail defined in
@@ -94,55 +116,13 @@ class SnapshotEstimator : public InfluenceEstimator {
   class Backend;
 
  private:
-  const InfluenceGraph* ig_;
+  ModelInstance instance_;  // fresh build only
+  const SnapshotArena* arena_ = nullptr;  // borrowing build only
   std::uint64_t tau_;
-  std::uint64_t seed_;
+  std::uint64_t seed_ = 0;
   Mode mode_;
   SamplingOptions sampling_;
   std::unique_ptr<Backend> backend_;
-  TraversalCounters counters_;
-  bool built_ = false;
-};
-
-class SnapshotArena;
-
-/// \brief The Snapshot estimator served zero-copy from a SnapshotArena
-/// prefix (sim/snapshot_arena.h) instead of sampling its own worlds.
-///
-/// Byte-identical contract: for an arena sampled with (ig, seed,
-/// capacity, sampling), ArenaSnapshotEstimator(arena, τ) with τ <=
-/// capacity produces the same Estimate/Update/InitialBound sequence —
-/// and the same counters() — as a fresh condensed
-/// SnapshotEstimator(ig, τ, seed, Mode::kCondensed, sampling), because
-/// the streams are prefix-closed and the precomputed warmth is a pure
-/// function of each world (ctest snapshot_arena_test). Build costs one
-/// warm-state init over the first τ worlds; sampling cost is charged to
-/// counters() via the arena's prefix counter table.
-class ArenaSnapshotEstimator : public InfluenceEstimator {
- public:
-  ArenaSnapshotEstimator(const SnapshotArena* arena, std::uint64_t tau);
-  ~ArenaSnapshotEstimator() override;
-
-  void Build() override;
-  double Estimate(VertexId v) override;
-  void Update(VertexId v) override;
-  bool EstimatesAreMarginal() const override { return true; }
-  bool ProvidesInitialBounds() const override { return true; }
-  double InitialBound(VertexId v) override;
-  std::uint64_t sample_number() const override { return tau_; }
-  const TraversalCounters& counters() const override { return counters_; }
-  std::string name() const override { return "Snapshot"; }
-
-  /// Heap bytes of estimator-owned residual bookkeeping (the worlds
-  /// belong to the arena and are not counted here).
-  std::uint64_t MemoryBytes() const;
-
- private:
-  class Core;  // wraps the shared condensed gain core (snapshot.cc)
-
-  const SnapshotArena* arena_;
-  std::uint64_t tau_;
-  std::unique_ptr<Core> core_;
   TraversalCounters counters_;
   bool built_ = false;
 };

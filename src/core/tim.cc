@@ -88,7 +88,8 @@ TimResult RunTimPlus(const InfluenceGraph& ig, const TimParams& params,
   result.theta =
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(theta_real));
 
-  RisEstimator estimator(&ig, result.theta, DeriveSeed(seed, 23), sampling);
+  RisEstimator estimator(ModelInstance::Ic(&ig), result.theta,
+                         DeriveSeed(seed, 23), sampling);
   Rng tie_rng(DeriveSeed(seed, 24));
   result.greedy =
       RunGreedy(&estimator, ig.num_vertices(), params.k, &tie_rng);

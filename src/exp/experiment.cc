@@ -51,11 +51,11 @@ void AddExperimentFlags(ArgParser* args) {
                  "streams produce which samples, NOT the results' "
                  "dependence on thread count)");
   args->AddString("snapshot-mode", "residual",
-                  "IC Snapshot reachability backend: naive | residual | "
-                  "condensed (SCC-condensed DAGs with incrementally "
-                  "maintained gains). Seed sets and estimates are "
-                  "byte-identical across backends; only the cost "
-                  "changes.");
+                  "Snapshot reachability backend (IC and LT): naive | "
+                  "residual | condensed (SCC-condensed DAGs with "
+                  "incrementally maintained gains). Seed sets and "
+                  "estimates are byte-identical across backends; only "
+                  "the cost changes.");
   args->AddString("sweep-reuse", "on",
                   "sample-number-ladder reuse for RIS and condensed "
                   "Snapshot sweeps: on = one arena per trial serves every "

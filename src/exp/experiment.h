@@ -44,14 +44,14 @@ struct ExperimentOptions {
   /// sequential. Never changes a result.
   std::int64_t sample_threads = 1;
   std::int64_t chunk_size = 256;    ///< samples per deterministic chunk
-  /// IC Snapshot reachability backend (--snapshot-mode
+  /// Snapshot reachability backend under either model (--snapshot-mode
   /// naive|residual|condensed). Backends return byte-identical seed sets
   /// and estimates — the flag selects a cost profile, never a result.
   SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
   /// Sample-number-ladder reuse (--sweep-reuse on|off, default on): on
-  /// serves every RIS (and condensed IC Snapshot) sweep cell from one
-  /// per-trial arena, off runs the same prefix-closed streams with fresh
-  /// per-cell sampling (byte-identical to on).
+  /// serves every RIS (and condensed Snapshot) sweep cell from one
+  /// per-trial arena under either model, off runs the same prefix-closed
+  /// streams with fresh per-cell sampling (byte-identical to on).
   SweepReuse sweep_reuse = SweepReuse::kOn;
   /// Byte budget for the serving layer's arena cache (0 = unlimited);
   /// see api::SessionOptions::arena_budget_bytes. Set by binaries that

@@ -47,15 +47,7 @@ std::vector<SweepCell> RunSweep(const ModelInstance& instance,
     ladder.master_seed = config.master_seed;
     ladder.snapshot_mode = config.snapshot_mode;
     ladder.sampling = config.sampling;
-    // Snapshot arenas exist only for IC condensed worlds; other snapshot
-    // configurations gracefully run the same trial-major streams with
-    // fresh per-cell sampling (kOff mechanics, byte-identical to kOn
-    // where both exist) rather than aborting.
-    const bool reusable =
-        config.approach == Approach::kRis ||
-        (instance.model == DiffusionModel::kIc &&
-         config.snapshot_mode == SnapshotEstimator::Mode::kCondensed);
-    ladder.reuse = config.reuse == SweepReuse::kOn && reusable;
+    ladder.reuse = config.reuse == SweepReuse::kOn;
     std::vector<TrialResult> results =
         RunTrialLadder(instance, ladder, pool);
     for (std::size_t l = 0; l < results.size(); ++l) {

@@ -26,11 +26,11 @@ struct SweepConfig {
   /// Ladder policy (exp/trial_runner.h) for RIS and Snapshot sweeps,
   /// which run trial-major prefix-closed streams: kOn serves every cell
   /// of a trial as a prefix of one per-trial arena (RrArena for RIS,
-  /// SnapshotArena for IC condensed-mode Snapshot), kOff samples every
-  /// cell afresh (byte-identical to kOn). Snapshot configurations without
-  /// an arena form (LT, naive/residual modes) downgrade kOn to kOff
-  /// mechanics. Oneshot samples nothing up front, so it ignores the
-  /// policy and runs independent per-cell trials.
+  /// SnapshotArena for condensed-mode Snapshot, under either model),
+  /// kOff samples every cell afresh (byte-identical to kOn). The
+  /// naive/residual Snapshot modes have no arena, so kOn runs kOff
+  /// mechanics there. Oneshot samples nothing up front, so it ignores
+  /// the policy and runs independent per-cell trials.
   SweepReuse reuse = SweepReuse::kOn;
 };
 

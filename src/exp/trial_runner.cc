@@ -109,12 +109,14 @@ std::vector<TrialResult> RunTrialLadder(const ModelInstance& instance,
                   config.sample_numbers[l] > config.sample_numbers[l - 1])
         << "ladder sample numbers must be strictly ascending";
   }
-  SOLDIST_CHECK(!config.reuse || config.approach == Approach::kRis ||
-                (config.approach == Approach::kSnapshot &&
-                 config.snapshot_mode == SnapshotEstimator::Mode::kCondensed &&
-                 instance.model == DiffusionModel::kIc))
-      << "arena reuse exists for RIS (RR-set collections) and IC "
-         "condensed-mode Snapshot (condensed sampled worlds)";
+  // An arena exists for RIS (RR sets) and condensed-mode Snapshot
+  // (condensed worlds), under either model; other configurations run the
+  // same trial-major streams with fresh per-cell sampling.
+  const bool use_arena =
+      config.reuse &&
+      (config.approach == Approach::kRis ||
+       (config.approach == Approach::kSnapshot &&
+        config.snapshot_mode == SnapshotEstimator::Mode::kCondensed));
 
   const std::size_t num_cells = config.sample_numbers.size();
   const std::uint64_t capacity = config.sample_numbers.back();
@@ -150,14 +152,14 @@ std::vector<TrialResult> RunTrialLadder(const ModelInstance& instance,
     const std::uint64_t shuffle_master = DeriveSeed(trial_master, 1);
     std::unique_ptr<RrArena> rr_arena;
     std::unique_ptr<SnapshotArena> snap_arena;
-    if (config.reuse) {
+    if (use_arena) {
       WallTimer timer;
       if (config.approach == Approach::kRis) {
         rr_arena = std::make_unique<RrArena>(
             RrArena::SampleFor(instance, sample_seed, capacity, sampling));
       } else {
-        snap_arena = std::make_unique<SnapshotArena>(SnapshotArena::Sample(
-            *instance.ig, sample_seed, capacity, sampling));
+        snap_arena = std::make_unique<SnapshotArena>(SnapshotArena::SampleFor(
+            instance, sample_seed, capacity, sampling));
       }
       arena_seconds[t] = timer.Seconds();
       if (t == 0 && config.arena_bytes_out != nullptr) {
@@ -171,10 +173,10 @@ std::vector<TrialResult> RunTrialLadder(const ModelInstance& instance,
       WallTimer timer;
       std::unique_ptr<InfluenceEstimator> estimator;
       if (rr_arena != nullptr) {
-        estimator = std::make_unique<ArenaRisEstimator>(rr_arena.get(), tau);
+        estimator = std::make_unique<RisEstimator>(rr_arena.get(), tau);
       } else if (snap_arena != nullptr) {
         estimator =
-            std::make_unique<ArenaSnapshotEstimator>(snap_arena.get(), tau);
+            std::make_unique<SnapshotEstimator>(snap_arena.get(), tau);
       } else {
         estimator =
             MakeEstimator(instance, config.approach, tau, sample_seed,

@@ -95,7 +95,8 @@ void EvaluateInfluence(const RrOracle& oracle, TrialResult* result);
 /// Both values run trial-major, prefix-closed streams (one sampling
 /// stream per TRIAL, shared by every cell): kOff samples each cell from
 /// scratch, kOn samples once per trial at the ladder maximum into an
-/// arena and serves every cell as a prefix view. kOff and kOn are
+/// arena (RIS, condensed Snapshot; either model) and serves every cell
+/// as a prefix view. kOff and kOn are
 /// byte-identical in every recorded quantity (seeds, counters,
 /// distributions) — that is the A/B the sweep-reuse bench CHECKs before
 /// recording a speedup.
@@ -117,24 +118,25 @@ struct TrialLadderConfig {
   std::uint64_t master_seed = 1;
   SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
   SamplingOptions sampling;
-  /// Serve cells from a per-trial arena (kOn mechanics): an RrArena for
-  /// kRis, a SnapshotArena for kSnapshot (which requires IC +
-  /// Mode::kCondensed — the arena stores condensed worlds with
-  /// precomputed warmth, so only the condensed backend can consume it
-  /// byte-identically). false = kOff mechanics (same trial-major streams,
-  /// fresh per-cell sampling).
+  /// Serve cells from a per-trial arena (kOn mechanics) where one
+  /// exists, under either diffusion model: an RrArena for kRis, a
+  /// SnapshotArena for kSnapshot in Mode::kCondensed (the arena stores
+  /// condensed worlds with precomputed warmth, which only the condensed
+  /// backend consumes). Oneshot and the other Snapshot modes have no
+  /// arena and run kOff mechanics either way. false = kOff mechanics
+  /// (same trial-major streams, fresh per-cell sampling).
   bool reuse = true;
-  /// Optional observability: when non-null and reuse is on, trial 0
+  /// Optional observability: when non-null and an arena is used, trial 0
   /// writes its arena's MemoryBytes here (one representative figure —
   /// trial arenas differ only in content, not materially in size). Never
   /// affects results.
   std::uint64_t* arena_bytes_out = nullptr;
-  /// Optional observability: when non-null and reuse is on, receives the
-  /// wall-clock seconds of the per-trial arena builds summed over all
-  /// trials. The build is NOT attributed to any cell's `seconds` — cell
-  /// figures are pure serving cost; report the one-off build separately
-  /// (bench_sweep_reuse's arena_build_seconds field). Never affects
-  /// results.
+  /// Optional observability: when non-null and an arena is used, receives
+  /// the wall-clock seconds of the per-trial arena builds summed over all
+  /// trials (0 without one). The build is NOT attributed to any cell's
+  /// `seconds` — cell figures are pure serving cost; report the one-off
+  /// build separately (bench_sweep_reuse's arena_build_seconds field).
+  /// Never affects results.
   double* arena_seconds_out = nullptr;
 };
 

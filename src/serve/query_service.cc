@@ -354,10 +354,10 @@ double SnapshotQueryView::ReachProbability(VertexId src, VertexId dst) const {
 
 TopKResult SnapshotQueryView::TopK(int k, std::uint64_t tie_seed) const {
   SOLDIST_CHECK(k >= 1);
-  // A fresh arena estimator + the production greedy loop: byte-identical
-  // seed sets to a fresh condensed SnapshotEstimator solve at τ with the
-  // same tie seed (the estimator serves warm state from the arena).
-  ArenaSnapshotEstimator estimator(arena_.get(), count_);
+  // An estimator borrowing the arena + the production greedy loop:
+  // byte-identical seed sets to a fresh condensed SnapshotEstimator solve
+  // at τ with the same tie seed (it serves warm state from the arena).
+  SnapshotEstimator estimator(arena_.get(), count_);
   Rng tie_rng(tie_seed);
   GreedyRunResult run =
       RunGreedy(&estimator, num_vertices(), k, &tie_rng);
@@ -572,8 +572,8 @@ StatusOr<SnapshotQueryView> QueryService::SnapshotView(
   if (!instance.ok()) return instance.status();
   if (instance.value().model != DiffusionModel::kIc) {
     return Status::InvalidArgument(
-        "sampled-world views require the IC model: LT snapshots have no "
-        "condensed arena form (workload " + workload.Label() + ")");
+        "sampled-world views are served for the IC model only (workload " +
+        workload.Label() + " is LT)");
   }
   SamplingOptions sampling =
       session_->SamplingFor(spec.sample_threads, spec.chunk_size);

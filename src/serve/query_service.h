@@ -302,9 +302,10 @@ class SnapshotQueryView {
                           WorldScratch* scratch) const;
   double ReachProbability(VertexId src, VertexId dst) const;
 
-  /// Greedy top-k seed selection over the view's worlds via a fresh
-  /// ArenaSnapshotEstimator + RunGreedy — byte-identical to a fresh
-  /// condensed SnapshotEstimator solve at τ with the same tie seed.
+  /// Greedy top-k seed selection over the view's worlds via a
+  /// SnapshotEstimator borrowing the arena + RunGreedy — byte-identical
+  /// to a fresh condensed SnapshotEstimator solve at τ with the same tie
+  /// seed.
   /// TopKResult::covered holds Σ_i |R_i(S)| (the un-scaled numerator).
   TopKResult TopK(int k, std::uint64_t tie_seed = 1) const;
 
@@ -361,8 +362,8 @@ class QueryService {
                            const QuerySpec& spec = {});
 
   /// Sampled-world analytics view over τ = spec.sample_number condensed
-  /// snapshots. IC only — LT snapshots have no condensed arena form, and
-  /// asking for one is a Status, never an abort. Same τ-excluding key
+  /// snapshots. Served for IC workloads only — an LT workload is a
+  /// Status, never an abort. Same τ-excluding key
   /// discipline as View; the kind prefix keeps the two arena families
   /// from ever aliasing in the shared cache.
   StatusOr<SnapshotQueryView> SnapshotView(const api::WorkloadSpec& workload,

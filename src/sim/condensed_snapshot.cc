@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "random/splitmix64.h"
+#include "sim/lt_samplers.h"
 
 namespace soldist {
 
@@ -75,20 +76,25 @@ CondensedSnapshot SnapshotCondenser::Condense(const Snapshot& snapshot) {
   return out;
 }
 
-std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
-    const InfluenceGraph& ig, std::uint64_t master_seed, std::uint64_t count,
-    SamplingEngine* engine, bool record_per_snapshot) {
+namespace {
+
+/// The body both models share: `Sampler` is SnapshotSampler (IC, built
+/// from the InfluenceGraph) or LtSnapshotSampler (LT, built from the
+/// LtWeights); both fill a Snapshot through SampleInto.
+template <typename Sampler, typename Source>
+std::vector<CondensedSnapshotShard> SampleCondensedShardsWith(
+    const Source* source, VertexId num_vertices, std::uint64_t master_seed,
+    std::uint64_t count, SamplingEngine* engine, bool record_per_snapshot) {
   std::vector<CondensedSnapshotShard> shards(engine->NumShards(count));
   // Per-worker-slot scratch (sampler, condenser, one reusable raw
   // snapshot): schedule-dependent but output-invisible — every chunk's
   // randomness comes from its own derived stream and condensation is a
   // pure function of the sampled snapshot.
   struct Slot {
-    SnapshotSampler sampler;
+    Sampler sampler;
     SnapshotCondenser condenser;
     Snapshot scratch;
-    Slot(const InfluenceGraph* ig)
-        : sampler(ig), condenser(ig->num_vertices()) {}
+    Slot(const Source* source, VertexId n) : sampler(source), condenser(n) {}
   };
   std::vector<std::unique_ptr<Slot>> slots(engine->num_workers());
   const CancelToken* cancel = engine->cancel();
@@ -100,11 +106,11 @@ std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
       return;
     }
     if (slots[slot] == nullptr) {
-      slots[slot] = std::make_unique<Slot>(&ig);
+      slots[slot] = std::make_unique<Slot>(source, num_vertices);
     }
-    // Stream 1 of the chunk seed: byte-identical live-edge graphs to
-    // SampleSnapshotShards, so kCondensed condenses exactly the snapshots
-    // kResidual walks.
+    // Stream 1 of the chunk seed: byte-identical live-edge graphs to the
+    // raw snapshot shards, so kCondensed condenses exactly the snapshots
+    // kNaive and kResidual walk.
     Rng rng(DeriveSeed(chunk.seed, 1));
     CondensedSnapshotShard& shard = shards[chunk.shard];
     if (shard.snapshots.empty()) {
@@ -127,6 +133,24 @@ std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
     }
   });
   return shards;
+}
+
+}  // namespace
+
+std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
+    const ModelInstance& instance, std::uint64_t master_seed,
+    std::uint64_t count, SamplingEngine* engine, bool record_per_snapshot) {
+  SOLDIST_CHECK(instance.ig != nullptr);
+  const VertexId n = instance.ig->num_vertices();
+  if (instance.model == DiffusionModel::kLt) {
+    SOLDIST_CHECK(instance.lt_weights != nullptr)
+        << "LT instance without LtWeights";
+    return SampleCondensedShardsWith<LtSnapshotSampler>(
+        instance.lt_weights, n, master_seed, count, engine,
+        record_per_snapshot);
+  }
+  return SampleCondensedShardsWith<SnapshotSampler>(
+      instance.ig, n, master_seed, count, engine, record_per_snapshot);
 }
 
 }  // namespace soldist

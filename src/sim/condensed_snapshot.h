@@ -1,4 +1,5 @@
-// SCC-condensed live-edge snapshots (core/snapshot.h Mode::kCondensed).
+// SCC-condensed live-edge snapshots (core/snapshot.h Mode::kCondensed),
+// for IC and LT alike: condensation only sees the sampled live edges.
 //
 // A sampled Snapshot preserves reachability exactly when collapsed to its
 // SCC DAG: every vertex of a strongly connected component reaches exactly
@@ -15,7 +16,7 @@
 #include <vector>
 
 #include "graph/components.h"
-#include "model/influence_graph.h"
+#include "model/diffusion.h"
 #include "sim/counters.h"
 #include "sim/sampling_engine.h"
 #include "sim/snapshot_sampler.h"
@@ -77,16 +78,19 @@ struct CondensedSnapshotShard {
   std::vector<TraversalCounters> per_snapshot;
 };
 
-/// Samples `count` snapshots through `engine` (same chunk streams and
-/// shard layout as SampleSnapshotShards, so a condensed build sees
-/// byte-identical live-edge graphs) and condenses each inside its chunk
-/// worker; the raw CSR never outlives the sample. Shard concatenation is
+/// Samples `count` live-edge graphs of `instance`'s model through
+/// `engine` (same chunk streams and shard layout as SampleSnapshotShards /
+/// SampleLtSnapshotShards, so a condensed build sees byte-identical
+/// live-edge graphs) and condenses each inside its chunk worker; the raw
+/// CSR never outlives the sample. Shard concatenation is
 /// worker-count-independent. With `record_per_snapshot`, each shard also
 /// records per-snapshot counter deltas so any prefix's sampling cost is
-/// exactly attributable. Honors engine->cancel() like SampleRrShards.
+/// exactly attributable. Honors engine->cancel() like SampleRrShards. LT
+/// requires instance.lt_weights.
 std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
-    const InfluenceGraph& ig, std::uint64_t master_seed, std::uint64_t count,
-    SamplingEngine* engine, bool record_per_snapshot = false);
+    const ModelInstance& instance, std::uint64_t master_seed,
+    std::uint64_t count, SamplingEngine* engine,
+    bool record_per_snapshot = false);
 
 }  // namespace soldist
 

@@ -8,9 +8,16 @@
 namespace soldist {
 
 LtSnapshotSampler::LtSnapshotSampler(const LtWeights* weights)
-    : weights_(weights), bfs_(&weights->influence_graph()) {}
+    : weights_(weights) {}
 
 Snapshot LtSnapshotSampler::Sample(Rng* rng, TraversalCounters* counters) {
+  Snapshot snap;
+  SampleInto(rng, counters, &snap);
+  return snap;
+}
+
+void LtSnapshotSampler::SampleInto(Rng* rng, TraversalCounters* counters,
+                                   Snapshot* out) {
   const InfluenceGraph& ig = weights_->influence_graph();
   const Graph& g = ig.graph();
   const VertexId n = g.num_vertices();
@@ -26,22 +33,19 @@ Snapshot LtSnapshotSampler::Sample(Rng* rng, TraversalCounters* counters) {
     scratch_arcs_.push_back({g.in_sources()[pos], v});
   }
   // Counting sort by source into the out-CSR snapshot.
-  Snapshot snap;
-  snap.out_offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  out->out_offsets.assign(static_cast<std::size_t>(n) + 1, 0);
   for (const Arc& a : scratch_arcs_) {
-    ++snap.out_offsets[static_cast<std::size_t>(a.src) + 1];
+    ++out->out_offsets[static_cast<std::size_t>(a.src) + 1];
   }
   for (std::size_t v = 0; v < n; ++v) {
-    snap.out_offsets[v + 1] += snap.out_offsets[v];
+    out->out_offsets[v + 1] += out->out_offsets[v];
   }
-  snap.out_targets.resize(scratch_arcs_.size());
-  std::vector<EdgeId> cursor(snap.out_offsets.begin(),
-                             snap.out_offsets.end() - 1);
+  out->out_targets.resize(scratch_arcs_.size());
+  cursor_.assign(out->out_offsets.begin(), out->out_offsets.end() - 1);
   for (const Arc& a : scratch_arcs_) {
-    snap.out_targets[cursor[a.src]++] = a.dst;
+    out->out_targets[cursor_[a.src]++] = a.dst;
   }
-  counters->sample_edges += snap.num_live_edges();
-  return snap;
+  counters->sample_edges += out->num_live_edges();
 }
 
 LtRrSampler::LtRrSampler(const LtWeights* weights)
@@ -95,6 +99,19 @@ std::vector<SnapshotShard> SampleLtSnapshotShards(const LtWeights& weights,
   return internal::SampleSnapshotShardsWith(
       [&weights] { return std::make_unique<LtSnapshotSampler>(&weights); },
       master_seed, count, engine);
+}
+
+std::vector<SnapshotShard> SampleSnapshotShardsFor(
+    const ModelInstance& instance, std::uint64_t master_seed,
+    std::uint64_t count, SamplingEngine* engine) {
+  SOLDIST_CHECK(instance.ig != nullptr);
+  if (instance.model == DiffusionModel::kLt) {
+    SOLDIST_CHECK(instance.lt_weights != nullptr)
+        << "LT instance without LtWeights";
+    return SampleLtSnapshotShards(*instance.lt_weights, master_seed, count,
+                                  engine);
+  }
+  return SampleSnapshotShards(*instance.ig, master_seed, count, engine);
 }
 
 }  // namespace soldist

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "model/diffusion.h"
 #include "model/lt.h"
 #include "sim/rr_sampler.h"
 #include "sim/sampling_engine.h"
@@ -23,8 +24,9 @@
 
 namespace soldist {
 
-/// \brief Samples LT live-edge snapshots (reusing the Snapshot struct and
-/// the IC sampler's reachability BFS, which is model-agnostic).
+/// \brief Samples LT live-edge snapshots into the Snapshot struct the IC
+/// sampler fills, so every reachability backend (SnapshotSampler's BFS,
+/// the condensed DAGs) serves both models unchanged.
 class LtSnapshotSampler {
  public:
   explicit LtSnapshotSampler(const LtWeights* weights);
@@ -38,17 +40,14 @@ class LtSnapshotSampler {
   /// counters->sample_edges.
   Snapshot Sample(Rng* rng, TraversalCounters* counters);
 
-  /// Reachability on a sampled snapshot (delegates to the shared BFS).
-  std::uint32_t CountReachable(const Snapshot& snapshot,
-                               std::span<const VertexId> seeds,
-                               TraversalCounters* counters) {
-    return bfs_.CountReachable(snapshot, seeds, counters);
-  }
+  /// Sample into a caller-owned snapshot, reusing its buffers (the
+  /// condensed build's per-slot scratch, as SnapshotSampler::SampleInto).
+  void SampleInto(Rng* rng, TraversalCounters* counters, Snapshot* out);
 
  private:
   const LtWeights* weights_;
-  SnapshotSampler bfs_;  // used only for its model-agnostic BFS
   std::vector<Arc> scratch_arcs_;
+  std::vector<EdgeId> cursor_;
 };
 
 /// \brief Samples LT RR sets by a backward random walk.
@@ -89,6 +88,12 @@ std::vector<SnapshotShard> SampleLtSnapshotShards(const LtWeights& weights,
                                                   std::uint64_t master_seed,
                                                   std::uint64_t count,
                                                   SamplingEngine* engine);
+
+/// Model dispatch over SampleSnapshotShards (IC) and
+/// SampleLtSnapshotShards (LT; requires instance.lt_weights).
+std::vector<SnapshotShard> SampleSnapshotShardsFor(
+    const ModelInstance& instance, std::uint64_t master_seed,
+    std::uint64_t count, SamplingEngine* engine);
 
 }  // namespace soldist
 

@@ -1,7 +1,6 @@
 #include "sim/max_coverage.h"
 
 #include <bit>
-#include <queue>
 
 namespace soldist {
 namespace {
@@ -54,7 +53,8 @@ std::uint64_t ClearCovered(std::span<const std::uint32_t> list,
 /// views (RrCollection and RrPrefixView expose num_vertices / size /
 /// InvertedList with ascending 32-bit ids).
 ///
-/// Selection invariant (matches the reference heap): each round commits
+/// Selection invariant (matches the reference heap engine in
+/// tests/max_coverage_test.cc): each round commits
 /// the vertex maximizing (current gain, smaller id); gains only shrink,
 /// so a cached gain is an upper bound and a vertex re-evaluated at the
 /// bucket cursor either confirms the level or demotes. Once the cursor
@@ -162,86 +162,10 @@ MaxCoverageResult PackedGreedyMaxCoverage(const View& view, int k,
   return result;
 }
 
-/// The pre-word-packed heap implementation, kept verbatim as the
-/// differential-test baseline (MaxCoverageImpl::kReferenceForTest).
-MaxCoverageResult ReferenceGreedyMaxCoverage(const RrCollection& collection,
-                                             int k,
-                                             const CancelToken* cancel) {
-  SOLDIST_CHECK(k >= 1);
-  const VertexId n = collection.num_vertices();
-  SOLDIST_CHECK(static_cast<VertexId>(k) <= n);
-
-  std::vector<std::uint32_t> cover_count(n, 0);
-  for (std::uint64_t set_id = 0; set_id < collection.size(); ++set_id) {
-    for (VertexId v : collection.Set(set_id)) ++cover_count[v];
-  }
-  std::vector<std::uint8_t> set_active(collection.size(), 1);
-
-  struct Entry {
-    std::uint32_t gain;
-    VertexId vertex;
-    int round;
-    bool operator<(const Entry& other) const {
-      if (gain != other.gain) return gain < other.gain;
-      return vertex > other.vertex;  // smaller id wins ties
-    }
-  };
-  std::priority_queue<Entry> heap;
-  for (VertexId v = 0; v < n; ++v) {
-    if (cover_count[v] > 0) heap.push({cover_count[v], v, 0});
-  }
-
-  MaxCoverageResult result;
-  result.seeds.reserve(k);
-  std::vector<std::uint8_t> chosen(n, 0);
-  VertexId fill_cursor = 0;
-  bool exhausted = false;  // every remaining gain is 0 for good
-  for (int round = 0; round < k; ++round) {
-    // Same round-boundary cancel as the packed engine, so differential
-    // tests stay valid under a firing token.
-    if (cancel != nullptr && round > 0 && cancel->cancelled()) {
-      result.completed = false;
-      break;
-    }
-    bool selected = false;
-    while (!exhausted && !heap.empty()) {
-      Entry top = heap.top();
-      heap.pop();
-      if (top.round != round) {
-        top.gain = cover_count[top.vertex];
-        if (top.gain == 0) continue;  // gains never grow: drop for good
-        top.round = round;
-        heap.push(top);
-        continue;
-      }
-      for (std::uint64_t set_id : collection.InvertedList(top.vertex)) {
-        if (!set_active[set_id]) continue;
-        set_active[set_id] = 0;
-        ++result.covered;
-        for (VertexId w : collection.Set(set_id)) --cover_count[w];
-      }
-      result.seeds.push_back(top.vertex);
-      chosen[top.vertex] = 1;
-      selected = true;
-      break;
-    }
-    if (selected) continue;
-    exhausted = true;
-    while (chosen[fill_cursor]) ++fill_cursor;
-    result.seeds.push_back(fill_cursor);
-    chosen[fill_cursor] = 1;
-  }
-  return result;
-}
-
 }  // namespace
 
 MaxCoverageResult GreedyMaxCoverage(const RrCollection& collection, int k,
-                                    MaxCoverageImpl impl,
                                     const CancelToken* cancel) {
-  if (impl == MaxCoverageImpl::kReferenceForTest) {
-    return ReferenceGreedyMaxCoverage(collection, k, cancel);
-  }
   return PackedGreedyMaxCoverage(collection, k, cancel);
 }
 

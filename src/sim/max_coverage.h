@@ -9,11 +9,11 @@
 // gain-indexed bucket array instead of a binary heap (gains are integers
 // that only shrink, so a descending cursor over buckets replaces every
 // log-n heap operation), and set ids flow through the 32-bit vertex-major
-// inverted index. Output is byte-identical to the pre-PR-5 heap
+// inverted index. Output is byte-identical to the earlier heap
 // implementation — same seeds, covered counts, smaller-id tie-breaking,
-// and smallest-id zero-gain fill — which is kept as
-// MaxCoverageImpl::kReferenceForTest and differentially tested against
-// randomized collections (tests/max_coverage_test.cc).
+// and smallest-id zero-gain fill — which tests/max_coverage_test.cc keeps
+// as its reference engine and differentially tests against on randomized
+// collections.
 
 #ifndef SOLDIST_SIM_MAX_COVERAGE_H_
 #define SOLDIST_SIM_MAX_COVERAGE_H_
@@ -47,11 +47,6 @@ struct MaxCoverageResult {
   }
 };
 
-/// Implementation selector: the reference heap engine exists ONLY so
-/// tests can differentially verify the word-packed engine; production
-/// callers never pass it.
-enum class MaxCoverageImpl { kWordPacked, kReferenceForTest };
-
 /// \brief Greedy max coverage with CELF-style lazy evaluation.
 ///
 /// Deterministic: ties break toward the smaller vertex id; once every
@@ -61,12 +56,9 @@ enum class MaxCoverageImpl { kWordPacked, kReferenceForTest };
 /// `cancel` (deadline-aware CELF — serve/resilience.h): the token is
 /// checked BETWEEN rounds, so a fired deadline stops selection at a
 /// round boundary with the completed prefix (at least round 0 always
-/// lands) and MaxCoverageResult::completed = false. Both engines honor
-/// it identically, keeping the differential tests valid under cancel.
-MaxCoverageResult GreedyMaxCoverage(
-    const RrCollection& collection, int k,
-    MaxCoverageImpl impl = MaxCoverageImpl::kWordPacked,
-    const CancelToken* cancel = nullptr);
+/// lands) and MaxCoverageResult::completed = false.
+MaxCoverageResult GreedyMaxCoverage(const RrCollection& collection, int k,
+                                    const CancelToken* cancel = nullptr);
 
 /// Same greedy over a zero-copy arena prefix view (the sweep-reuse path):
 /// byte-identical to running it on an equal collection.

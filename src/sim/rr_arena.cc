@@ -39,42 +39,32 @@ void BuildFlatIndex(store::RrFlatPayload* payload, VertexId num_vertices) {
 
 }  // namespace
 
-RrArena RrArena::SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
-                          std::uint64_t capacity,
-                          const SamplingOptions& sampling) {
-  SOLDIST_CHECK(capacity >= 1);
-  SamplingEngine engine(sampling);
-  RrArena arena;
-  arena.num_vertices_ = ig.num_vertices();
-  arena.Finalize(SampleRrShards(ig, seed, capacity, &engine,
-                                /*record_per_set=*/true),
-                 engine, capacity);
-  return arena;
-}
-
-RrArena RrArena::SampleLt(const LtWeights& weights, std::uint64_t seed,
-                          std::uint64_t capacity,
-                          const SamplingOptions& sampling) {
-  SOLDIST_CHECK(capacity >= 1);
-  SamplingEngine engine(sampling);
-  RrArena arena;
-  arena.num_vertices_ = weights.influence_graph().num_vertices();
-  arena.Finalize(SampleLtRrShards(weights, seed, capacity, &engine,
-                                  /*record_per_set=*/true),
-                 engine, capacity);
-  return arena;
-}
-
 RrArena RrArena::SampleFor(const ModelInstance& instance, std::uint64_t seed,
                            std::uint64_t capacity,
                            const SamplingOptions& sampling) {
   SOLDIST_CHECK(instance.ig != nullptr);
+  SOLDIST_CHECK(capacity >= 1);
+  SamplingEngine engine(sampling);
+  RrArena arena;
+  arena.num_vertices_ = instance.ig->num_vertices();
+  std::vector<RrShard> shards;
   if (instance.model == DiffusionModel::kLt) {
     SOLDIST_CHECK(instance.lt_weights != nullptr)
         << "LT instance without LtWeights";
-    return SampleLt(*instance.lt_weights, seed, capacity, sampling);
+    shards = SampleLtRrShards(*instance.lt_weights, seed, capacity, &engine,
+                              /*record_per_set=*/true);
+  } else {
+    shards = SampleRrShards(*instance.ig, seed, capacity, &engine,
+                            /*record_per_set=*/true);
   }
-  return SampleIc(*instance.ig, seed, capacity, sampling);
+  arena.Finalize(std::move(shards), engine, capacity);
+  return arena;
+}
+
+RrArena RrArena::SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
+                          std::uint64_t capacity,
+                          const SamplingOptions& sampling) {
+  return SampleFor(ModelInstance::Ic(&ig), seed, capacity, sampling);
 }
 
 RrArena RrArena::FromParts(VertexId num_vertices,
@@ -283,152 +273,6 @@ double RrPrefixView::MeanSize() const {
   if (count_ == 0) return 0.0;
   const std::uint64_t entries = arena_->PrefixCounters(count_).sample_vertices;
   return static_cast<double>(entries) / static_cast<double>(count_);
-}
-
-// ---------------------------------------------------------------------
-// Compressed storage (moved from sim/rr_compress.cc).
-// ---------------------------------------------------------------------
-
-void VarintEncode(std::uint64_t v, std::vector<std::uint8_t>* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out->push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t VarintDecode(const std::uint8_t* data, std::size_t* pos) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    std::uint8_t byte = data[(*pos)++];
-    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) break;
-    shift += 7;
-    SOLDIST_DCHECK(shift < 64);
-  }
-  return v;
-}
-
-CompressedRrCollection::CompressedRrCollection(VertexId num_vertices)
-    : num_vertices_(num_vertices) {
-  set_offsets_.push_back(0);
-}
-
-void CompressedRrCollection::Add(const std::vector<VertexId>& rr_set) {
-  std::vector<VertexId> sorted = rr_set;
-  std::sort(sorted.begin(), sorted.end());
-  VarintEncode(sorted.size(), &set_bytes_);
-  VertexId prev = 0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    // First entry absolute, rest gaps (>= 1 since entries are distinct).
-    std::uint64_t delta = i == 0 ? sorted[0] : sorted[i] - prev;
-    VarintEncode(delta, &set_bytes_);
-    prev = sorted[i];
-  }
-  set_offsets_.push_back(static_cast<std::uint64_t>(set_bytes_.size()));
-  total_entries_ += sorted.size();
-  index_built_ = false;
-}
-
-void CompressedRrCollection::DecodeSet(std::uint64_t i,
-                                       std::vector<VertexId>* out) const {
-  SOLDIST_DCHECK(i < size());
-  out->clear();
-  std::size_t pos = set_offsets_[i];
-  std::uint64_t count = VarintDecode(set_bytes_.data(), &pos);
-  std::uint64_t value = 0;
-  for (std::uint64_t j = 0; j < count; ++j) {
-    value += VarintDecode(set_bytes_.data(), &pos);
-    out->push_back(static_cast<VertexId>(value));
-  }
-}
-
-void CompressedRrCollection::BuildIndex() {
-  // Two passes: count per-vertex list lengths, then encode each vertex's
-  // ascending set ids as gaps. Set ids are visited in ascending order so
-  // a per-vertex "previous id" array suffices.
-  std::vector<std::uint32_t> list_len(num_vertices_, 0);
-  std::vector<VertexId> decoded;
-  for (std::uint64_t i = 0; i < size(); ++i) {
-    DecodeSet(i, &decoded);
-    for (VertexId v : decoded) ++list_len[v];
-  }
-  // Encode into per-vertex byte buffers sized by a conservative pass.
-  std::vector<std::vector<std::uint8_t>> per_vertex(num_vertices_);
-  std::vector<std::uint64_t> prev_id(num_vertices_, 0);
-  std::vector<std::uint8_t> has_any(num_vertices_, 0);
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    VarintEncode(list_len[v], &per_vertex[v]);
-  }
-  for (std::uint64_t i = 0; i < size(); ++i) {
-    DecodeSet(i, &decoded);
-    for (VertexId v : decoded) {
-      std::uint64_t delta = has_any[v] ? i - prev_id[v] : i;
-      VarintEncode(delta, &per_vertex[v]);
-      prev_id[v] = i;
-      has_any[v] = 1;
-    }
-  }
-  index_bytes_.clear();
-  index_offsets_.assign(static_cast<std::size_t>(num_vertices_) + 1, 0);
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    index_bytes_.insert(index_bytes_.end(), per_vertex[v].begin(),
-                        per_vertex[v].end());
-    index_offsets_[v + 1] = static_cast<std::uint64_t>(index_bytes_.size());
-  }
-  covered_stamp_.assign(size(), 0);
-  covered_epoch_ = 0;
-  index_built_ = true;
-}
-
-void CompressedRrCollection::DecodeInvertedList(
-    VertexId v, std::vector<std::uint64_t>* out) const {
-  SOLDIST_CHECK(index_built_) << "call BuildIndex() first";
-  SOLDIST_DCHECK(v < num_vertices_);
-  out->clear();
-  std::size_t pos = index_offsets_[v];
-  std::uint64_t count = VarintDecode(index_bytes_.data(), &pos);
-  std::uint64_t id = 0;
-  for (std::uint64_t j = 0; j < count; ++j) {
-    id += VarintDecode(index_bytes_.data(), &pos);
-    out->push_back(id);
-  }
-}
-
-std::uint64_t CompressedRrCollection::CountCovered(
-    std::span<const VertexId> seeds) const {
-  SOLDIST_CHECK(index_built_) << "call BuildIndex() first";
-  if (++covered_epoch_ == 0) {
-    std::fill(covered_stamp_.begin(), covered_stamp_.end(), 0);
-    covered_epoch_ = 1;
-  }
-  std::uint64_t covered = 0;
-  for (VertexId v : seeds) {
-    DecodeInvertedList(v, &scratch_ids_);
-    for (std::uint64_t set_id : scratch_ids_) {
-      if (covered_stamp_[set_id] != covered_epoch_) {
-        covered_stamp_[set_id] = covered_epoch_;
-        ++covered;
-      }
-    }
-  }
-  return covered;
-}
-
-std::uint64_t CompressedRrCollection::MemoryBytes() const {
-  return set_bytes_.size() + index_bytes_.size() +
-         set_offsets_.size() * sizeof(std::uint64_t) +
-         index_offsets_.size() * sizeof(std::uint64_t);
-}
-
-std::uint64_t CompressedRrCollection::UncompressedBytes() const {
-  // RrCollection: 4 B per set entry, 4 B per (32-bit) index entry, plus
-  // the 8 B set offsets and 4 B index offsets.
-  return total_entries_ * (4 + 4) +
-         set_offsets_.size() * sizeof(std::uint64_t) +
-         (static_cast<std::uint64_t>(num_vertices_) + 1) *
-             sizeof(std::uint32_t);
 }
 
 }  // namespace soldist

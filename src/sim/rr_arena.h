@@ -1,16 +1,16 @@
 // Prefix-reusable RR-set arena: sample ONCE at the largest sample number
 // of a sweep ladder and serve every smaller sample number as a zero-copy
-// prefix view.
+// prefix view. It is also the only RR-set store RisEstimator reads: a
+// fresh RIS build samples a private arena, a reusing one borrows a
+// shared arena's prefix.
 //
 // Why a prefix view is exact (not an approximation): RR sampling is
 // prefix-closed in its master seed. The chunked engine streams
 // (sim/sampling_engine.h) give chunk c its randomness from
 // DeriveSeed(master, c) alone and draw the chunk's sets in order, so the
-// first τ₁ sets of a τ₂-set build are byte-identical to a τ₁-set build.
-// The arena samples with EXACTLY the streams of RisEstimator::Build (IC)
-// / LtRisEstimator::Build (LT), which is what makes an arena-served sweep
-// cell byte-identical to a freshly sampled one (ctest rr_arena_test
-// enforces this for worker counts 1/2/4, both models).
+// first τ₁ sets of a τ₂-set build are byte-identical to a τ₁-set build
+// (ctest rr_arena_test enforces this for worker counts 1/2/4, both
+// models).
 //
 // Storage: the payload lives behind a pluggable store::RrStorage backend
 // (store/arena_storage.h). Arenas always SAMPLE into the flat layout —
@@ -33,13 +33,6 @@
 // A prefix view at τ resolves InvertedList(v) by cutting v's ascending id
 // list at the first id >= τ (one binary search per vertex, cached in the
 // view); the cut length doubles as the initial CELF cover count.
-//
-// This header also hosts the delta+varint compressed collection (folded
-// in from the former sim/rr_compress.h): the paper's Section 7 question
-// about compressing reverse-reachable sets, answered with an
-// RrCollection-compatible query API over ~1-2 bytes/entry storage. Its
-// encoding is the one store::CompressedStorage promotes to a real arena
-// backend.
 
 #ifndef SOLDIST_SIM_RR_ARENA_H_
 #define SOLDIST_SIM_RR_ARENA_H_
@@ -50,7 +43,6 @@
 #include <vector>
 
 #include "model/diffusion.h"
-#include "model/lt.h"
 #include "sim/rr_sampler.h"
 #include "sim/sampling_engine.h"
 #include "sim/world_arena.h"
@@ -70,25 +62,21 @@ class RrPrefixView;
 /// behind a store::RrStorage backend.
 class RrArena : public WorldArena {
  public:
-  /// Samples `capacity` IC RR sets through the chunked engine streams,
-  /// exactly as RisEstimator::Build does: a fresh RisEstimator(ig, τ,
-  /// seed, sampling) for any τ <= capacity builds the byte-identical
-  /// prefix of this arena, at any worker count. A fired sampling.cancel
-  /// truncates the arena to its completed prefix (capacity() tells).
-  static RrArena SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
-                          std::uint64_t capacity,
-                          const SamplingOptions& sampling);
-
-  /// LT counterpart (LtRisEstimator::Build streams, backward-walk RR
-  /// sets).
-  static RrArena SampleLt(const LtWeights& weights, std::uint64_t seed,
-                          std::uint64_t capacity,
-                          const SamplingOptions& sampling);
-
-  /// Model dispatch on a resolved instance (LT requires lt_weights).
+  /// Samples `capacity` RR sets of `instance`'s model (IC reverse BFS,
+  /// LT backward walks; LT requires lt_weights) through the chunked
+  /// engine streams, exactly as a fresh RisEstimator(instance, τ, seed,
+  /// sampling) does for its private arena: for any τ <= capacity that
+  /// build is the byte-identical prefix of this arena, at any worker
+  /// count. A fired sampling.cancel truncates the arena to its completed
+  /// prefix (capacity() tells).
   static RrArena SampleFor(const ModelInstance& instance, std::uint64_t seed,
                            std::uint64_t capacity,
                            const SamplingOptions& sampling);
+
+  /// SampleFor on the IC model of `ig`.
+  static RrArena SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
+                          std::uint64_t capacity,
+                          const SamplingOptions& sampling);
 
   /// Rebuilds a FLAT arena from persisted parts (store/arena_io.h): the
   /// flat set array, per-set offsets, and per-set counter deltas. The
@@ -242,71 +230,6 @@ class RrPrefixView {
   std::vector<std::uint64_t> own_set_offsets_;
   std::vector<std::uint32_t> own_ids_;
   std::vector<std::uint32_t> own_index_offsets_;
-};
-
-// ---------------------------------------------------------------------
-// Compressed RR-set storage (folded in from sim/rr_compress.h): the
-// paper's concluding remarks (Section 7) ask whether Snapshot/RIS memory
-// can be cut "e.g., by compressing reverse-reachable sets" — answered
-// with a delta+varint encoded collection exposing the same query API as
-// RrCollection. Each RR set is sorted, delta-encoded, and LEB128-varint
-// packed; the inverted index is stored the same way. Small RR sets over
-// dense ids compress to 1-2 bytes/entry vs 4 (sets) + 4 (index) in the
-// uncompressed collection.
-// ---------------------------------------------------------------------
-
-/// Appends v as LEB128 to `out`.
-void VarintEncode(std::uint64_t v, std::vector<std::uint8_t>* out);
-
-/// Decodes one LEB128 value from data[*pos], advancing *pos.
-std::uint64_t VarintDecode(const std::uint8_t* data, std::size_t* pos);
-
-/// \brief RR-set collection with compressed sets and compressed inverted
-/// index. Query-compatible with RrCollection (decode on the fly).
-class CompressedRrCollection {
- public:
-  explicit CompressedRrCollection(VertexId num_vertices);
-
-  /// Appends one RR set (copied, sorted, delta+varint encoded).
-  void Add(const std::vector<VertexId>& rr_set);
-
-  /// Builds the compressed inverted index; call after the last Add.
-  void BuildIndex();
-
-  std::uint64_t size() const {
-    return static_cast<std::uint64_t>(set_offsets_.size()) - 1;
-  }
-  std::uint64_t total_entries() const { return total_entries_; }
-  VertexId num_vertices() const { return num_vertices_; }
-
-  /// Decodes set i into *out (sorted ascending).
-  void DecodeSet(std::uint64_t i, std::vector<VertexId>* out) const;
-
-  /// Decodes the ids of sets containing v into *out (ascending).
-  /// Requires BuildIndex().
-  void DecodeInvertedList(VertexId v, std::vector<std::uint64_t>* out) const;
-
-  /// Number of RR sets intersecting `seeds` (requires BuildIndex()).
-  std::uint64_t CountCovered(std::span<const VertexId> seeds) const;
-
-  /// Heap bytes used by the compressed payloads (sets + index + offsets).
-  std::uint64_t MemoryBytes() const;
-
-  /// Bytes an uncompressed RrCollection needs for the same content
-  /// (4 B/set entry + 4 B/index entry + offset arrays), for comparison.
-  std::uint64_t UncompressedBytes() const;
-
- private:
-  VertexId num_vertices_;
-  std::uint64_t total_entries_ = 0;
-  std::vector<std::uint8_t> set_bytes_;
-  std::vector<std::uint64_t> set_offsets_;  // into set_bytes_
-  std::vector<std::uint8_t> index_bytes_;
-  std::vector<std::uint64_t> index_offsets_;  // per vertex, into index_bytes_
-  bool index_built_ = false;
-  mutable std::vector<std::uint32_t> covered_stamp_;
-  mutable std::uint32_t covered_epoch_ = 0;
-  mutable std::vector<std::uint64_t> scratch_ids_;
 };
 
 }  // namespace soldist

@@ -78,18 +78,19 @@ std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
   return warmth;
 }
 
-SnapshotArena SnapshotArena::Sample(const InfluenceGraph& ig,
-                                    std::uint64_t seed,
-                                    std::uint64_t capacity,
-                                    const SamplingOptions& sampling) {
+SnapshotArena SnapshotArena::SampleFor(const ModelInstance& instance,
+                                       std::uint64_t seed,
+                                       std::uint64_t capacity,
+                                       const SamplingOptions& sampling) {
+  SOLDIST_CHECK(instance.ig != nullptr);
   SOLDIST_CHECK(capacity >= 1);
   SnapshotArena arena;
-  arena.num_vertices_ = ig.num_vertices();
+  arena.num_vertices_ = instance.ig->num_vertices();
   arena.snaps_.reserve(capacity);
   arena.counters_.Reserve(capacity);
   SamplingEngine engine(sampling);
   std::vector<CondensedSnapshotShard> shards = SampleCondensedSnapshotShards(
-      ig, seed, capacity, &engine, /*record_per_snapshot=*/true);
+      instance, seed, capacity, &engine, /*record_per_snapshot=*/true);
   const std::uint64_t actual =
       sampling.cancel == nullptr
           ? capacity
@@ -114,9 +115,16 @@ SnapshotArena SnapshotArena::Sample(const InfluenceGraph& ig,
   // permutation yields the same warmth (header note), so capacity vs τ
   // in the derivation cannot change a byte.
   arena.warmth_ = ComputeSnapshotWarmth(
-      arena.snaps_, ig.num_vertices(), DeriveSeed(seed, capacity + 1),
+      arena.snaps_, arena.num_vertices_, DeriveSeed(seed, capacity + 1),
       sampling);
   return arena;
+}
+
+SnapshotArena SnapshotArena::Sample(const InfluenceGraph& ig,
+                                    std::uint64_t seed,
+                                    std::uint64_t capacity,
+                                    const SamplingOptions& sampling) {
+  return SampleFor(ModelInstance::Ic(&ig), seed, capacity, sampling);
 }
 
 SnapshotArena SnapshotArena::Restore(

@@ -1,17 +1,19 @@
 // Prefix-reusable arena of SCC-condensed sampled worlds: the Snapshot
-// counterpart of RrArena. Sample ONCE at the largest τ of a sweep ladder
-// and serve every smaller τ as a zero-copy prefix — plus point queries
-// over the sampled worlds themselves (reachability probability, expected
-// component size; serve/query_service.h).
+// counterpart of RrArena, for IC and LT live-edge graphs alike. Sample
+// ONCE at the largest τ of a sweep ladder and serve every smaller τ as a
+// zero-copy prefix — plus point queries over the sampled worlds
+// themselves (reachability probability, expected component size;
+// serve/query_service.h).
 //
 // Why a prefix is exact: snapshot sampling is prefix-closed in the
 // master seed. The chunked engine gives chunk c its randomness from
 // DeriveSeed(master, c) alone and draws the chunk's snapshots in order,
 // so the first τ₁ snapshots of a τ₂ build are byte-identical to a τ₁
 // build. The arena samples with EXACTLY the streams of
-// SnapshotEstimator's condensed backend, which is what makes an
-// arena-served sweep cell byte-identical to a freshly sampled one
-// (ctest snapshot_arena_test enforces this for worker counts 1/2/4).
+// SnapshotEstimator's condensed backend, which is what makes a
+// SnapshotEstimator borrowing the arena byte-identical to a freshly
+// sampled one (ctest snapshot_arena_test enforces this for both models
+// at worker counts 1/2/4).
 //
 // Warmth: the condensed gain backend pre-seeds its cache and CELF bounds
 // from bottom-k DAG sketches. Both the exactness test (len < k ⟺
@@ -28,7 +30,7 @@
 #include <span>
 #include <vector>
 
-#include "model/influence_graph.h"
+#include "model/diffusion.h"
 #include "sim/condensed_snapshot.h"
 #include "sim/sampling_engine.h"
 #include "sim/world_arena.h"
@@ -77,13 +79,19 @@ std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
 /// prefixes and point queries from one arena concurrently.
 class SnapshotArena : public WorldArena {
  public:
-  /// Samples `capacity` snapshots through the condensed backend's engine
-  /// chunk streams, condensing each as it is sampled, then precomputes
-  /// warmth with the permutation stream DeriveSeed(seed, capacity + 1).
-  /// A fresh condensed SnapshotEstimator(ig, τ, seed, sampling) for any
+  /// Samples `capacity` live-edge graphs of `instance`'s model through
+  /// the condensed backend's engine chunk streams, condensing each as it
+  /// is sampled, then precomputes warmth with the permutation stream
+  /// DeriveSeed(seed, capacity + 1). A fresh condensed
+  /// SnapshotEstimator(instance, τ, seed, kCondensed, sampling) for any
   /// τ <= capacity consumes the byte-identical prefix of this arena, at
   /// any worker count. A fired sampling.cancel truncates the arena to its
-  /// completed prefix (capacity() tells).
+  /// completed prefix (capacity() tells). LT requires lt_weights.
+  static SnapshotArena SampleFor(const ModelInstance& instance,
+                                 std::uint64_t seed, std::uint64_t capacity,
+                                 const SamplingOptions& sampling);
+
+  /// SampleFor on the IC model of `ig`.
   static SnapshotArena Sample(const InfluenceGraph& ig, std::uint64_t seed,
                               std::uint64_t capacity,
                               const SamplingOptions& sampling);

@@ -16,9 +16,7 @@ namespace soldist {
 namespace store {
 namespace {
 
-// Store-local LEB128 codec. sim/rr_arena.h exports an identical pair for
-// CompressedRrCollection; store/ keeps its own so the dependency points
-// sim -> store only.
+// LEB128 varint codec of the compressed and mmap-spill backends.
 void PutVarint(std::uint64_t v, std::vector<std::uint8_t>* out) {
   while (v >= 0x80) {
     out->push_back(static_cast<std::uint8_t>(v) | 0x80);
@@ -150,7 +148,7 @@ EncodedArena EncodeRrPayload(const RrFlatPayload& payload,
     VertexId prev = 0;
     for (std::size_t j = 0; j < sorted.size(); ++j) {
       // First entry absolute, rest gaps (>= 1: RR-set members are
-      // distinct) — same convention as CompressedRrCollection::Add.
+      // distinct).
       PutVarint(j == 0 ? sorted[0] : sorted[j] - prev, &enc.set_bytes);
       prev = sorted[j];
     }

@@ -8,8 +8,8 @@
 //
 //   FlatStorage        today's word-packed layout, zero behavior change;
 //                      queries return zero-copy spans into the payload.
-//   CompressedStorage  the delta+varint encoding of CompressedRrCollection
-//                      promoted to a real backend: sets are sorted, gap
+//   CompressedStorage  the delta+varint encoding (the paper's Section 7
+//                      RR-set compression question): sets are sorted, gap
 //                      coded and LEB128 packed (~1-2 B/entry vs 8), the
 //                      inverted index likewise; per-vertex lists decode on
 //                      demand through a byte-budgeted hot-list LRU.

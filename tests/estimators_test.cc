@@ -33,14 +33,14 @@ InfluenceGraph KarateUc01() {
 TEST(OneshotEstimatorTest, UnbiasedAgainstExactInfluence) {
   InfluenceGraph ig = Diamond(0.5);
   double exact = ExactInfluence(ig, std::vector<VertexId>{0});
-  OneshotEstimator estimator(&ig, 200000, /*seed=*/1);
+  OneshotEstimator estimator(ModelInstance::Ic(&ig), 200000, /*seed=*/1);
   estimator.Build();
   EXPECT_NEAR(estimator.Estimate(0), exact, 0.02);
 }
 
 TEST(OneshotEstimatorTest, EstimateAfterUpdateUsesSeedSet) {
   InfluenceGraph ig = Diamond(1.0);
-  OneshotEstimator estimator(&ig, 10, /*seed=*/2);
+  OneshotEstimator estimator(ModelInstance::Ic(&ig), 10, /*seed=*/2);
   estimator.Build();
   // p=1: Inf({0}) = 4 deterministic.
   EXPECT_DOUBLE_EQ(estimator.Estimate(0), 4.0);
@@ -51,7 +51,7 @@ TEST(OneshotEstimatorTest, EstimateAfterUpdateUsesSeedSet) {
 
 TEST(OneshotEstimatorTest, PropertiesAndCounters) {
   InfluenceGraph ig = Diamond(0.5);
-  OneshotEstimator estimator(&ig, 100, /*seed=*/3);
+  OneshotEstimator estimator(ModelInstance::Ic(&ig), 100, /*seed=*/3);
   estimator.Build();
   EXPECT_FALSE(estimator.EstimatesAreMarginal());
   EXPECT_EQ(estimator.sample_number(), 100u);
@@ -68,8 +68,9 @@ TEST(SnapshotEstimatorTest, NaiveAndResidualAgreeExactly) {
   // bit-identical estimates through a whole greedy-like sequence
   // (Section 3.4.3: the reduction does not disturb estimates).
   InfluenceGraph ig = KarateUc01();
-  SnapshotEstimator naive(&ig, 16, /*seed=*/7, SnapshotEstimator::Mode::kNaive);
-  SnapshotEstimator residual(&ig, 16, /*seed=*/7,
+  SnapshotEstimator naive(ModelInstance::Ic(&ig), 16, /*seed=*/7,
+                          SnapshotEstimator::Mode::kNaive);
+  SnapshotEstimator residual(ModelInstance::Ic(&ig), 16, /*seed=*/7,
                              SnapshotEstimator::Mode::kResidual);
   naive.Build();
   residual.Build();
@@ -87,7 +88,7 @@ TEST(SnapshotEstimatorTest, NaiveAndResidualAgreeExactly) {
 TEST(SnapshotEstimatorTest, UnbiasedAgainstExactInfluence) {
   InfluenceGraph ig = Diamond(0.5);
   double exact = ExactInfluence(ig, std::vector<VertexId>{0});
-  SnapshotEstimator estimator(&ig, 200000, /*seed=*/8);
+  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 200000, /*seed=*/8);
   estimator.Build();
   EXPECT_NEAR(estimator.Estimate(0), exact, 0.02);
 }
@@ -96,7 +97,7 @@ TEST(SnapshotEstimatorTest, MarginalsShrinkAfterUpdate) {
   // Submodularity of the snapshot estimator (Section 3.4.1): marginals
   // w.r.t. a larger seed set never grow.
   InfluenceGraph ig = KarateUc01();
-  SnapshotEstimator estimator(&ig, 64, /*seed=*/9);
+  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 64, /*seed=*/9);
   estimator.Build();
   std::vector<double> before(ig.num_vertices());
   for (VertexId v = 0; v < ig.num_vertices(); ++v) {
@@ -110,7 +111,7 @@ TEST(SnapshotEstimatorTest, MarginalsShrinkAfterUpdate) {
 
 TEST(SnapshotEstimatorTest, MarginalOfSelectedSeedIsZero) {
   InfluenceGraph ig = Diamond(1.0);
-  SnapshotEstimator estimator(&ig, 4, /*seed=*/10);
+  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 4, /*seed=*/10);
   estimator.Build();
   estimator.Update(0);
   // Everything is reachable from 0 at p=1: all marginals vanish.
@@ -121,7 +122,7 @@ TEST(SnapshotEstimatorTest, MarginalOfSelectedSeedIsZero) {
 
 TEST(SnapshotEstimatorTest, SampleSizeIsLiveEdges) {
   InfluenceGraph ig = Diamond(1.0);
-  SnapshotEstimator estimator(&ig, 5, /*seed=*/11);
+  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 5, /*seed=*/11);
   estimator.Build();
   // p=1: every snapshot stores all 4 edges.
   EXPECT_EQ(estimator.counters().sample_edges, 20u);
@@ -131,14 +132,14 @@ TEST(SnapshotEstimatorTest, SampleSizeIsLiveEdges) {
 TEST(RisEstimatorTest, UnbiasedAgainstExactInfluence) {
   InfluenceGraph ig = Diamond(0.5);
   double exact = ExactInfluence(ig, std::vector<VertexId>{0});
-  RisEstimator estimator(&ig, 200000, /*seed=*/12);
+  RisEstimator estimator(ModelInstance::Ic(&ig), 200000, /*seed=*/12);
   estimator.Build();
   EXPECT_NEAR(estimator.Estimate(0), exact, 0.02);
 }
 
 TEST(RisEstimatorTest, UpdateRemovesCoveredSets) {
   InfluenceGraph ig = Diamond(1.0);
-  RisEstimator estimator(&ig, 1000, /*seed=*/13);
+  RisEstimator estimator(ModelInstance::Ic(&ig), 1000, /*seed=*/13);
   estimator.Build();
   // p=1: vertex 0 reaches everything, so 0 is in every RR set;
   // Estimate(0) = n = 4 and after Update(0) all marginals are zero.
@@ -151,7 +152,7 @@ TEST(RisEstimatorTest, UpdateRemovesCoveredSets) {
 
 TEST(RisEstimatorTest, MarginalsShrinkAfterUpdate) {
   InfluenceGraph ig = KarateUc01();
-  RisEstimator estimator(&ig, 4096, /*seed=*/14);
+  RisEstimator estimator(ModelInstance::Ic(&ig), 4096, /*seed=*/14);
   estimator.Build();
   std::vector<double> before(ig.num_vertices());
   for (VertexId v = 0; v < ig.num_vertices(); ++v) {
@@ -166,7 +167,7 @@ TEST(RisEstimatorTest, MarginalsShrinkAfterUpdate) {
 
 TEST(RisEstimatorTest, EmpiricalEptAndSampleSize) {
   InfluenceGraph ig = Diamond(0.5);
-  RisEstimator estimator(&ig, 10000, /*seed=*/15);
+  RisEstimator estimator(ModelInstance::Ic(&ig), 10000, /*seed=*/15);
   estimator.Build();
   EXPECT_EQ(estimator.counters().sample_vertices,
             static_cast<std::uint64_t>(estimator.EmpiricalEpt() * 10000 + 0.5));

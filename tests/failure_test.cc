@@ -55,17 +55,17 @@ TEST(FailureDeathTest, BuilderRejectsInvalidEdgeList) {
 
 TEST(FailureDeathTest, EstimatorsRejectDoubleBuild) {
   InfluenceGraph ig = TinyIg();
-  SnapshotEstimator snapshot(&ig, 2, 1);
+  SnapshotEstimator snapshot(ModelInstance::Ic(&ig), 2, 1);
   snapshot.Build();
   EXPECT_DEATH(snapshot.Build(), "exactly once");
-  RisEstimator ris(&ig, 2, 1);
+  RisEstimator ris(ModelInstance::Ic(&ig), 2, 1);
   ris.Build();
   EXPECT_DEATH(ris.Build(), "exactly once");
 }
 
 TEST(FailureDeathTest, EstimateBeforeBuildFires) {
   InfluenceGraph ig = TinyIg();
-  RisEstimator ris(&ig, 2, 1);
+  RisEstimator ris(ModelInstance::Ic(&ig), 2, 1);
   EXPECT_DEATH(ris.Estimate(0), "built");
 }
 

@@ -78,7 +78,7 @@ TEST(GreedyTest, SweepsAllUnselectedVertices) {
 
 TEST(GreedyTest, SeedsAreDistinct) {
   InfluenceGraph ig = StarGraph(6, 0.5);
-  OneshotEstimator estimator(&ig, 4, /*seed=*/3);
+  OneshotEstimator estimator(ModelInstance::Ic(&ig), 4, /*seed=*/3);
   Rng tie_rng(4);
   auto result = RunGreedy(&estimator, ig.num_vertices(), 5, &tie_rng);
   std::vector<VertexId> sorted = result.SortedSeedSet();
@@ -89,7 +89,7 @@ TEST(GreedyTest, SeedsAreDistinct) {
 TEST(GreedyTest, StarCenterAlwaysFirstAtFullProbability) {
   InfluenceGraph ig = StarGraph(8, 1.0);
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    RisEstimator estimator(&ig, 256, seed);
+    RisEstimator estimator(ModelInstance::Ic(&ig), 256, seed);
     Rng tie_rng(seed + 1000);
     auto result = RunGreedy(&estimator, ig.num_vertices(), 1, &tie_rng);
     EXPECT_EQ(result.seeds[0], 0u) << "seed " << seed;
@@ -103,7 +103,7 @@ TEST(GreedyTest, TieBrokenUniformly) {
   std::map<VertexId, int> wins;
   constexpr int kRuns = 600;
   for (int run = 0; run < kRuns; ++run) {
-    SnapshotEstimator estimator(&ig, 1, /*seed=*/run);
+    SnapshotEstimator estimator(ModelInstance::Ic(&ig), 1, /*seed=*/run);
     Rng tie_rng(run * 7919 + 17);
     auto result = RunGreedy(&estimator, ig.num_vertices(), 1, &tie_rng);
     ++wins[result.seeds[0]];
@@ -137,11 +137,11 @@ TEST(GreedyTest, SortedSeedSetSorts) {
 
 TEST(CelfTest, MatchesPlainGreedyOnDeterministicInstance) {
   InfluenceGraph ig = StarGraph(8, 1.0);
-  RisEstimator plain_est(&ig, 512, /*seed=*/5);
+  RisEstimator plain_est(ModelInstance::Ic(&ig), 512, /*seed=*/5);
   Rng tie1(6);
   auto plain = RunGreedy(&plain_est, ig.num_vertices(), 3, &tie1);
 
-  RisEstimator celf_est(&ig, 512, /*seed=*/5);
+  RisEstimator celf_est(ModelInstance::Ic(&ig), 512, /*seed=*/5);
   Rng tie2(6);
   auto celf = RunCelfGreedy(&celf_est, ig.num_vertices(), 3, &tie2);
   // The star at p=1 has a unique best first seed; subsequent marginals all
@@ -154,7 +154,7 @@ TEST(CelfTest, SavesEstimateCalls) {
   Graph g = GraphBuilder::FromEdgeList(Datasets::Karate());
   InfluenceGraph ig = MakeInfluenceGraph(std::move(g),
                                          ProbabilityModel::kUc01);
-  RisEstimator estimator(&ig, 2048, /*seed=*/7);
+  RisEstimator estimator(ModelInstance::Ic(&ig), 2048, /*seed=*/7);
   Rng tie_rng(8);
   auto result = RunCelfGreedy(&estimator, ig.num_vertices(), 4, &tie_rng);
   // Plain greedy would use 34 + 33 + 32 + 31 = 130 calls.
@@ -165,7 +165,7 @@ TEST(CelfTest, SavesEstimateCalls) {
 
 TEST(CelfDeathTest, RejectsNonMarginalEstimator) {
   InfluenceGraph ig = StarGraph(4, 0.5);
-  OneshotEstimator estimator(&ig, 4, /*seed=*/9);
+  OneshotEstimator estimator(ModelInstance::Ic(&ig), 4, /*seed=*/9);
   Rng tie_rng(10);
   EXPECT_DEATH(RunCelfGreedy(&estimator, ig.num_vertices(), 1, &tie_rng),
                "marginal");

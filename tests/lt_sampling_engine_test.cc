@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/factory.h"
 #include "core/greedy.h"
-#include "core/lt_estimators.h"
+#include "core/oneshot.h"
+#include "core/ris.h"
 #include "exp/trial_runner.h"
 #include "gen/datasets.h"
 #include "graph/builder.h"
@@ -19,6 +21,7 @@
 #include "model/probability.h"
 #include "sim/lt_forward_sim.h"
 #include "sim/lt_samplers.h"
+#include "sim/rr_arena.h"
 #include "sim/sampling_engine.h"
 
 namespace soldist {
@@ -139,34 +142,60 @@ TEST(LtSamplingEngineTest, ShardedForwardSimIdenticalAndUnbiased) {
   }
 }
 
-/// Runs one greedy selection and returns (sorted seed set, counters).
-std::pair<std::vector<VertexId>, TraversalCounters> LtGreedyWith(
-    const LtWeights& weights, Approach approach, std::uint64_t samples,
-    const SamplingOptions& sampling, int k) {
-  auto estimator =
-      MakeLtEstimator(&weights, approach, samples, /*seed=*/21, sampling);
+/// One greedy selection's seed sequence, estimates and counters.
+struct LtRun {
+  GreedyRunResult run;
+  TraversalCounters counters;
+};
+
+LtRun LtGreedyWith(const LtWeights& weights, Approach approach,
+                   std::uint64_t samples, SnapshotEstimator::Mode mode,
+                   const SamplingOptions& sampling, int k) {
+  auto estimator = MakeEstimator(ModelInstance::Lt(&weights), approach,
+                                 samples, /*seed=*/21, mode, sampling);
   Rng tie_rng(123);
   GreedyRunResult run = RunGreedy(
       estimator.get(), weights.influence_graph().num_vertices(), k, &tie_rng);
-  return {run.SortedSeedSet(), estimator->counters()};
+  return {std::move(run), estimator->counters()};
 }
 
 TEST(LtSamplingEngineTest, EstimatorsIdenticalAcrossThreadCounts) {
   // The satellite contract: num_threads ∈ {1, 2, 4} all match the
-  // sequential default — seed sets AND counters.
+  // sequential default — seed sets AND counters — for every approach and
+  // every Snapshot backend. Across backends the seeds and estimates must
+  // agree too (only the traversal cost may differ).
   InfluenceGraph ig = KarateIwc();
   LtWeights weights(&ig);
+  const SnapshotEstimator::Mode kModes[] = {
+      SnapshotEstimator::Mode::kNaive, SnapshotEstimator::Mode::kResidual,
+      SnapshotEstimator::Mode::kCondensed};
   for (Approach approach :
        {Approach::kOneshot, Approach::kSnapshot, Approach::kRis}) {
     std::uint64_t samples = approach == Approach::kRis ? 2000 : 256;
-    auto [seeds_ref, counters_ref] =
-        LtGreedyWith(weights, approach, samples, Sequential(), 3);
-    for (int threads : {2, 4}) {
-      auto [seeds, counters] =
-          LtGreedyWith(weights, approach, samples, Threads(threads), 3);
-      EXPECT_EQ(seeds, seeds_ref)
-          << ApproachName(approach) << " @ " << threads << " threads";
-      ExpectCountersEq(counters, counters_ref);
+    std::vector<LtRun> per_mode;
+    for (SnapshotEstimator::Mode mode : kModes) {
+      if (approach != Approach::kSnapshot &&
+          mode != SnapshotEstimator::Mode::kResidual) {
+        continue;  // the mode only matters to Snapshot
+      }
+      const std::string label =
+          ApproachName(approach) + "/" + SnapshotModeName(mode);
+      LtRun reference =
+          LtGreedyWith(weights, approach, samples, mode, Sequential(), 3);
+      for (int threads : {2, 4}) {
+        LtRun run =
+            LtGreedyWith(weights, approach, samples, mode, Threads(threads), 3);
+        EXPECT_EQ(run.run.SortedSeedSet(), reference.run.SortedSeedSet())
+            << label << " @ " << threads << " threads";
+        ExpectCountersEq(run.counters, reference.counters);
+      }
+      per_mode.push_back(std::move(reference));
+    }
+    for (std::size_t m = 1; m < per_mode.size(); ++m) {
+      EXPECT_EQ(per_mode[m].run.seeds, per_mode[0].run.seeds)
+          << SnapshotModeName(kModes[m]) << " vs naive";
+      EXPECT_EQ(per_mode[m].run.estimates, per_mode[0].run.estimates)
+          << SnapshotModeName(kModes[m]) << " vs naive";
     }
   }
 }
@@ -174,17 +203,22 @@ TEST(LtSamplingEngineTest, EstimatorsIdenticalAcrossThreadCounts) {
 TEST(LtSamplingEngineTest, UnifiedFactoryRoutesBothModels) {
   InfluenceGraph ig = KarateIwc();
   LtWeights weights(&ig);
-  auto lt = MakeEstimator(ModelInstance::Lt(&weights), Approach::kRis, 64, 1);
-  EXPECT_EQ(lt->name(), "LT-RIS");
+  const ModelInstance lt_instance = ModelInstance::Lt(&weights);
+  auto lt = MakeEstimator(lt_instance, Approach::kRis, 64, 1);
   auto ic = MakeEstimator(ModelInstance::Ic(&ig), Approach::kRis, 64, 1);
-  EXPECT_EQ(ic->name(), "RIS");
-  // The unified overload must agree with the direct LT factory.
-  auto direct = MakeLtEstimator(&weights, Approach::kRis, 64, 1);
+  // The factory's LT RIS draws LT backward walks: it answers exactly as
+  // an estimator borrowing an LT arena of the same seed does.
+  RrArena arena = RrArena::SampleFor(lt_instance, 1, 64, {});
+  RisEstimator borrowed(&arena, 64);
   lt->Build();
-  direct->Build();
-  for (VertexId v = 0; v < 8; ++v) {
-    EXPECT_DOUBLE_EQ(lt->Estimate(v), direct->Estimate(v)) << v;
+  ic->Build();
+  borrowed.Build();
+  bool differs_from_ic = false;
+  for (VertexId v = 0; v < ig.num_vertices(); ++v) {
+    EXPECT_DOUBLE_EQ(lt->Estimate(v), borrowed.Estimate(v)) << v;
+    differs_from_ic |= lt->Estimate(v) != ic->Estimate(v);
   }
+  EXPECT_TRUE(differs_from_ic);
 }
 
 TEST(LtSamplingEngineTest, RunTrialsLtIdenticalAcrossSamplingModes) {
@@ -221,8 +255,8 @@ TEST(LtSamplingEngineTest, RunTrialsLtIdenticalAcrossSamplingModes) {
 TEST(LtSamplingEngineTest, OneshotEstimateSequenceIdentical) {
   InfluenceGraph ig = KarateIwc();
   LtWeights weights(&ig);
-  LtOneshotEstimator a(&weights, 256, 17, Sequential());
-  LtOneshotEstimator b(&weights, 256, 17, Threads(4));
+  OneshotEstimator a(ModelInstance::Lt(&weights), 256, 17, Sequential());
+  OneshotEstimator b(ModelInstance::Lt(&weights), 256, 17, Threads(4));
   a.Build();
   b.Build();
   for (VertexId v = 0; v < 8; ++v) {

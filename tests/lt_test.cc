@@ -1,11 +1,13 @@
 // Tests for the linear-threshold model extension: LtWeights, the LT
-// simulators/samplers, and the three LT estimators, validated against
-// exact LT influence on tiny graphs.
+// simulators/samplers, and the three estimators run on LT instances,
+// validated against exact LT influence on tiny graphs.
 
 #include <gtest/gtest.h>
 
+#include "core/factory.h"
 #include "core/greedy.h"
-#include "core/lt_estimators.h"
+#include "core/ris.h"
+#include "core/snapshot.h"
 #include "gen/datasets.h"
 #include "graph/builder.h"
 #include "model/lt.h"
@@ -170,6 +172,7 @@ TEST(LtSnapshotSamplerTest, MeanReachMatchesExact) {
   InfluenceGraph ig = DiamondLt();
   LtWeights weights(&ig);
   LtSnapshotSampler sampler(&weights);
+  SnapshotSampler bfs(&ig);  // model-agnostic reachability
   Rng rng(6);
   TraversalCounters counters;
   const VertexId seeds[1] = {0};
@@ -177,7 +180,7 @@ TEST(LtSnapshotSamplerTest, MeanReachMatchesExact) {
   constexpr int kSamples = 100000;
   for (int i = 0; i < kSamples; ++i) {
     Snapshot snap = sampler.Sample(&rng, &counters);
-    total += sampler.CountReachable(snap, seeds, &counters);
+    total += bfs.CountReachable(snap, seeds, &counters);
   }
   EXPECT_NEAR(static_cast<double>(total) / kSamples, kDiamondLtInfluence,
               0.02);
@@ -222,7 +225,8 @@ TEST(LtEstimatorsTest, AllThreeUnbiasedOnDiamond) {
   LtWeights weights(&ig);
   for (Approach approach :
        {Approach::kOneshot, Approach::kSnapshot, Approach::kRis}) {
-    auto estimator = MakeLtEstimator(&weights, approach, 100000, 11);
+    auto estimator =
+        MakeEstimator(ModelInstance::Lt(&weights), approach, 100000, 11);
     estimator->Build();
     EXPECT_NEAR(estimator->Estimate(0), kDiamondLtInfluence, 0.03)
         << ApproachName(approach);
@@ -237,7 +241,8 @@ TEST(LtEstimatorsTest, GreedyRunsAndConvergesAcrossApproaches) {
        {Approach::kOneshot, Approach::kSnapshot, Approach::kRis}) {
     std::uint64_t sample_number =
         approach == Approach::kRis ? (1 << 15) : (1 << 11);
-    auto estimator = MakeLtEstimator(&weights, approach, sample_number, 12);
+    auto estimator = MakeEstimator(ModelInstance::Lt(&weights), approach,
+                                   sample_number, 12);
     Rng tie_rng(13);
     auto result = RunGreedy(estimator.get(), ig.num_vertices(), 1, &tie_rng);
     seeds[approach] = result.SortedSeedSet();
@@ -251,7 +256,7 @@ TEST(LtEstimatorsTest, GreedyRunsAndConvergesAcrossApproaches) {
 TEST(LtEstimatorsTest, SnapshotMarginalsShrink) {
   InfluenceGraph ig = KarateIwc();
   LtWeights weights(&ig);
-  LtSnapshotEstimator estimator(&weights, 64, 14);
+  SnapshotEstimator estimator(ModelInstance::Lt(&weights), 64, 14);
   estimator.Build();
   std::vector<double> before(ig.num_vertices());
   for (VertexId v = 0; v < ig.num_vertices(); ++v) {
@@ -266,24 +271,24 @@ TEST(LtEstimatorsTest, SnapshotMarginalsShrink) {
 TEST(LtEstimatorsTest, RisUpdateZeroesCoveredSeed) {
   InfluenceGraph ig = KarateIwc();
   LtWeights weights(&ig);
-  LtRisEstimator estimator(&weights, 2048, 15);
+  RisEstimator estimator(ModelInstance::Lt(&weights), 2048, 15);
   estimator.Build();
   estimator.Update(33);
   EXPECT_DOUBLE_EQ(estimator.Estimate(33), 0.0);
 }
 
 TEST(LtEstimatorsTest, NamesAndFlags) {
+  // One class per approach: an LT instance reports the approach's name.
   InfluenceGraph ig = DiamondLt();
   LtWeights weights(&ig);
-  auto oneshot = MakeLtEstimator(&weights, Approach::kOneshot, 4, 1);
-  auto snapshot = MakeLtEstimator(&weights, Approach::kSnapshot, 4, 1);
-  auto ris = MakeLtEstimator(&weights, Approach::kRis, 4, 1);
-  EXPECT_EQ(oneshot->name(), "LT-Oneshot");
-  EXPECT_FALSE(oneshot->EstimatesAreMarginal());
-  EXPECT_EQ(snapshot->name(), "LT-Snapshot");
-  EXPECT_TRUE(snapshot->EstimatesAreMarginal());
-  EXPECT_EQ(ris->name(), "LT-RIS");
-  EXPECT_TRUE(ris->EstimatesAreMarginal());
+  for (Approach approach :
+       {Approach::kOneshot, Approach::kSnapshot, Approach::kRis}) {
+    auto estimator =
+        MakeEstimator(ModelInstance::Lt(&weights), approach, 4, 1);
+    EXPECT_EQ(estimator->name(), ApproachName(approach));
+    EXPECT_EQ(estimator->EstimatesAreMarginal(),
+              approach != Approach::kOneshot);
+  }
 }
 
 }  // namespace

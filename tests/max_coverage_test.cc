@@ -1,8 +1,11 @@
-// Tests for the lazy-greedy max-coverage solver.
+// Tests for the lazy-greedy max-coverage solver, including a
+// differential check of the word-packed engine against the heap engine it
+// replaced (kept below as ReferenceGreedyMaxCoverage).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -11,6 +14,89 @@
 
 namespace soldist {
 namespace {
+
+/// The heap implementation the word-packed engine replaced, kept here
+/// verbatim as the differential-test baseline: same seeds, covered
+/// counts, smaller-id tie-breaking, smallest-id zero-gain fill and
+/// round-boundary cancel.
+MaxCoverageResult ReferenceGreedyMaxCoverage(const RrCollection& collection,
+                                             int k,
+                                             const CancelToken* cancel) {
+  SOLDIST_CHECK(k >= 1);
+  const VertexId n = collection.num_vertices();
+  SOLDIST_CHECK(static_cast<VertexId>(k) <= n);
+
+  std::vector<std::uint32_t> cover_count(n, 0);
+  for (std::uint64_t set_id = 0; set_id < collection.size(); ++set_id) {
+    for (VertexId v : collection.Set(set_id)) ++cover_count[v];
+  }
+  std::vector<std::uint8_t> set_active(collection.size(), 1);
+
+  struct Entry {
+    std::uint32_t gain;
+    VertexId vertex;
+    int round;
+    bool operator<(const Entry& other) const {
+      if (gain != other.gain) return gain < other.gain;
+      return vertex > other.vertex;  // smaller id wins ties
+    }
+  };
+  std::priority_queue<Entry> heap;
+  for (VertexId v = 0; v < n; ++v) {
+    if (cover_count[v] > 0) heap.push({cover_count[v], v, 0});
+  }
+
+  MaxCoverageResult result;
+  result.seeds.reserve(k);
+  std::vector<std::uint8_t> chosen(n, 0);
+  VertexId fill_cursor = 0;
+  bool exhausted = false;  // every remaining gain is 0 for good
+  for (int round = 0; round < k; ++round) {
+    // Same round-boundary cancel as the packed engine, so the
+    // differential tests stay valid under a firing token.
+    if (cancel != nullptr && round > 0 && cancel->cancelled()) {
+      result.completed = false;
+      break;
+    }
+    bool selected = false;
+    while (!exhausted && !heap.empty()) {
+      Entry top = heap.top();
+      heap.pop();
+      if (top.round != round) {
+        top.gain = cover_count[top.vertex];
+        if (top.gain == 0) continue;  // gains never grow: drop for good
+        top.round = round;
+        heap.push(top);
+        continue;
+      }
+      for (std::uint64_t set_id : collection.InvertedList(top.vertex)) {
+        if (!set_active[set_id]) continue;
+        set_active[set_id] = 0;
+        ++result.covered;
+        for (VertexId w : collection.Set(set_id)) --cover_count[w];
+      }
+      result.seeds.push_back(top.vertex);
+      chosen[top.vertex] = 1;
+      selected = true;
+      break;
+    }
+    if (selected) continue;
+    exhausted = true;
+    while (chosen[fill_cursor]) ++fill_cursor;
+    result.seeds.push_back(fill_cursor);
+    chosen[fill_cursor] = 1;
+  }
+  return result;
+}
+
+/// Both engines behind one signature, for the differential tests.
+using Engine = MaxCoverageResult (*)(const RrCollection&, int,
+                                     const CancelToken*);
+
+MaxCoverageResult PackedEngine(const RrCollection& collection, int k,
+                               const CancelToken* cancel) {
+  return GreedyMaxCoverage(collection, k, cancel);
+}
 
 RrCollection MakeCollection(VertexId n,
                             std::vector<std::vector<VertexId>> sets) {
@@ -76,10 +162,9 @@ TEST(MaxCoverageTest, MatchesBruteForceOnSmallInstances) {
 
 void ExpectImplsAgree(const RrCollection& collection, int k,
                       const std::string& label) {
-  MaxCoverageResult packed =
-      GreedyMaxCoverage(collection, k, MaxCoverageImpl::kWordPacked);
+  MaxCoverageResult packed = GreedyMaxCoverage(collection, k);
   MaxCoverageResult reference =
-      GreedyMaxCoverage(collection, k, MaxCoverageImpl::kReferenceForTest);
+      ReferenceGreedyMaxCoverage(collection, k, nullptr);
   EXPECT_EQ(packed.seeds, reference.seeds) << label << " k=" << k;
   EXPECT_EQ(packed.covered, reference.covered) << label << " k=" << k;
 }
@@ -203,17 +288,14 @@ RrCollection CancelFixture() {
 TEST(MaxCoverageCancelTest, CancelBetweenRoundsIsAByteIdenticalPrefix) {
   RrCollection collection = CancelFixture();
   for (int fire_after : {1, 2, 4}) {
-    for (MaxCoverageImpl impl :
-         {MaxCoverageImpl::kWordPacked, MaxCoverageImpl::kReferenceForTest}) {
+    for (Engine engine : {PackedEngine, ReferenceGreedyMaxCoverage}) {
       int checks = 0;
       CancelToken cancel([&] { return ++checks >= fire_after; });
-      MaxCoverageResult cancelled =
-          GreedyMaxCoverage(collection, 8, impl, &cancel);
+      MaxCoverageResult cancelled = engine(collection, 8, &cancel);
       EXPECT_FALSE(cancelled.completed);
       ASSERT_EQ(cancelled.seeds.size(),
                 static_cast<std::size_t>(fire_after));
-      MaxCoverageResult direct =
-          GreedyMaxCoverage(collection, fire_after, impl);
+      MaxCoverageResult direct = engine(collection, fire_after, nullptr);
       EXPECT_TRUE(direct.completed);
       EXPECT_EQ(cancelled.seeds, direct.seeds)
           << "fire_after=" << fire_after;
@@ -227,8 +309,7 @@ TEST(MaxCoverageCancelTest, PreFiredTokenStillSelectsTheFirstSeed) {
   RrCollection collection = CancelFixture();
   CancelToken cancel;
   cancel.Cancel();
-  MaxCoverageResult result = GreedyMaxCoverage(
-      collection, 5, MaxCoverageImpl::kWordPacked, &cancel);
+  MaxCoverageResult result = GreedyMaxCoverage(collection, 5, &cancel);
   EXPECT_FALSE(result.completed);
   ASSERT_EQ(result.seeds.size(), 1u) << "round 0 always lands";
   MaxCoverageResult direct = GreedyMaxCoverage(collection, 1);
@@ -239,8 +320,7 @@ TEST(MaxCoverageCancelTest, PreFiredTokenStillSelectsTheFirstSeed) {
 TEST(MaxCoverageCancelTest, UnfiredTokenChangesNothing) {
   RrCollection collection = CancelFixture();
   CancelToken cancel;
-  MaxCoverageResult with = GreedyMaxCoverage(
-      collection, 6, MaxCoverageImpl::kWordPacked, &cancel);
+  MaxCoverageResult with = GreedyMaxCoverage(collection, 6, &cancel);
   MaxCoverageResult without = GreedyMaxCoverage(collection, 6);
   EXPECT_TRUE(with.completed);
   EXPECT_EQ(with.seeds, without.seeds);

@@ -65,7 +65,7 @@ TEST(QueryServiceTest, SpreadMatchesFreshRisEstimator) {
 
   auto instance = session.ResolveWorkload(KarateUc01());
   ASSERT_TRUE(instance.ok());
-  RisEstimator estimator(instance.value().ig, kTau, kSeed);
+  RisEstimator estimator(instance.value(), kTau, kSeed);
   estimator.Build();
   for (VertexId v = 0; v < view.value().num_vertices(); ++v) {
     const VertexId seeds[] = {v};
@@ -108,7 +108,7 @@ TEST(QueryServiceTest, MarginalGainMatchesEstimatorUpdateProtocol) {
   auto instance = session.ResolveWorkload(KarateUc01());
   ASSERT_TRUE(instance.ok());
 
-  RisEstimator estimator(instance.value().ig, kTau, kSeed);
+  RisEstimator estimator(instance.value(), kTau, kSeed);
   estimator.Build();
   std::vector<VertexId> committed;
   for (VertexId next : {VertexId{0}, VertexId{33}, VertexId{5}}) {
@@ -142,7 +142,7 @@ TEST(QueryServiceTest, TopKMatchesFreshGreedyMaxCoverageSolve) {
 
     // The estimates column is the marginal at selection time: replay the
     // seed order through a fresh estimator's Estimate/Update protocol.
-    RisEstimator estimator(instance.value().ig, kTau, kSeed);
+    RisEstimator estimator(instance.value(), kTau, kSeed);
     estimator.Build();
     ASSERT_EQ(topk.estimates.size(), topk.seeds.size());
     for (std::size_t i = 0; i < topk.seeds.size(); ++i) {

@@ -3,9 +3,9 @@
 // the same order, same inverted lists, same traversal counters — for the
 // chunked engine streams at worker counts 1/2/4 (width 1 being the
 // default inline engine, byte-identical to 2 and 4), both chunk sizes,
-// and both diffusion models. On top of that, ArenaRisEstimator must be
-// indistinguishable from RisEstimator/LtRisEstimator through the greedy
-// framework.
+// and both diffusion models. On top of that, a RisEstimator borrowing an
+// arena prefix must be indistinguishable from a fresh RisEstimator
+// through the greedy framework.
 
 #include <gtest/gtest.h>
 
@@ -13,12 +13,12 @@
 #include <vector>
 
 #include "core/greedy.h"
-#include "core/lt_estimators.h"
 #include "core/ris.h"
 #include "gen/datasets.h"
 #include "graph/builder.h"
 #include "model/probability.h"
 #include "random/splitmix64.h"
+#include "sim/lt_samplers.h"
 #include "sim/max_coverage.h"
 #include "sim/rr_arena.h"
 #include "sim/sampling_engine.h"
@@ -51,9 +51,9 @@ void ExpectCountersEq(const TraversalCounters& a,
   EXPECT_EQ(a.sample_edges, b.sample_edges);
 }
 
-/// Builds the RR collection a fresh RIS estimator at `tau` would build
-/// (same streams as RisEstimator::Build / LtRisEstimator::Build), plus
-/// its summed counters.
+/// Builds the RR collection of `tau` sets straight from the shard
+/// samplers (the streams a fresh RisEstimator at `tau` draws), plus its
+/// summed counters.
 struct DirectBuild {
   RrCollection collection;
   TraversalCounters counters;
@@ -134,7 +134,8 @@ TEST(RrArenaTest, LtPrefixViewsMatchDirectSampling) {
     std::uint64_t width1_checksum = 0;
     for (int threads : {1, 2, 4}) {
       SamplingOptions sampling = Threads(threads, chunk_size);
-      RrArena arena = RrArena::SampleLt(weights, 31, capacity, sampling);
+      RrArena arena = RrArena::SampleFor(ModelInstance::Lt(&weights), 31,
+                                         capacity, sampling);
       if (threads == 1) width1_checksum = arena.ContentChecksum();
       EXPECT_EQ(arena.ContentChecksum(), width1_checksum)
           << "threads=" << threads << " chunk=" << chunk_size;
@@ -164,44 +165,41 @@ TEST(RrArenaTest, ArenaContentIsWorkerCountInvariant) {
   }
 }
 
-TEST(RrArenaTest, ArenaRisEstimatorMatchesRisEstimatorThroughGreedy) {
-  InfluenceGraph ig = KarateUc01();
-  const std::uint64_t capacity = 512;
+/// A RisEstimator borrowing the first τ sets of an arena must match a
+/// fresh RisEstimator at τ with the arena's seed through the greedy
+/// framework — seeds, estimates, counters and EPT — at widths 1/2/4.
+void ExpectBorrowedMatchesFresh(const ModelInstance& instance,
+                                std::uint64_t seed, std::uint64_t capacity,
+                                std::vector<std::uint64_t> taus, int k) {
+  const VertexId n = instance.ig->num_vertices();
   for (int threads : {1, 2, 4}) {
     SamplingOptions sampling = Threads(threads, 64);
-    RrArena arena = RrArena::SampleIc(ig, 99, capacity, sampling);
-    for (std::uint64_t tau : {64u, 200u, 512u}) {
-      RisEstimator fresh(&ig, tau, 99, sampling);
-      ArenaRisEstimator reused(&arena, tau);
+    RrArena arena = RrArena::SampleFor(instance, seed, capacity, sampling);
+    for (std::uint64_t tau : taus) {
+      RisEstimator fresh(instance, tau, seed, sampling);
+      RisEstimator borrowed(&arena, tau);
       Rng tie_a(1234), tie_b(1234);
-      GreedyRunResult a = RunGreedy(&fresh, ig.num_vertices(), 4, &tie_a);
-      GreedyRunResult b = RunGreedy(&reused, ig.num_vertices(), 4, &tie_b);
-      EXPECT_EQ(a.seeds, b.seeds);
-      EXPECT_EQ(a.estimates, b.estimates);
-      ExpectCountersEq(fresh.counters(), reused.counters());
-      EXPECT_DOUBLE_EQ(fresh.EmpiricalEpt(), reused.EmpiricalEpt());
+      GreedyRunResult a = RunGreedy(&fresh, n, k, &tie_a);
+      GreedyRunResult b = RunGreedy(&borrowed, n, k, &tie_b);
+      EXPECT_EQ(a.seeds, b.seeds) << "tau=" << tau;
+      EXPECT_EQ(a.estimates, b.estimates) << "tau=" << tau;
+      ExpectCountersEq(fresh.counters(), borrowed.counters());
+      EXPECT_DOUBLE_EQ(fresh.EmpiricalEpt(), borrowed.EmpiricalEpt());
     }
   }
 }
 
-TEST(RrArenaTest, ArenaRisEstimatorMatchesLtRisEstimatorThroughGreedy) {
+TEST(RrArenaTest, BorrowedRisEstimatorMatchesFreshIc) {
+  InfluenceGraph ig = KarateUc01();
+  ExpectBorrowedMatchesFresh(ModelInstance::Ic(&ig), 99, 512,
+                             {64, 200, 512}, 4);
+}
+
+TEST(RrArenaTest, BorrowedRisEstimatorMatchesFreshLt) {
   InfluenceGraph ig = KarateIwc();
   LtWeights weights(&ig);
-  const std::uint64_t capacity = 300;
-  for (int threads : {1, 2, 4}) {
-    SamplingOptions sampling = Threads(threads, 64);
-    RrArena arena = RrArena::SampleLt(weights, 13, capacity, sampling);
-    for (std::uint64_t tau : {32u, 300u}) {
-      LtRisEstimator fresh(&weights, tau, 13, sampling);
-      ArenaRisEstimator reused(&arena, tau);
-      Rng tie_a(88), tie_b(88);
-      GreedyRunResult a = RunGreedy(&fresh, ig.num_vertices(), 3, &tie_a);
-      GreedyRunResult b = RunGreedy(&reused, ig.num_vertices(), 3, &tie_b);
-      EXPECT_EQ(a.seeds, b.seeds);
-      EXPECT_EQ(a.estimates, b.estimates);
-      ExpectCountersEq(fresh.counters(), reused.counters());
-    }
-  }
+  ExpectBorrowedMatchesFresh(ModelInstance::Lt(&weights), 13, 300,
+                             {32, 300}, 3);
 }
 
 TEST(RrArenaTest, PrefixViewMaxCoverageMatchesCollection) {

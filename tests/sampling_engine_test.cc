@@ -213,11 +213,12 @@ TEST(SamplingEngineTest, RisBuildIdenticalFor1And4Threads) {
   InfluenceGraph ig = KarateUc01();
   ThreadPool one(1);
   auto [seeds1, counters1] = GreedyWith(ig, [&] {
-    return std::make_unique<RisEstimator>(&ig, 2000, 11,
+    return std::make_unique<RisEstimator>(ModelInstance::Ic(&ig), 2000, 11,
                                           OneThreadEngine(&one));
   }, 3);
   auto [seeds4, counters4] = GreedyWith(ig, [&] {
-    return std::make_unique<RisEstimator>(&ig, 2000, 11, FourThreadEngine());
+    return std::make_unique<RisEstimator>(ModelInstance::Ic(&ig), 2000, 11,
+                                          FourThreadEngine());
   }, 3);
   EXPECT_EQ(seeds1, seeds4);
   ExpectCountersEq(counters1, counters4);
@@ -228,12 +229,12 @@ TEST(SamplingEngineTest, SnapshotBuildIdenticalFor1And4Threads) {
   ThreadPool one(1);
   auto [seeds1, counters1] = GreedyWith(ig, [&] {
     return std::make_unique<SnapshotEstimator>(
-        &ig, 64, 13, SnapshotEstimator::Mode::kResidual,
+        ModelInstance::Ic(&ig), 64, 13, SnapshotEstimator::Mode::kResidual,
         OneThreadEngine(&one, 16));
   }, 3);
   auto [seeds4, counters4] = GreedyWith(ig, [&] {
     return std::make_unique<SnapshotEstimator>(
-        &ig, 64, 13, SnapshotEstimator::Mode::kResidual,
+        ModelInstance::Ic(&ig), 64, 13, SnapshotEstimator::Mode::kResidual,
         FourThreadEngine(16));
   }, 3);
   EXPECT_EQ(seeds1, seeds4);
@@ -243,8 +244,9 @@ TEST(SamplingEngineTest, SnapshotBuildIdenticalFor1And4Threads) {
 TEST(SamplingEngineTest, OneshotEstimatesIdenticalFor1And4Threads) {
   InfluenceGraph ig = KarateUc01();
   ThreadPool one(1);
-  OneshotEstimator a(&ig, 512, 17, OneThreadEngine(&one, 64));
-  OneshotEstimator b(&ig, 512, 17, FourThreadEngine(64));
+  OneshotEstimator a(ModelInstance::Ic(&ig), 512, 17,
+                     OneThreadEngine(&one, 64));
+  OneshotEstimator b(ModelInstance::Ic(&ig), 512, 17, FourThreadEngine(64));
   a.Build();
   b.Build();
   for (VertexId v = 0; v < 8; ++v) {
@@ -364,7 +366,7 @@ TEST(RisEstimatorTest, ChosenSeedScoresZeroAfterUpdate) {
   // Update eagerly decrements the coverage counts of every member of the
   // sets it deactivates, so a chosen seed never keeps a stale score.
   InfluenceGraph ig = KarateUc01();
-  RisEstimator estimator(&ig, 1000, 41);
+  RisEstimator estimator(ModelInstance::Ic(&ig), 1000, 41);
   Rng tie_rng(1);
   // RunGreedy calls Build() itself.
   GreedyRunResult run = RunGreedy(&estimator, ig.num_vertices(), 3, &tie_rng);
@@ -375,7 +377,7 @@ TEST(RisEstimatorTest, ChosenSeedScoresZeroAfterUpdate) {
 
 TEST(RisEstimatorTest, ChosenSeedScoresZeroOnEnginePath) {
   InfluenceGraph ig = KarateUc01();
-  RisEstimator estimator(&ig, 1000, 43, FourThreadEngine());
+  RisEstimator estimator(ModelInstance::Ic(&ig), 1000, 43, FourThreadEngine());
   estimator.Build();
   double before = estimator.Estimate(0);
   EXPECT_GT(before, 0.0);

@@ -1,12 +1,13 @@
-// The SnapshotArena acceptance contract: an arena-served condensed
-// Snapshot estimator at any τ <= capacity is BYTE-IDENTICAL to a fresh
-// condensed SnapshotEstimator at that τ — greedy seeds, per-step
-// estimates, and full traversal counters — at several prefix cuts, and
-// byte-identical for any worker count, the default inline width 1
-// included. Plus the serving contracts: capacity upgrades
+// The SnapshotArena acceptance contract: a condensed SnapshotEstimator
+// borrowing an arena prefix at any τ <= capacity is BYTE-IDENTICAL to a
+// fresh condensed SnapshotEstimator at that τ — greedy seeds, per-step
+// estimates, and full traversal counters — at several prefix cuts, for
+// IC and LT worlds, and byte-identical for any worker count, the default
+// inline width 1 included. Plus the serving contracts: capacity upgrades
 // through the cache never change a prefix answer, a byte-budgeted cache
 // rebuilds evicted snapshot arenas identically, and invalid requests
-// (LT workloads, bad specs) are Status — never an abort.
+// (LT workloads, which the service serves for IC only; bad specs) are
+// Status — never an abort.
 
 #include <gtest/gtest.h>
 
@@ -50,41 +51,51 @@ void ExpectCountersEq(const TraversalCounters& a, const TraversalCounters& b,
   EXPECT_EQ(a.sample_edges, b.sample_edges) << label;
 }
 
-TEST(SnapshotArenaTest, PrefixMatchesFreshEstimatorAtEveryWidth) {
-  InfluenceGraph ig = KarateIwc();
-  ModelInstance instance = ModelInstance::Ic(&ig);
+/// Borrowed-vs-fresh through full greedy runs at widths 1/2/4 and three
+/// cuts: a tiny prefix, a non-power-of-two interior cut, and the full
+/// arena.
+void ExpectPrefixMatchesFreshAtEveryWidth(const ModelInstance& instance) {
+  const VertexId n = instance.ig->num_vertices();
   std::uint64_t width1_checksum = 0;
   for (int threads : {1, 2, 4}) {
     const SamplingOptions sampling = Threads(threads);
     SnapshotArena arena =
-        SnapshotArena::Sample(ig, kSeed, kCapacity, sampling);
+        SnapshotArena::SampleFor(instance, kSeed, kCapacity, sampling);
     ASSERT_EQ(arena.capacity(), kCapacity);
     // Width 1 (the default inline engine) equals widths 2 and 4.
     if (threads == 1) width1_checksum = arena.ContentChecksum();
     EXPECT_EQ(arena.ContentChecksum(), width1_checksum)
         << "threads=" << threads;
-    // Three cuts: a tiny prefix, a non-power-of-two interior cut, and
-    // the full arena.
     for (std::uint64_t tau : {std::uint64_t{7}, std::uint64_t{23},
                               kCapacity}) {
-      const std::string label = "threads=" + std::to_string(threads) +
+      const std::string label = DiffusionModelName(instance.model) +
+                                " threads=" + std::to_string(threads) +
                                 " tau=" + std::to_string(tau);
-      ArenaSnapshotEstimator from_arena(&arena, tau);
+      SnapshotEstimator from_arena(&arena, tau);
       std::unique_ptr<InfluenceEstimator> fresh = MakeEstimator(
           instance, Approach::kSnapshot, tau, kSeed,
           SnapshotEstimator::Mode::kCondensed, sampling);
       // Full greedy runs with the same tie stream: identical warm state
       // and identical marginal gains force identical selections.
       Rng tie_a(11), tie_b(11);
-      GreedyRunResult a =
-          RunGreedy(&from_arena, ig.num_vertices(), 3, &tie_a);
-      GreedyRunResult b = RunGreedy(fresh.get(), ig.num_vertices(), 3,
-                                    &tie_b);
+      GreedyRunResult a = RunGreedy(&from_arena, n, 3, &tie_a);
+      GreedyRunResult b = RunGreedy(fresh.get(), n, 3, &tie_b);
       EXPECT_EQ(a.seeds, b.seeds) << label;
       EXPECT_EQ(a.estimates, b.estimates) << label;
       ExpectCountersEq(from_arena.counters(), fresh->counters(), label);
     }
   }
+}
+
+TEST(SnapshotArenaTest, PrefixMatchesFreshEstimatorAtEveryWidth) {
+  InfluenceGraph ig = KarateIwc();
+  ExpectPrefixMatchesFreshAtEveryWidth(ModelInstance::Ic(&ig));
+}
+
+TEST(SnapshotArenaTest, LtPrefixMatchesFreshEstimatorAtEveryWidth) {
+  InfluenceGraph ig = KarateIwc();
+  LtWeights weights(&ig);
+  ExpectPrefixMatchesFreshAtEveryWidth(ModelInstance::Lt(&weights));
 }
 
 TEST(SnapshotArenaTest, BuildIsWorkerCountInvariant) {
@@ -203,7 +214,8 @@ TEST(SnapshotArenaTest, InvalidRequestsReturnStatusNotAbort) {
   serve::QuerySpec spec;
   spec.sample_number = 16;
 
-  // LT workloads have no condensed arena form: Status, never a CHECK.
+  // The service serves sampled-world views for IC only: an LT workload
+  // is a Status, never a CHECK.
   auto lt = service.SnapshotView(
       api::WorkloadSpec::Dataset("Karate")
           .Probability(ProbabilityModel::kIwc)

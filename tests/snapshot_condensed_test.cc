@@ -88,12 +88,14 @@ ModeRun RunBothDrivers(const InfluenceGraph& ig, SnapshotEstimator::Mode mode,
                        const SamplingOptions& sampling) {
   ModeRun out;
   {
-    SnapshotEstimator estimator(&ig, tau, seed, mode, sampling);
+    SnapshotEstimator estimator(ModelInstance::Ic(&ig), tau, seed, mode,
+                                sampling);
     Rng tie_rng(seed + 1);
     out.greedy = RunGreedy(&estimator, ig.num_vertices(), k, &tie_rng);
   }
   {
-    SnapshotEstimator estimator(&ig, tau, seed, mode, sampling);
+    SnapshotEstimator estimator(ModelInstance::Ic(&ig), tau, seed, mode,
+                                sampling);
     Rng tie_rng(seed + 1);
     CelfRunResult celf =
         RunCelfGreedy(&estimator, ig.num_vertices(), k, &tie_rng);
@@ -159,7 +161,7 @@ TEST(CondensedBackendTest, ByteIdenticalStarGiantScc) {
 
 TEST(CondensedBackendTest, InitialBoundsAreSound) {
   InfluenceGraph ig = Make(Datasets::Karate(), ProbabilityModel::kUc01);
-  SnapshotEstimator estimator(&ig, 64, 31,
+  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 64, 31,
                               SnapshotEstimator::Mode::kCondensed);
   EXPECT_TRUE(estimator.ProvidesInitialBounds());
   estimator.Build();
@@ -189,9 +191,9 @@ TEST(CondensedBackendTest, CondensedUsesLessMemoryWhenComponentsAreLarge) {
   // cycle through the hub, one giant SCC per snapshot.
   Graph g = GraphBuilder::FromEdgeList(BidirectedStar(512));
   InfluenceGraph ig(std::move(g), std::vector<double>(512 * 2, 0.9));
-  SnapshotEstimator residual(&ig, 32, 51,
+  SnapshotEstimator residual(ModelInstance::Ic(&ig), 32, 51,
                              SnapshotEstimator::Mode::kResidual);
-  SnapshotEstimator condensed(&ig, 32, 51,
+  SnapshotEstimator condensed(ModelInstance::Ic(&ig), 32, 51,
                               SnapshotEstimator::Mode::kCondensed);
   residual.Build();
   condensed.Build();

@@ -2,7 +2,9 @@
 // with reuse ON (one per-trial RR arena serving prefix views) is
 // byte-identical — seed sets, counters, distributions — to reuse OFF
 // (same prefix-closed streams, fresh sampling per cell), for IC and LT
-// and for worker counts 1/2/4.
+// and for worker counts 1/2/4; so is a condensed Snapshot ladder over
+// its per-trial SnapshotArena. Ladders with no arena form run reuse ON
+// as reuse OFF.
 
 #include <gtest/gtest.h>
 
@@ -76,11 +78,37 @@ TEST(SweepReuseTest, LadderReuseOnEqualsOffLt) {
                                       DiffusionModel::kLt);
   ASSERT_TRUE(lt.ok());
   for (int threads : {1, 2, 4}) {
-    auto on = RunTrialLadder(lt.value(),
-                             LadderConfig(true, Threads(threads)), nullptr);
-    auto off = RunTrialLadder(lt.value(),
-                              LadderConfig(false, Threads(threads)), nullptr);
-    ExpectResultsEq(on, off);
+    // RIS over an LT RrArena, condensed Snapshot over an LT SnapshotArena.
+    for (Approach approach : {Approach::kRis, Approach::kSnapshot}) {
+      TrialLadderConfig on = LadderConfig(true, Threads(threads));
+      on.approach = approach;
+      on.snapshot_mode = SnapshotEstimator::Mode::kCondensed;
+      TrialLadderConfig off = on;
+      off.reuse = false;
+      ExpectResultsEq(RunTrialLadder(lt.value(), on, nullptr),
+                      RunTrialLadder(lt.value(), off, nullptr));
+    }
+  }
+}
+
+TEST(SweepReuseTest, LadderDefaultsWithoutAnArenaRunAsReuseOff) {
+  // A ladder left at its defaults (reuse = true, Mode::kResidual) for an
+  // approach with no arena in that configuration runs fresh per-cell
+  // sampling — byte-identical to reuse = false — instead of aborting.
+  InfluenceGraph ig = KarateUc01();
+  ModelInstance instance = ModelInstance::Ic(&ig);
+  for (Approach approach : {Approach::kSnapshot, Approach::kOneshot}) {
+    TrialLadderConfig config;
+    config.approach = approach;
+    config.sample_numbers = {1, 2, 4, 8, 16};
+    config.k = 2;
+    config.trials = 4;
+    config.master_seed = 7;
+    ASSERT_TRUE(config.reuse);
+    ASSERT_EQ(config.snapshot_mode, SnapshotEstimator::Mode::kResidual);
+    auto defaults = RunTrialLadder(instance, config, nullptr);
+    config.reuse = false;
+    ExpectResultsEq(defaults, RunTrialLadder(instance, config, nullptr));
   }
 }
 
