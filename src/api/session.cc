@@ -1,17 +1,13 @@
 #include "api/session.h"
 
-#include <algorithm>
 #include <functional>
-#include <tuple>
 #include <utility>
 
 #include "core/factory.h"
 #include "core/greedy.h"
-#include "core/ris.h"
 #include "graph/builder.h"
 #include "graph/io.h"
 #include "random/splitmix64.h"
-#include "util/logging.h"
 #include "util/timer.h"
 
 namespace soldist {
@@ -198,41 +194,10 @@ SolveResult Session::RunResolved(const ResolvedSolve& resolved) {
   // Exactly trial 0 of the exp-layer RunTrials with master_seed =
   // spec.seed: stream 0 drives the estimator, stream 1 the tie-break
   // shuffle (the facade and the harness stay byte-comparable).
-  std::unique_ptr<InfluenceEstimator> estimator;
-  if (resolved.arena_slot != nullptr) {
-    // Batch ladder group: the shared arena holds this spec's collection
-    // as its first sample_number sets (sampled with the group's common
-    // DeriveSeed(seed, 0) stream), so the borrowing estimator is
-    // byte-identical to the fresh build below.
-    ArenaSlot* slot = resolved.arena_slot.get();
-    std::call_once(slot->once, [&] {
-      slot->arena = std::make_unique<RrArena>(
-          RrArena::SampleFor(resolved.instance, DeriveSeed(spec.seed, 0),
-                             slot->capacity, spec.sampling));
-      // The group shares one backend (it is part of the grouping key),
-      // so converting inside the call_once is race-free. Conversion
-      // never changes an answer; a failed conversion (e.g. spill dir
-      // vanished) degrades to the flat arena, never fails the solve.
-      const store::ArenaBackend backend =
-          spec.arena_backend.value_or(options_.arena_storage.backend);
-      if (backend != store::ArenaBackend::kFlat) {
-        store::StorageOptions storage = options_.arena_storage;
-        storage.backend = backend;
-        Status converted = slot->arena->ConvertStorage(storage);
-        if (!converted.ok()) {
-          SOLDIST_LOG(Warning)
-              << "ladder arena stays flat: " << converted.ToString();
-        }
-      }
-    });
-    estimator = std::make_unique<RisEstimator>(slot->arena.get(),
-                                               spec.sample_number);
-  } else {
-    estimator =
-        MakeEstimator(resolved.instance, spec.approach, spec.sample_number,
-                      DeriveSeed(spec.seed, 0), spec.snapshot_mode,
-                      spec.sampling);
-  }
+  std::unique_ptr<InfluenceEstimator> estimator =
+      MakeEstimator(resolved.instance, spec.approach, spec.sample_number,
+                    DeriveSeed(spec.seed, 0), spec.snapshot_mode,
+                    spec.sampling);
   Rng tie_rng(DeriveSeed(spec.seed, 1));
   GreedyRunResult run =
       RunGreedy(estimator.get(), resolved.instance.ig->num_vertices(),
@@ -288,36 +253,6 @@ StatusOr<std::vector<SolveResult>> Session::SolveBatch(
                           r.status().message());
       }
       resolved.push_back(std::move(r).value());
-    }
-  }
-  // Sample-number-ladder reuse: RIS specs that agree on everything that
-  // shapes their RR streams — the estimator seed and the chunk size —
-  // draw prefix-closed collections of one another, so the group shares
-  // one arena sampled at its largest θ and every member runs on a prefix
-  // view. Grouping only ever changes mechanics, never bytes (see
-  // RunResolved).
-  if (options_.batch_reuse) {
-    // The storage backend joins the key: specs that want different
-    // backends must not share a slot (the slot converts exactly once).
-    std::map<std::tuple<std::uint64_t, std::uint64_t, int>,
-             std::vector<std::size_t>>
-        ladder_groups;
-    for (std::size_t i = 0; i < resolved.size(); ++i) {
-      const SolveSpec& spec = resolved[i].spec;
-      if (spec.approach != Approach::kRis) continue;
-      const auto backend = static_cast<int>(
-          spec.arena_backend.value_or(options_.arena_storage.backend));
-      ladder_groups[{spec.seed, spec.sampling.chunk_size, backend}]
-          .push_back(i);
-    }
-    for (auto& [key, members] : ladder_groups) {
-      if (members.size() < 2) continue;  // nothing to share
-      auto slot = std::make_shared<ArenaSlot>();
-      for (std::size_t idx : members) {
-        slot->capacity =
-            std::max(slot->capacity, resolved[idx].spec.sample_number);
-      }
-      for (std::size_t idx : members) resolved[idx].arena_slot = slot;
     }
   }
   // Sample-parallel specs own the pool for their chunks, so those runs

@@ -14,8 +14,10 @@
 // runs out across the shared pool — batches are serialized against each
 // other (the pool has a single-waiter contract) but results are ALWAYS
 // byte-identical to issuing the same specs sequentially through Solve:
-// every run is a pure function of its spec and the resolved workload
-// (see sim/sampling_engine.h for the chunked deterministic streams).
+// every run builds its own estimator through MakeEstimator and is a pure
+// function of its spec and the resolved workload (see
+// sim/sampling_engine.h for the chunked deterministic streams). Shared,
+// cached arenas are the serving layer's job (serve::QueryService).
 
 #ifndef SOLDIST_API_SESSION_H_
 #define SOLDIST_API_SESSION_H_
@@ -30,7 +32,6 @@
 #include "api/spec.h"
 #include "exp/instance_registry.h"
 #include "oracle/rr_oracle.h"
-#include "sim/rr_arena.h"
 #include "store/arena_storage.h"
 #include "util/thread_pool.h"
 
@@ -49,12 +50,6 @@ struct SessionOptions {
   std::int64_t threads = 0;
   /// Vertex-count override for the ⋆ proxy networks (0 = defaults).
   VertexId star_n = 0;
-  /// SolveBatch sample-number-ladder reuse: RIS specs of one batch that
-  /// differ only in sample_number share one RR arena sampled at the
-  /// largest θ and are served as prefix views. Results are byte-identical
-  /// either way (the arena's prefixes ARE the per-spec collections — see
-  /// sim/rr_arena.h); the toggle exists so tests can A/B the mechanics.
-  bool batch_reuse = true;
   /// Byte budget for the serving layer's arena cache
   /// (serve::QueryService): the total RrArena::MemoryBytes the cache
   /// keeps resident before evicting least-recently-used arenas. Evicted
@@ -63,13 +58,13 @@ struct SessionOptions {
   /// budget trades rebuild latency for memory, never correctness.
   /// 0 = unlimited.
   std::uint64_t arena_budget_bytes = 0;
-  /// How session-built world arenas store their sampled bytes: flat (the
+  /// How serve::QueryService stores the RR arenas it caches: flat (the
   /// default — today's zero-copy layout), compressed (delta+varint,
-  /// decode-on-demand) or mmap (chunk-granular spill to disk). Applies
-  /// to batch ladder arenas and serve::QueryService cache fills; every
-  /// backend answers byte-identically (store/arena_storage.h), so this
-  /// only trades decode latency for resident memory. For the mmap
-  /// backend, arena_storage.spill_dir must name a writable directory.
+  /// decode-on-demand) or mmap (chunk-granular spill to disk). Solve and
+  /// SolveBatch never read it. Every backend answers byte-identically
+  /// (store/arena_storage.h), so this only trades decode latency for
+  /// resident memory. For the mmap backend, arena_storage.spill_dir must
+  /// name a writable directory.
   store::StorageOptions arena_storage;
   /// When non-empty: the session-lifetime arena persistence root
   /// (store/arena_io.h). serve::QueryService saves every arena it
@@ -133,14 +128,8 @@ class Session {
   /// parallelism levels at once). Results are byte-identical to calling
   /// Solve(workload, specs[i]) sequentially, for any pool width and any
   /// sampling.num_threads. Fails fast: the first invalid spec fails the
-  /// whole batch before any run starts.
-  ///
-  /// Sample-number-ladder reuse (SessionOptions::batch_reuse, default
-  /// on): RIS specs that agree on (seed, sampling) and differ only in
-  /// sample_number — a sweep ladder — share one RR arena sampled lazily
-  /// at the group's largest θ; every member is served as a prefix view.
-  /// Byte-identity with sequential Solve is preserved exactly because
-  /// the arena's prefixes are the specs' collections (sim/rr_arena.h).
+  /// whole batch before any run starts. Runs share nothing but the
+  /// resolved instance and its oracle: each samples its own estimator.
   StatusOr<std::vector<SolveResult>> SolveBatch(
       const WorkloadSpec& workload, const std::vector<SolveSpec>& specs);
 
@@ -168,24 +157,11 @@ class Session {
   InstanceRegistry* registry() { return &registry_; }
 
  private:
-  /// A batch group's lazily built shared arena: the first run to need it
-  /// samples it (call_once), later runs — possibly on other pool workers
-  /// — read it immutably. Content is a pure function of (instance, seed,
-  /// capacity, sampling), so the build schedule can never matter.
-  struct ArenaSlot {
-    std::once_flag once;
-    std::unique_ptr<RrArena> arena;
-    std::uint64_t capacity = 0;
-  };
-
   /// One fully resolved, immutable run: safe to execute lock-free.
   struct ResolvedSolve {
     SolveSpec spec;
     ModelInstance instance;
     const RrOracle* oracle = nullptr;  // null when influence is skipped
-    /// Non-null only for batch ladder groups: serve the run from a
-    /// prefix view of the shared arena instead of a fresh build.
-    std::shared_ptr<ArenaSlot> arena_slot;
   };
 
   /// Loads file/in-memory networks into the registry once (mu_ held).

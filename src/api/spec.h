@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "model/probability.h"
 #include "sim/counters.h"
 #include "sim/sampling_engine.h"
-#include "store/arena_storage.h"
 #include "util/status.h"
 
 namespace soldist {
@@ -88,6 +86,8 @@ struct WorkloadSpec {
 /// master_seed = seed, so facade results are byte-comparable with the
 /// exp-layer harness. Of the sampling knobs only chunk_size can change
 /// the result; num_threads and pool never do (see sim/sampling_engine.h).
+/// Every run samples its own estimator through MakeEstimator; shared
+/// arenas and their storage backends belong to serve/ (QueryService).
 struct SolveSpec {
   Approach approach = Approach::kRis;
   std::uint64_t sample_number = 1024;  ///< β, τ, or θ
@@ -102,11 +102,6 @@ struct SolveSpec {
   /// (SolveResult::influence). Off: skip the oracle entirely — no oracle
   /// is built for the instance.
   bool evaluate_influence = true;
-  /// Storage backend for a batch ladder group's shared arena
-  /// (store/arena_storage.h). Unset = follow the session's
-  /// SessionOptions::arena_storage.backend. Backends never change a
-  /// result byte — only the memory/decode trade of holding the arena.
-  std::optional<store::ArenaBackend> arena_backend;
 
   SolveSpec& WithApproach(Approach a) {
     approach = a;
@@ -135,13 +130,6 @@ struct SolveSpec {
     snapshot_mode = mode;
     return *this;
   }
-  /// Arena storage backend override for this run's ladder arena (see
-  /// arena_backend above).
-  SolveSpec& WithArenaBackend(store::ArenaBackend backend) {
-    arena_backend = backend;
-    return *this;
-  }
-
   /// Field-level validation (sample_number/k/sampling ranges). k against
   /// the network size is checked by Session once the workload is resolved.
   Status Validate() const;

@@ -8,11 +8,10 @@
 // samples a private arena of exactly θ sets through SamplingEngine's
 // deterministic chunked streams (inline on the calling thread by
 // default), so it is byte-identical at any worker count. A borrowing
-// estimator serves the first θ sets of a shared arena instead (the
-// sweep-reuse and SolveBatch paths); because the streams are
-// prefix-closed, both answer identically — same Estimate sequence,
-// Update effects and counters (ctest rr_arena_test, sweep_reuse_test,
-// api_test).
+// estimator serves the first θ sets of a shared arena instead (exp/'s
+// sweep-reuse ladder); because the streams are prefix-closed, both
+// answer identically — same Estimate sequence, Update effects and
+// counters (ctest rr_arena_test, sweep_reuse_test).
 
 #ifndef SOLDIST_CORE_RIS_H_
 #define SOLDIST_CORE_RIS_H_

@@ -50,12 +50,6 @@ void AddExperimentFlags(ArgParser* args) {
                  "samples per deterministic RNG chunk (affects which "
                  "streams produce which samples, NOT the results' "
                  "dependence on thread count)");
-  args->AddString("snapshot-mode", "residual",
-                  "Snapshot reachability backend (IC and LT): naive | "
-                  "residual | condensed (SCC-condensed DAGs with "
-                  "incrementally maintained gains). Seed sets and "
-                  "estimates are byte-identical across backends; only "
-                  "the cost changes.");
   args->AddString("sweep-reuse", "on",
                   "sample-number-ladder reuse for RIS and condensed "
                   "Snapshot sweeps: on = one arena per trial serves every "
@@ -127,9 +121,6 @@ StatusOr<ExperimentOptions> ParseExperimentFlags(const ArgParser& args) {
   StatusOr<DiffusionModel> model =
       ParseDiffusionModel(args.GetString("model"));
   if (!model.ok()) return model.status();
-  StatusOr<SnapshotEstimator::Mode> snapshot_mode =
-      ParseSnapshotMode(args.GetString("snapshot-mode"));
-  if (!snapshot_mode.ok()) return snapshot_mode.status();
   StatusOr<SweepReuse> sweep_reuse =
       ParseSweepReuse(args.GetString("sweep-reuse"));
   if (!sweep_reuse.ok()) return sweep_reuse.status();
@@ -166,7 +157,6 @@ StatusOr<ExperimentOptions> ParseExperimentFlags(const ArgParser& args) {
   options.threads = args.GetInt64("threads");
   options.sample_threads = args.GetInt64("sample-threads");
   options.chunk_size = args.GetInt64("chunk-size");
-  options.snapshot_mode = snapshot_mode.value();
   options.sweep_reuse = sweep_reuse.value();
   options.arena_backend = arena_backend.value();
   options.arena_dir = args.GetString("arena-dir");

@@ -44,10 +44,6 @@ struct ExperimentOptions {
   /// sequential. Never changes a result.
   std::int64_t sample_threads = 1;
   std::int64_t chunk_size = 256;    ///< samples per deterministic chunk
-  /// Snapshot reachability backend under either model (--snapshot-mode
-  /// naive|residual|condensed). Backends return byte-identical seed sets
-  /// and estimates — the flag selects a cost profile, never a result.
-  SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
   /// Sample-number-ladder reuse (--sweep-reuse on|off, default on): on
   /// serves every RIS (and condensed Snapshot) sweep cell from one
   /// per-trial arena under either model, off runs the same prefix-closed

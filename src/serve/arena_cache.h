@@ -14,11 +14,11 @@
 //
 // Concurrency: slot lookup/insert and byte accounting run under one
 // mutex; the arena build itself runs OUTSIDE it, serialized per key by
-// std::call_once (api::Session's ArenaSlot discipline) — concurrent
-// requests for the same key build once and share, concurrent requests
-// for different keys build in parallel. Returned shared_ptrs keep an
-// arena alive for as long as any view holds it, so eviction never
-// invalidates an in-flight query.
+// std::call_once on the entry's Slot — concurrent requests for the same
+// key build once and share, concurrent requests for different keys
+// build in parallel. Returned shared_ptrs keep an arena alive for as
+// long as any view holds it, so eviction never invalidates an in-flight
+// query.
 
 #ifndef SOLDIST_SERVE_ARENA_CACHE_H_
 #define SOLDIST_SERVE_ARENA_CACHE_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -61,6 +62,29 @@ std::string ArenaDirFor(const std::string& root, const std::string& key) {
 void WarnUnlessNotFound(const char* what, const Status& status) {
   if (status.code() == StatusCode::kNotFound) return;
   SOLDIST_LOG(Warning) << what << ": " << status.ToString();
+}
+
+/// Moves a loaded arena into the builder's kind-erased slot (the load
+/// step of QueryService::Acquire, for either arena kind).
+template <typename Arena>
+Status Take(StatusOr<std::shared_ptr<Arena>> loaded,
+            std::shared_ptr<WorldArena>* out) {
+  if (!loaded.ok()) return loaded.status();
+  *out = std::move(loaded).value();
+  return Status::OK();
+}
+
+/// Wraps an acquired arena in its view: τ = the request's sample number,
+/// served at min(τ, capacity) — a short arena yields a degraded view.
+/// The kind-prefixed cache key guarantees what stands behind the pointer.
+template <typename View, typename Arena>
+StatusOr<View> Wrap(StatusOr<ArenaCache::ArenaPtr> acquired,
+                    std::uint64_t tau) {
+  if (!acquired.ok()) return acquired.status();
+  auto arena =
+      std::static_pointer_cast<const Arena>(std::move(acquired).value());
+  const std::uint64_t served = std::min(tau, arena->capacity());
+  return View(std::move(arena), served, tau);
 }
 
 }  // namespace
@@ -424,26 +448,44 @@ ResilienceStats QueryService::resilience_stats() const {
 
 StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
                                        const QuerySpec& spec) {
-  Status valid = spec.Validate();
-  if (!valid.ok()) return valid;
+  SOLDIST_RETURN_IF_ERROR(spec.Validate());
   StatusOr<ModelInstance> instance = session_->ResolveWorkload(workload);
   if (!instance.ok()) return instance.status();
-  SamplingOptions sampling =
-      session_->SamplingFor(spec.sample_threads, spec.chunk_size);
+  return Wrap<QueryView, RrArena>(
+      Acquire(ArenaKind::kRr, instance.value(), workload, spec),
+      spec.sample_number);
+}
+
+StatusOr<SnapshotQueryView> QueryService::SnapshotView(
+    const api::WorkloadSpec& workload, const QuerySpec& spec) {
+  SOLDIST_RETURN_IF_ERROR(spec.Validate());
+  StatusOr<ModelInstance> instance = session_->ResolveWorkload(workload);
+  if (!instance.ok()) return instance.status();
+  if (instance.value().model != DiffusionModel::kIc) {
+    return Status::InvalidArgument(
+        "sampled-world views are served for the IC model only (workload " +
+        workload.Label() + " is LT)");
+  }
+  return Wrap<SnapshotQueryView, SnapshotArena>(
+      Acquire(ArenaKind::kSnapshot, instance.value(), workload, spec),
+      spec.sample_number);
+}
+
+StatusOr<ArenaCache::ArenaPtr> QueryService::Acquire(
+    ArenaKind kind, const ModelInstance& instance,
+    const api::WorkloadSpec& workload, const QuerySpec& spec) {
   // The key is everything that shapes arena CONTENT except its capacity:
   // arena KIND (the shared cache holds RR-set and snapshot arenas side
   // by side), workload label (network/prob/model), seed, and the chunk
   // size of the engine streams (sim/rr_arena.h) — never the worker
   // count. Capacity is a lower bound, not an identity, so one arena at
   // the largest τ seen serves every smaller τ as a prefix.
-  std::string key = CacheKey(ArenaKind::kRr, workload, spec);
-  const Deadline deadline = DeadlineFor(spec);
+  const std::string key = CacheKey(kind, workload, spec);
   // Fast path: fully resident at τ — no admission, no deadline machinery.
   if (ArenaCache::ArenaPtr hit = cache_.TryGet(key, spec.sample_number)) {
-    return QueryView(
-        std::static_pointer_cast<const RrArena>(std::move(hit)),
-        spec.sample_number);
+    return hit;
   }
+  const Deadline deadline = DeadlineFor(spec);
   // A build is needed: admission-control it so overload sheds instead of
   // stacking builder threads. A shed or queue-timeout request still
   // answers DEGRADED when any prefix of this stream is already resident.
@@ -456,16 +498,13 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
     }
     ArenaCache::ArenaPtr resident = cache_.LookupResident(key);
     if (resident == nullptr) return ticket.status();
-    std::shared_ptr<const RrArena> rr =
-        std::static_pointer_cast<const RrArena>(std::move(resident));
-    const std::uint64_t served =
-        std::min<std::uint64_t>(spec.sample_number, rr->capacity());
-    if (served < spec.sample_number) {
+    if (resident->capacity() < spec.sample_number) {
       degraded_answers_.fetch_add(1, std::memory_order_relaxed);
     }
-    return QueryView(std::move(rr), served, spec.sample_number);
+    return resident;
   }
-  const ModelInstance resolved = instance.value();
+  SamplingOptions sampling =
+      session_->SamplingFor(spec.sample_threads, spec.chunk_size);
   // Deadline-bound cooperative cancel: the sampler checks the token at
   // chunk granularity and a cancelled build truncates to its completed
   // prefix — a byte-identical direct smaller build (sim/rr_arena.h).
@@ -477,6 +516,7 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
   RetryBudget io_budget(retry_policy_.request_budget);
   RetryBudget* const budget =
       retry_policy_.request_budget > 0 ? &io_budget : nullptr;
+  const bool rr = kind == ArenaKind::kRr;
   const ArenaCache::Builder builder =
       [&](std::uint64_t capacity) -> ArenaCache::ArenaPtr {
     // Persistence (session arena_dir set): load a saved arena whose
@@ -486,21 +526,18 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
     // (kIoError) retry under backoff first, clipped to the deadline.
     const std::string dir = ArenaDirFor(session_->options().arena_dir, key);
     store::ArenaManifest expected;
-    expected.kind = "rr";
+    expected.kind = ArenaKindName(kind);
     expected.workload = workload.Label();
     expected.seed = spec.seed;
     expected.stream = StreamName(spec.chunk_size);
     expected.capacity = capacity;
-    std::shared_ptr<RrArena> built;
+    std::shared_ptr<WorldArena> built;
     if (!dir.empty()) {
       Status load = RetryWithBackoff(
           retry_policy_, deadline,
-          [&]() -> Status {
-            StatusOr<std::shared_ptr<RrArena>> loaded =
-                store::LoadRrArena(dir, expected);
-            if (!loaded.ok()) return loaded.status();
-            built = std::move(loaded).value();
-            return Status::OK();
+          [&] {
+            return rr ? Take(store::LoadRrArena(dir, expected), &built)
+                      : Take(store::LoadSnapshotArena(dir, expected), &built);
           },
           &retries_, /*sleep=*/{}, budget);
       if (!load.ok()) {
@@ -508,22 +545,31 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
       }
     }
     if (built == nullptr) {
-      if (sampling.pool == nullptr) {
-        built = std::make_shared<RrArena>(
-            RrArena::SampleFor(resolved, spec.seed, capacity, sampling));
-      } else {
-        // Pool-routed build: respect the pools' single-waiter
-        // contract.
-        std::lock_guard<std::mutex> lock(build_mu_);
-        built = std::make_shared<RrArena>(
-            RrArena::SampleFor(resolved, spec.seed, capacity, sampling));
+      {
+        // Pool-routed builds respect the pools' single-waiter contract.
+        std::unique_lock<std::mutex> lock(build_mu_, std::defer_lock);
+        if (sampling.pool != nullptr) lock.lock();
+        if (rr) {
+          built = std::make_shared<RrArena>(
+              RrArena::SampleFor(instance, spec.seed, capacity, sampling));
+        } else {
+          built = std::make_shared<SnapshotArena>(SnapshotArena::SampleFor(
+              instance, spec.seed, capacity, sampling));
+        }
       }
       // Persist only COMPLETE builds: a deadline-truncated prefix on
       // disk would shadow the full arena for every later process.
       if (!dir.empty() && built->capacity() == capacity) {
         Status saved = RetryWithBackoff(
             retry_policy_, deadline,
-            [&] { return store::SaveRrArena(*built, expected, dir); },
+            [&] {
+              return rr ? store::SaveRrArena(
+                              static_cast<const RrArena&>(*built), expected,
+                              dir)
+                        : store::SaveSnapshotArena(
+                              static_cast<const SnapshotArena&>(*built),
+                              expected, dir);
+            },
             &retries_, /*sleep=*/{}, budget);
         if (!saved.ok()) {
           SOLDIST_LOG(Warning) << "arena save failed (serving "
@@ -531,11 +577,13 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
         }
       }
     }
-    // Convert AFTER save: payloads persist flat, backends reshape in
-    // RAM. Conversion never changes an answer; failure keeps flat.
+    // RR arenas convert AFTER save: payloads persist flat, backends
+    // reshape in RAM (snapshot arenas have no alternate backends).
+    // Conversion never changes an answer; failure keeps flat.
     const store::StorageOptions& storage = session_->options().arena_storage;
-    if (storage.backend != store::ArenaBackend::kFlat) {
-      Status converted = built->ConvertStorage(storage);
+    if (rr && storage.backend != store::ArenaBackend::kFlat) {
+      Status converted =
+          static_cast<RrArena&>(*built).ConvertStorage(storage);
       if (!converted.ok()) {
         SOLDIST_LOG(Warning)
             << "cached arena stays flat: " << converted.ToString();
@@ -552,126 +600,11 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
     arena = cache_.GetOrBuild(key, spec.sample_number, builder);
     if (arena->capacity() >= spec.sample_number || deadline.expired()) break;
   }
-  std::shared_ptr<const RrArena> rr =
-      std::static_pointer_cast<const RrArena>(std::move(arena));
-  const std::uint64_t served =
-      std::min<std::uint64_t>(spec.sample_number, rr->capacity());
-  if (served < spec.sample_number) {
+  if (arena->capacity() < spec.sample_number) {
     degraded_answers_.fetch_add(1, std::memory_order_relaxed);
     deadline_misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  // The kind-prefixed key guarantees what stands behind it.
-  return QueryView(std::move(rr), served, spec.sample_number);
-}
-
-StatusOr<SnapshotQueryView> QueryService::SnapshotView(
-    const api::WorkloadSpec& workload, const QuerySpec& spec) {
-  Status valid = spec.Validate();
-  if (!valid.ok()) return valid;
-  StatusOr<ModelInstance> instance = session_->ResolveWorkload(workload);
-  if (!instance.ok()) return instance.status();
-  if (instance.value().model != DiffusionModel::kIc) {
-    return Status::InvalidArgument(
-        "sampled-world views are served for the IC model only (workload " +
-        workload.Label() + " is LT)");
-  }
-  SamplingOptions sampling =
-      session_->SamplingFor(spec.sample_threads, spec.chunk_size);
-  std::string key = CacheKey(ArenaKind::kSnapshot, workload, spec);
-  const Deadline deadline = DeadlineFor(spec);
-  if (ArenaCache::ArenaPtr hit = cache_.TryGet(key, spec.sample_number)) {
-    return SnapshotQueryView(
-        std::static_pointer_cast<const SnapshotArena>(std::move(hit)),
-        spec.sample_number);
-  }
-  // Same admission / degraded-answer discipline as View.
-  StatusOr<AdmissionController::Ticket> ticket = admission_.Admit(deadline);
-  if (!ticket.ok()) {
-    if (ticket.status().code() == StatusCode::kUnavailable) {
-      shed_requests_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ArenaCache::ArenaPtr resident = cache_.LookupResident(key);
-    if (resident == nullptr) return ticket.status();
-    std::shared_ptr<const SnapshotArena> snap =
-        std::static_pointer_cast<const SnapshotArena>(std::move(resident));
-    const std::uint64_t served =
-        std::min<std::uint64_t>(spec.sample_number, snap->capacity());
-    if (served < spec.sample_number) {
-      degraded_answers_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return SnapshotQueryView(std::move(snap), served, spec.sample_number);
-  }
-  const ModelInstance resolved = instance.value();
-  CancelToken cancel([deadline] { return deadline.expired(); });
-  if (!deadline.unlimited()) sampling.cancel = &cancel;
-  // Request-shared IO attempt pool, exactly as in View.
-  RetryBudget io_budget(retry_policy_.request_budget);
-  RetryBudget* const budget =
-      retry_policy_.request_budget > 0 ? &io_budget : nullptr;
-  const ArenaCache::Builder builder =
-      [&](std::uint64_t capacity) -> ArenaCache::ArenaPtr {
-    // Same persistence discipline as the RR builder; snapshot arenas
-    // have no alternate storage backends, so no conversion step.
-    const std::string dir = ArenaDirFor(session_->options().arena_dir, key);
-    store::ArenaManifest expected;
-    expected.kind = "snapshot";
-    expected.workload = workload.Label();
-    expected.seed = spec.seed;
-    expected.stream = StreamName(spec.chunk_size);
-    expected.capacity = capacity;
-    std::shared_ptr<SnapshotArena> built;
-    if (!dir.empty()) {
-      Status load = RetryWithBackoff(
-          retry_policy_, deadline,
-          [&]() -> Status {
-            StatusOr<std::shared_ptr<SnapshotArena>> loaded =
-                store::LoadSnapshotArena(dir, expected);
-            if (!loaded.ok()) return loaded.status();
-            built = std::move(loaded).value();
-            return Status::OK();
-          },
-          &retries_, /*sleep=*/{}, budget);
-      if (!load.ok()) {
-        WarnUnlessNotFound("arena load failed (resampling)", load);
-      }
-      if (built != nullptr) return built;
-    }
-    if (sampling.pool == nullptr) {
-      built = std::make_shared<SnapshotArena>(SnapshotArena::Sample(
-          *resolved.ig, spec.seed, capacity, sampling));
-    } else {
-      std::lock_guard<std::mutex> lock(build_mu_);
-      built = std::make_shared<SnapshotArena>(SnapshotArena::Sample(
-          *resolved.ig, spec.seed, capacity, sampling));
-    }
-    if (!dir.empty() && built->capacity() == capacity) {
-      Status saved = RetryWithBackoff(
-          retry_policy_, deadline,
-          [&] { return store::SaveSnapshotArena(*built, expected, dir); },
-          &retries_, /*sleep=*/{}, budget);
-      if (!saved.ok()) {
-        SOLDIST_LOG(Warning) << "arena save failed (serving "
-                                "unpersisted): " << saved.ToString();
-      }
-    }
-    return built;
-  };
-  ArenaCache::ArenaPtr arena;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    arena = cache_.GetOrBuild(key, spec.sample_number, builder);
-    if (arena->capacity() >= spec.sample_number || deadline.expired()) break;
-  }
-  std::shared_ptr<const SnapshotArena> snap =
-      std::static_pointer_cast<const SnapshotArena>(std::move(arena));
-  const std::uint64_t served =
-      std::min<std::uint64_t>(spec.sample_number, snap->capacity());
-  if (served < spec.sample_number) {
-    degraded_answers_.fetch_add(1, std::memory_order_relaxed);
-    deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return SnapshotQueryView(std::move(snap), served, spec.sample_number);
+  return arena;
 }
 
 std::string QueryService::CacheKey(ArenaKind kind,

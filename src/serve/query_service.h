@@ -6,7 +6,11 @@
 // in one byte-budgeted ArenaCache — the cache key's leading component is
 // the arena KIND, so RR-set arenas (View) and condensed-snapshot arenas
 // (SnapshotView) share the budget without ever aliasing — then hands out
-// immutable views. A QueryView answers Spread(S), MarginalGain(S, v),
+// immutable views. Both view kinds acquire their arena through ONE
+// routine (admission, deadline, retry, persistence, build); only the
+// load/sample/save calls and the RR-only storage conversion depend on
+// the kind. It is also the one place a storage backend
+// (SessionOptions::arena_storage) is applied. A QueryView answers Spread(S), MarginalGain(S, v),
 // and TopK(k) directly from an RrArena's 32-bit vertex-major inverted
 // index; a SnapshotQueryView answers those plus the sampled-world
 // analytics RIS sketches cannot express — ReachProbability(src, dst) and
@@ -363,9 +367,9 @@ class QueryService {
 
   /// Sampled-world analytics view over τ = spec.sample_number condensed
   /// snapshots. Served for IC workloads only — an LT workload is a
-  /// Status, never an abort. Same τ-excluding key
-  /// discipline as View; the kind prefix keeps the two arena families
-  /// from ever aliasing in the shared cache.
+  /// Status, never an abort. Same acquisition path and τ-excluding key
+  /// as View; the kind prefix keeps the two arena families from ever
+  /// aliasing in the shared cache.
   StatusOr<SnapshotQueryView> SnapshotView(const api::WorkloadSpec& workload,
                                            const QuerySpec& spec = {});
 
@@ -403,6 +407,18 @@ class QueryService {
   /// The request deadline: spec.deadline_ms, else the session default,
   /// else unlimited.
   Deadline DeadlineFor(const QuerySpec& spec) const;
+
+  /// The one acquisition path behind View and SnapshotView: the arena of
+  /// `kind` for the workload, at capacity >= spec.sample_number unless
+  /// the request was degraded (the caller serves min(τ, capacity)).
+  /// Cache hit, else admission (shed / queue timeout → the resident
+  /// prefix, or the Status when none), then a deadline-cancellable
+  /// GetOrBuild whose builder loads from arena_dir, else samples and
+  /// saves, under one request-shared RetryBudget.
+  StatusOr<ArenaCache::ArenaPtr> Acquire(ArenaKind kind,
+                                         const ModelInstance& instance,
+                                         const api::WorkloadSpec& workload,
+                                         const QuerySpec& spec);
 
   api::Session* session_;
   ArenaCache cache_;

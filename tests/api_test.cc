@@ -372,27 +372,23 @@ TEST(SessionTest, SolveBatchMatchesSequentialAcrossSampleThreads) {
   }
 }
 
-/// The batch ladder-reuse contract: RIS specs differing only in
-/// sample_number share one RR arena (SessionOptions::batch_reuse), and
-/// every result — seeds, estimates, influence, counters — still equals a
-/// sequential Solve (which never uses arenas) AND a reuse-off batch, for
-/// IC and LT and for sample_threads 1, 2, 4 — which all agree.
-TEST(SessionTest, SolveBatchLadderReuseIsByteIdentical) {
+/// A sample-number ladder in one batch: RIS specs differing only in
+/// sample_number, and every result — seeds, estimates, influence,
+/// counters — equals a sequential Solve, for IC and LT and for
+/// sample_threads 1, 2, 4 — which all agree.
+TEST(SessionTest, SolveBatchLadderMatchesSequentialSolve) {
   for (DiffusionModel model : {DiffusionModel::kIc, DiffusionModel::kLt}) {
     std::vector<api::SolveResult> width1;
     for (std::int64_t sample_threads : {1, 2, 4}) {
-      api::SessionOptions reuse_options;
-      reuse_options.threads = 4;
-      reuse_options.oracle_rr = 10000;
-      api::SessionOptions no_reuse_options = reuse_options;
-      no_reuse_options.batch_reuse = false;
-      api::Session session(reuse_options);
-      api::Session baseline(no_reuse_options);
+      api::SessionOptions options;
+      options.threads = 4;
+      options.oracle_rr = 10000;
+      api::Session session(options);
       auto workload = api::WorkloadSpec::Dataset("Karate")
                           .Probability(ProbabilityModel::kIwc)
                           .Diffusion(model);
       // A sweep ladder: one seed, ascending sample numbers (plus a
-      // duplicate τ, which must also share), constant everything else.
+      // duplicate τ), constant everything else.
       std::vector<api::SolveSpec> specs;
       for (std::uint64_t tau : {8ULL, 32ULL, 32ULL, 128ULL, 512ULL}) {
         specs.push_back(api::SolveSpec{}
@@ -405,24 +401,20 @@ TEST(SessionTest, SolveBatchLadderReuseIsByteIdentical) {
       }
       auto batch = session.SolveBatch(workload, specs);
       ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-      auto unshared = baseline.SolveBatch(workload, specs);
-      ASSERT_TRUE(unshared.ok()) << unshared.status().ToString();
       ASSERT_EQ(batch.value().size(), specs.size());
       for (std::size_t i = 0; i < specs.size(); ++i) {
         auto sequential = session.Solve(workload, specs[i]);
         ASSERT_TRUE(sequential.ok());
-        const api::SolveResult& shared = batch.value()[i];
-        EXPECT_EQ(shared.seeds, sequential.value().seeds)
+        const api::SolveResult& batched = batch.value()[i];
+        EXPECT_EQ(batched.seeds, sequential.value().seeds)
             << "spec " << i << " threads " << sample_threads;
-        EXPECT_EQ(shared.estimates, sequential.value().estimates);
-        EXPECT_EQ(shared.influence, sequential.value().influence);
-        EXPECT_EQ(shared.counters.vertices,
+        EXPECT_EQ(batched.estimates, sequential.value().estimates);
+        EXPECT_EQ(batched.influence, sequential.value().influence);
+        EXPECT_EQ(batched.counters.vertices,
                   sequential.value().counters.vertices);
-        EXPECT_EQ(shared.counters.edges, sequential.value().counters.edges);
-        EXPECT_EQ(shared.counters.sample_vertices,
+        EXPECT_EQ(batched.counters.edges, sequential.value().counters.edges);
+        EXPECT_EQ(batched.counters.sample_vertices,
                   sequential.value().counters.sample_vertices);
-        EXPECT_EQ(shared.seeds, unshared.value()[i].seeds);
-        EXPECT_EQ(shared.influence, unshared.value()[i].influence);
       }
       if (sample_threads == 1) width1 = batch.value();
       for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -436,8 +428,7 @@ TEST(SessionTest, SolveBatchLadderReuseIsByteIdentical) {
   }
 }
 
-/// LT batches (ladder arenas included) are identical ACROSS sample-thread
-/// widths too.
+/// LT batches are identical ACROSS sample-thread widths too.
 TEST(SessionTest, LtBatchIdenticalAcrossWidths) {
   api::SessionOptions options;
   options.threads = 4;

@@ -361,46 +361,6 @@ TEST(ArenaStorageTest, BackendsAnswerIdentically) {
   }
 }
 
-TEST(ArenaStorageTest, LadderBackendOverrideMatchesFlat) {
-  api::WorkloadSpec workload = api::WorkloadSpec::Dataset("Karate")
-                                   .Probability(ProbabilityModel::kUc01);
-  auto make_specs = [] {
-    std::vector<api::SolveSpec> specs;
-    for (std::uint64_t tau : {std::uint64_t{256}, std::uint64_t{512}}) {
-      api::SolveSpec spec;
-      spec.approach = Approach::kRis;
-      spec.sample_number = tau;
-      spec.k = 3;
-      spec.seed = 5;
-      spec.evaluate_influence = false;
-      specs.push_back(spec);
-    }
-    return specs;
-  };
-
-  api::SessionOptions flat_options;
-  api::Session flat_session(flat_options);
-  auto want = flat_session.SolveBatch(workload, make_specs());
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-
-  for (store::ArenaBackend backend :
-       {store::ArenaBackend::kCompressed, store::ArenaBackend::kMmap}) {
-    api::SessionOptions options;
-    options.arena_storage.spill_dir = FreshDir("ladder_spill");
-    api::Session session(options);
-    std::vector<api::SolveSpec> specs = make_specs();
-    for (api::SolveSpec& spec : specs) spec.WithArenaBackend(backend);
-    auto got = session.SolveBatch(workload, specs);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_EQ(want.value().size(), got.value().size());
-    for (std::size_t i = 0; i < want.value().size(); ++i) {
-      EXPECT_EQ(want.value()[i].seeds, got.value()[i].seeds);
-      EXPECT_EQ(want.value()[i].estimates, got.value()[i].estimates);
-      ExpectCountersEq(want.value()[i].counters, got.value()[i].counters);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------
 // serve::ArenaCache charges backend-reported resident bytes.
 // ---------------------------------------------------------------------
@@ -540,6 +500,66 @@ TEST(QueryServicePersistenceTest, ReloadsSavedArenaAcrossServices) {
 
   // Still capacity 512 on disk: a load MISS would have resampled at 256
   // and re-saved, so the unchanged manifest proves the hit.
+  auto after = store::ReadArenaManifest(arena_dir);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value().capacity, 512u);
+}
+
+/// The same reload contract for sampled-world views: the snapshot arena
+/// saved at τ=512 serves a later τ=256 SnapshotView from disk, and its
+/// answers equal those of a service that never persisted anything.
+TEST(QueryServicePersistenceTest, ReloadsSavedWorldArenaAcrossServices) {
+  std::string dir = FreshDir("service_worlds");
+  api::WorkloadSpec workload = api::WorkloadSpec::Dataset("Karate")
+                                   .Probability(ProbabilityModel::kUc01);
+  serve::QuerySpec query;
+  query.sample_number = 512;
+  query.seed = 17;
+  {
+    api::SessionOptions options;
+    options.arena_dir = dir;
+    api::Session session(options);
+    serve::QueryService service(&session);
+    ASSERT_TRUE(service.SnapshotView(workload, query).ok());
+  }
+  const std::string arena_dir =
+      dir + "/snapshot_Karate_uc0.1_seed_17_engine_256";
+  auto manifest = store::ReadArenaManifest(arena_dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest.value().kind, "snapshot");
+  EXPECT_EQ(manifest.value().capacity, 512u);
+
+  serve::QuerySpec smaller = query;
+  smaller.sample_number = 256;
+  api::SessionOptions persisting;
+  persisting.arena_dir = dir;
+  api::Session persisted_session(persisting);
+  serve::QueryService persisted_service(&persisted_session);
+  auto persisted = persisted_service.SnapshotView(workload, smaller);
+  ASSERT_TRUE(persisted.ok()) << persisted.status().ToString();
+  // Served from disk: the arena keeps the saved capacity.
+  EXPECT_EQ(persisted.value().arena().capacity(), 512u);
+  EXPECT_EQ(persisted.value().served_tau(), 256u);
+
+  api::Session fresh_session{api::SessionOptions{}};  // no persistence
+  serve::QueryService fresh_service(&fresh_session);
+  auto fresh = fresh_service.SnapshotView(workload, smaller);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  serve::TopKResult tp = persisted.value().TopK(3);
+  serve::TopKResult tf = fresh.value().TopK(3);
+  EXPECT_EQ(tp.seeds, tf.seeds);
+  EXPECT_EQ(tp.estimates, tf.estimates);
+  EXPECT_EQ(tp.spread, tf.spread);
+  const VertexId n = fresh.value().num_vertices();
+  for (VertexId src = 0; src < n; src += 3) {
+    for (VertexId dst = 0; dst < n; dst += 5) {
+      EXPECT_EQ(persisted.value().ReachProbability(src, dst),
+                fresh.value().ReachProbability(src, dst))
+          << src << " -> " << dst;
+    }
+  }
+
+  // Still capacity 512 on disk: a load miss would have re-saved at 256.
   auto after = store::ReadArenaManifest(arena_dir);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().capacity, 512u);

@@ -26,6 +26,7 @@
 #include "serve/query_service.h"
 #include "sim/max_coverage.h"
 #include "sim/rr_arena.h"
+#include "sim/snapshot_arena.h"
 #include "store/fault_injection.h"
 
 namespace soldist {
@@ -425,6 +426,53 @@ TEST(QueryServiceResilienceTest, DeadlineMissServesExactPrefixAnswer) {
     }
     EXPECT_EQ(view.value().CoveredCount(seeds, &scratch),
               direct.CountCovered(seeds));
+  }
+}
+
+/// The same deadline contract for sampled-world views: a truncated
+/// SnapshotView answers Spread and ReachProbability exactly as a view
+/// over a direct SnapshotArena build at its served τ.
+TEST(QueryServiceResilienceTest, DeadlineMissServesExactPrefixWorldAnswer) {
+  api::Session session;
+  serve::QueryService service(&session);
+  auto instance = session.ResolveWorkload(KarateUc01());
+  ASSERT_TRUE(instance.ok());
+  const InfluenceGraph& ig = *instance.value().ig;
+  ASSERT_TRUE(service.SnapshotView(KarateUc01(), SpecAt(100)).ok());
+
+  constexpr std::uint64_t kHugeTau = 200000;
+  serve::QuerySpec spec = SpecAt(kHugeTau);
+  spec.deadline_ms = 1;
+  auto view = service.SnapshotView(KarateUc01(), spec);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  const std::uint64_t served = view.value().served_tau();
+  EXPECT_EQ(view.value().requested_tau(), kHugeTau);
+  ASSERT_GE(served, 1u);
+  ASSERT_LE(served, kHugeTau);
+  EXPECT_EQ(view.value().degraded(), served < kHugeTau);
+  if (view.value().degraded()) {
+    serve::ResilienceStats stats = service.resilience_stats();
+    EXPECT_GE(stats.degraded_answers, 1u);
+    EXPECT_GE(stats.deadline_misses, 1u);
+  }
+
+  // The default QuerySpec's sampling: inline, 256-sample chunks.
+  SamplingOptions sampling;
+  sampling.num_threads = 1;
+  sampling.chunk_size = spec.chunk_size;
+  serve::SnapshotQueryView direct(
+      std::make_shared<const SnapshotArena>(
+          SnapshotArena::Sample(ig, kSeed, served, sampling)),
+      served);
+  SplitMix64 rng(5);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<VertexId> seeds(1 + trial % 4);
+    for (VertexId& v : seeds) {
+      v = static_cast<VertexId>(rng.Next() % ig.num_vertices());
+    }
+    EXPECT_EQ(view.value().Spread(seeds), direct.Spread(seeds));
+    EXPECT_EQ(view.value().ReachProbability(seeds[0], seeds.back()),
+              direct.ReachProbability(seeds[0], seeds.back()));
   }
 }
 

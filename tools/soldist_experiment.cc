@@ -73,6 +73,10 @@ struct HarnessParams {
   int min_exp = 0;
   int max_exp = -1;  // -1: use the network's scaled grid cap
   bool json = false;
+  /// Snapshot reachability backend under either model (--snapshot-mode).
+  /// Backends return byte-identical seed sets and estimates — the flag
+  /// selects a cost profile, never a result.
+  SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
 };
 
 /// Exponents feed 1ULL << e, so keep them far from the shift-width UB
@@ -178,7 +182,7 @@ StatusOr<std::string> RunExperiment(ExperimentContext* context,
     SweepConfig config;
     config.sampling = context->SamplingFor(sample_threads);
     config.approach = approach;
-    config.snapshot_mode = options.snapshot_mode;
+    config.snapshot_mode = params.snapshot_mode;
     config.reuse = options.sweep_reuse;
     config.k = params.k;
     config.trials = context->TrialsFor(params.network);
@@ -330,12 +334,13 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
   std::printf("%s\n", ready.ToString().c_str());
   std::fflush(stdout);
 
-  // Every answer minted from a degraded view carries the tag, so a
-  // consumer never mistakes a τ' < τ estimate for the full-τ one.
-  auto tag_degraded = [&](JsonObject* record) {
-    if (view.value().degraded()) {
+  // Every answer minted from a degraded view — the RR view or the
+  // sampled-world view — carries the tag, so a consumer never mistakes
+  // a τ' < τ estimate for the full-τ one.
+  auto tag_degraded = [](const auto& answered_from, JsonObject* record) {
+    if (answered_from.degraded()) {
       record->Bool("degraded", true)
-          .UInt("served_tau", view.value().served_tau());
+          .UInt("served_tau", answered_from.served_tau());
     }
   };
 
@@ -359,7 +364,7 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
       record.Str("type", "spread")
           .UIntArray("seeds", seeds)
           .Real("spread", view.value().Spread(seeds));
-      tag_degraded(&record);
+      tag_degraded(view.value(), &record);
       std::printf("%s\n", record.ToString().c_str());
     } else if (cmd == "gain") {
       // "gain v s1,s2,...": v first, then the (optional) base seed set.
@@ -388,7 +393,7 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
           .UInt("vertex", vertex[0])
           .UIntArray("seeds", seeds)
           .Real("gain", view.value().MarginalGain(seeds, vertex[0]));
-      tag_degraded(&record);
+      tag_degraded(view.value(), &record);
       std::printf("%s\n", record.ToString().c_str());
     } else if (cmd == "topk") {
       std::int64_t k = 0;
@@ -422,7 +427,7 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
         record.Bool("completed", false)
             .UInt("served_k", top.seeds.size());
       }
-      tag_degraded(&record);
+      tag_degraded(view.value(), &record);
       std::printf("%s\n", record.ToString().c_str());
     } else if (cmd == "reach") {
       // "reach <src> <dst>": fraction of sampled worlds in which dst is
@@ -451,6 +456,7 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
           .UInt("src", src[0])
           .UInt("dst", dst[0])
           .Real("probability", world_view.ReachProbability(src[0], dst[0]));
+      tag_degraded(world_view, &record);
       std::printf("%s\n", record.ToString().c_str());
     } else if (cmd == "compsize") {
       // "compsize <v>": expected reachable-set size of v over the
@@ -469,6 +475,7 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
       record.Str("type", "compsize")
           .UInt("vertex", vertex[0])
           .Real("expected_reach", world_view.ExpectedReach(vertex[0]));
+      tag_degraded(world_view, &record);
       std::printf("%s\n", record.ToString().c_str());
     } else if (cmd == "stats") {
       serve::ArenaCache::Stats stats = service.cache_stats();
@@ -556,6 +563,12 @@ int Run(int argc, const char* const* argv) {
                  "edge-probability setting: uc0.1|uc0.01|iwc|owc|tv "
                  "(--model lt needs an LT-valid setting, e.g. iwc)");
   args.AddInt64("k", 1, "seed-set size");
+  args.AddString("snapshot-mode", "residual",
+                 "Snapshot reachability backend (IC and LT): naive | "
+                 "residual | condensed (SCC-condensed DAGs with "
+                 "incrementally maintained gains). Seed sets and "
+                 "estimates are byte-identical across backends; only "
+                 "the cost changes.");
   args.AddInt64("min-exp", 0, "first sample number 2^min-exp");
   args.AddInt64("max-exp", -1,
                 "last sample number 2^max-exp (-1 = the network's scaled "
@@ -594,6 +607,10 @@ int Run(int argc, const char* const* argv) {
     return ExitWithError(Status::InvalidArgument("--k must be >= 1"));
   }
   params.k = static_cast<int>(args.GetInt64("k"));
+  StatusOr<SnapshotEstimator::Mode> snapshot_mode =
+      ParseSnapshotMode(args.GetString("snapshot-mode"));
+  if (!snapshot_mode.ok()) return ExitWithError(snapshot_mode.status());
+  params.snapshot_mode = snapshot_mode.value();
   if (args.GetInt64("min-exp") < 0 ||
       args.GetInt64("min-exp") > kMaxExponent) {
     return ExitWithError(Status::InvalidArgument(
