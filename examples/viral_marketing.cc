@@ -85,9 +85,9 @@ int Run(int argc, const char* const* argv) {
                   FormatDouble(result.influence, 1),
                   WithThousands(result.counters.vertices),
                   WithThousands(result.counters.edges)});
-    std::printf("  %s done in %.1fs\n",
+    std::printf("  %s done: build %.2fs, select %.2fs\n",
                 ApproachName(specs[i].approach).c_str(),
-                result.solve_seconds);
+                result.build_seconds, result.select_seconds);
   }
 
   // Cheap heuristics (paper Section 3.6: fast but less influential) —

@@ -190,7 +190,6 @@ StatusOr<Session::ResolvedSolve> Session::ResolveSolveLocked(
 
 SolveResult Session::RunResolved(const ResolvedSolve& resolved) {
   const SolveSpec& spec = resolved.spec;
-  WallTimer timer;
   // Exactly trial 0 of the exp-layer RunTrials with master_seed =
   // spec.seed: stream 0 drives the estimator, stream 1 the tie-break
   // shuffle (the facade and the harness stay byte-comparable).
@@ -199,15 +198,19 @@ SolveResult Session::RunResolved(const ResolvedSolve& resolved) {
                     DeriveSeed(spec.seed, 0), spec.snapshot_mode,
                     spec.sampling);
   Rng tie_rng(DeriveSeed(spec.seed, 1));
+  WallTimer timer;
   GreedyRunResult run =
       RunGreedy(estimator.get(), resolved.instance.ig->num_vertices(),
                 spec.k, &tie_rng);
+  const double greedy_seconds = timer.Seconds();
   SolveResult result;
   result.seeds = run.seeds;
   result.estimates = run.estimates;
   result.seed_set = run.SortedSeedSet();
   result.counters = estimator->counters();
-  result.solve_seconds = timer.Seconds();
+  result.build_seconds = run.build_seconds;
+  result.select_seconds = greedy_seconds - run.build_seconds;
+  result.solve_seconds = result.build_seconds + result.select_seconds;
   if (resolved.oracle != nullptr) {
     timer.Restart();
     {

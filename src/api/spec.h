@@ -96,7 +96,9 @@ struct SolveSpec {
   SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
   /// Sampling parallelism. Leave pool null: the session attaches its
   /// shared pool (num_threads == 0) or a cached dedicated pool
-  /// (num_threads >= 2).
+  /// (num_threads >= 2). A condensed Snapshot run also scores its greedy
+  /// rounds on that pool (world tiles; core/snapshot.h) — like sampling,
+  /// with byte-identical results at every width.
   SamplingOptions sampling;
   /// Evaluate the chosen seeds on the session's shared RR oracle
   /// (SolveResult::influence). Off: skip the oracle entirely — no oracle
@@ -152,7 +154,13 @@ struct SolveResult {
   double oracle_ci99 = 0.0;
   /// Work counters accumulated across the estimator's lifetime.
   TraversalCounters counters;
-  /// Wall-clock seconds of the greedy run (estimator Build + selection).
+  /// Wall-clock seconds of the estimator's Build: sampling plus its
+  /// index (condensation and warmth, or the RR inverted index; 0-ish for
+  /// Oneshot).
+  double build_seconds = 0.0;
+  /// Wall-clock seconds of the k greedy rounds after Build.
+  double select_seconds = 0.0;
+  /// build_seconds + select_seconds: the whole greedy run.
   double solve_seconds = 0.0;
   /// Wall-clock seconds of the oracle evaluation (0 when skipped).
   double evaluate_seconds = 0.0;

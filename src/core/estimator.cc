@@ -4,6 +4,14 @@
 
 namespace soldist {
 
+void InfluenceEstimator::EstimateAll(std::span<const VertexId> candidates,
+                                     std::span<double> out) {
+  SOLDIST_CHECK(out.size() == candidates.size());
+  for (std::size_t j = 0; j < candidates.size(); ++j) {
+    out[j] = Estimate(candidates[j]);
+  }
+}
+
 double InfluenceEstimator::InitialBound(VertexId /*v*/) {
   SOLDIST_CHECK(false)
       << "InitialBound called on an estimator without "

@@ -5,6 +5,7 @@
 #ifndef SOLDIST_CORE_ESTIMATOR_H_
 #define SOLDIST_CORE_ESTIMATOR_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,9 +16,9 @@ namespace soldist {
 
 /// \brief An influence estimator pluggable into the greedy framework.
 ///
-/// Lifecycle: Build() once, then k rounds of { Estimate(v) for candidate
-/// vertices; Update(chosen) }. Implementations track the current seed set
-/// internally through Update.
+/// Lifecycle: Build() once, then k rounds of { EstimateAll(candidates) or
+/// Estimate(v) per candidate; Update(chosen) }. Implementations track the
+/// current seed set internally through Update.
 class InfluenceEstimator {
  public:
   virtual ~InfluenceEstimator() = default;
@@ -32,6 +33,17 @@ class InfluenceEstimator {
   /// Algorithm 3.2) — "the results will be the same regardless" for
   /// selection purposes (Section 3.2).
   virtual double Estimate(VertexId v) = 0;
+
+  /// Scores a whole round at once: out[j] = Estimate(candidates[j]) for
+  /// every j (out.size() == candidates.size()), with the same values, the
+  /// same counters() afterwards and the same effect on every later call
+  /// as that per-vertex loop. The default IS that loop, in candidate
+  /// order — Oneshot draws one RNG stream per call, so its estimates
+  /// depend on the order. An override may batch or parallelize the work
+  /// (the condensed Snapshot backend sweeps tiles of worlds on the
+  /// sampling pool) as long as the contract holds at every width.
+  virtual void EstimateAll(std::span<const VertexId> candidates,
+                           std::span<double> out);
 
   /// Commits v as the next seed and refreshes internal state.
   virtual void Update(VertexId v) = 0;

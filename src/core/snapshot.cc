@@ -30,6 +30,15 @@ class SnapshotEstimator::Backend {
   virtual void Build() = 0;
   /// Σ_i r_i(residual, v) as an exact integer (the caller divides by τ).
   virtual std::uint64_t EstimateTotal(VertexId v) = 0;
+  /// totals[j] = EstimateTotal(candidates[j]) for every j, converted to
+  /// double exactly as Estimate converts it. The default asks one
+  /// candidate at a time, in order.
+  virtual void EstimateTotals(std::span<const VertexId> candidates,
+                              std::span<double> totals) {
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      totals[j] = static_cast<double>(EstimateTotal(candidates[j]));
+    }
+  }
   virtual void Update(VertexId v) = 0;
   /// Σ_i bound_i(v); only the condensed backend implements it.
   virtual std::uint64_t InitialBoundTotal(VertexId v) {
@@ -210,6 +219,19 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
 ///    single flat array (removed = sentinel generation), so the state
 ///    lookup is one cache line, not three.
 ///
+/// Greedy rounds (EstimateTotals) cut the τ worlds into tiles of
+/// kTileWorlds and run them as SamplingEngine chunks on the estimator's
+/// own SamplingOptions: on the build's pool, or inline when there is no
+/// pool or the caller already runs on a pool worker. A tile streams every
+/// candidate through its worlds only, so one tile's slice of the gain
+/// cache stays hot, and only the tile that owns a world reads or writes
+/// that world's cache entries — each world sees the same queries in the
+/// same candidate order as a per-vertex loop. Every worker slot keeps its
+/// own BFS scratch, partial totals and counters, summed after the run;
+/// totals and counters are integer sums, so values and counters are
+/// byte-identical at every width. Single-vertex EstimateTotal runs the
+/// same tile kernel over [0, τ).
+///
 /// The worlds come from one of two places: a fresh build samples and
 /// owns them (and frees each world's comp_of once it is transposed); a
 /// borrowing build serves the first τ worlds of a SnapshotArena with the
@@ -230,8 +252,7 @@ class CondensedBackend : public SnapshotEstimator::Backend {
         tau_(tau),
         seed_(seed),
         sampling_(sampling),
-        counters_(counters),
-        visited_(0) {}
+        counters_(counters) {}
 
   void Build() override {
     if (arena_ != nullptr) {
@@ -241,6 +262,15 @@ class CondensedBackend : public SnapshotEstimator::Backend {
       Init(arena_->Worlds(tau_), arena_->num_vertices(),
            arena_->Warmths(tau_));
       return;
+    }
+    // Sampling, warmth and every greedy round share one pool: the
+    // caller's, or for a width without one a private pool that lives as
+    // long as the backend.
+    SOLDIST_CHECK(sampling_.num_threads >= 0);
+    if (sampling_.pool == nullptr && sampling_.num_threads != 1) {
+      owned_pool_ = std::make_unique<ThreadPool>(
+          static_cast<std::size_t>(sampling_.num_threads));
+      sampling_.pool = owned_pool_.get();
     }
     owned_.reserve(tau_);
     // Same chunk streams as kNaive/kResidual, condensed sample by sample
@@ -270,23 +300,38 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   }
 
   std::uint64_t EstimateTotal(VertexId v) override {
-    std::uint64_t total = 0;
-    const std::uint32_t* comps = comp_of_by_vertex_.data() +
-                                 static_cast<std::uint64_t>(v) * snaps_.size();
-    for (std::size_t i = 0; i < snaps_.size(); ++i) {
-      const std::uint32_t c = comps[i];
-      CompState& cs = state_[state_offset_[i] + c];
-      if (cs.gen == kRemovedGen) continue;
-      if (cs.gen != generation_[i]) {
-        cs.value = ResidualDagReach(i, c);
-        cs.gen = generation_[i];
-      }
-      total += cs.value;
+    TileScratch& scratch = slots_[0];
+    scratch.totals.assign(1, 0);
+    SweepTile(0, snaps_.size(), std::span<const VertexId>(&v, 1), &scratch);
+    *counters_ += scratch.counters;
+    scratch.counters.Reset();
+    return scratch.totals[0];
+  }
+
+  void EstimateTotals(std::span<const VertexId> candidates,
+                      std::span<double> totals) override {
+    for (TileScratch& scratch : slots_) {
+      scratch.totals.assign(candidates.size(), 0);
     }
-    return total;
+    // The seed is unused: a tile draws no randomness.
+    sweep_->Run(/*master_seed=*/0, snaps_.size(),
+                [&](const SamplingEngine::Chunk& tile, std::size_t slot) {
+                  SweepTile(tile.begin, tile.end, candidates, &slots_[slot]);
+                });
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      std::uint64_t total = 0;
+      for (const TileScratch& scratch : slots_) total += scratch.totals[j];
+      totals[j] = static_cast<double>(total);
+    }
+    for (TileScratch& scratch : slots_) {
+      *counters_ += scratch.counters;
+      scratch.counters.Reset();
+    }
   }
 
   void Update(VertexId v) override {
+    VisitedMarker& visited = slots_[0].visited;
+    std::vector<std::uint32_t>& queue = slots_[0].queue;
     const std::uint32_t* comps = comp_of_by_vertex_.data() +
                                  static_cast<std::uint64_t>(v) * snaps_.size();
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
@@ -297,24 +342,24 @@ class CondensedBackend : public SnapshotEstimator::Backend {
 
       // Forward walk over the live DAG: the components the new seed
       // removes from snapshot i.
-      visited_.NextEpoch();
-      queue_.clear();
-      visited_.Mark(c);
-      queue_.push_back(c);
+      visited.NextEpoch();
+      queue.clear();
+      visited.Mark(c);
+      queue.push_back(c);
       std::size_t head = 0;
-      while (head < queue_.size()) {
-        std::uint32_t u = queue_[head++];
+      while (head < queue.size()) {
+        std::uint32_t u = queue[head++];
         counters_->vertices += 1;
         auto successors = snap.dag.Successors(u);
         counters_->edges += successors.size();
         for (std::uint32_t w : successors) {
-          if (state[w].gen == kRemovedGen || visited_.IsMarked(w)) continue;
-          visited_.Mark(w);
-          queue_.push_back(w);
+          if (state[w].gen == kRemovedGen || visited.IsMarked(w)) continue;
+          visited.Mark(w);
+          queue.push_back(w);
         }
       }
-      for (std::uint32_t u : queue_) state[u].gen = kRemovedGen;
-      live_[i] -= static_cast<std::uint32_t>(queue_.size());
+      for (std::uint32_t u : queue) state[u].gen = kRemovedGen;
+      live_[i] -= static_cast<std::uint32_t>(queue.size());
 
       // Cached gains are now stale exactly for the live ANCESTORS of the
       // newly removed components. For a big removal (the typical first
@@ -325,12 +370,12 @@ class CondensedBackend : public SnapshotEstimator::Backend {
       // Previously removed components cannot sit on a path INTO the
       // newly removed set (their successors were removed with them), so
       // the reverse walk skips them without losing an ancestor.
-      if (queue_.size() * 4 > live_[i]) {
+      if (queue.size() * 4 > live_[i]) {
         ++generation_[i];
         continue;
       }
       const std::uint32_t stale = generation_[i] - 1;  // != generation
-      rqueue_.assign(queue_.begin(), queue_.end());
+      rqueue_.assign(queue.begin(), queue.end());
       head = 0;
       while (head < rqueue_.size()) {
         std::uint32_t u = rqueue_[head++];
@@ -338,8 +383,8 @@ class CondensedBackend : public SnapshotEstimator::Backend {
         auto predecessors = snap.rev.Successors(u);
         counters_->edges += predecessors.size();
         for (std::uint32_t p : predecessors) {
-          if (state[p].gen == kRemovedGen || visited_.IsMarked(p)) continue;
-          visited_.Mark(p);
+          if (state[p].gen == kRemovedGen || visited.IsMarked(p)) continue;
+          visited.Mark(p);
           state[p].gen = stale;
           rqueue_.push_back(p);
         }
@@ -351,19 +396,37 @@ class CondensedBackend : public SnapshotEstimator::Backend {
     return bound_total_[v];
   }
 
-  /// Bookkeeping bytes plus the worlds a fresh build owns (a borrowing
-  /// build's worlds belong to the arena and are not counted).
+  /// Bookkeeping bytes, every worker slot's sweep scratch, and the worlds
+  /// a fresh build owns (a borrowing build's worlds belong to the arena
+  /// and are not counted).
   std::uint64_t MemoryBytes() const override {
     std::uint64_t bytes =
-        VecBytes(bound_total_) + VecBytes(queue_) + VecBytes(rqueue_) +
-        VecBytes(state_) + VecBytes(state_offset_) + VecBytes(generation_) +
-        VecBytes(live_) + VecBytes(comp_of_by_vertex_) +
-        static_cast<std::uint64_t>(visited_.size()) * 4;
+        VecBytes(bound_total_) + VecBytes(rqueue_) + VecBytes(state_) +
+        VecBytes(state_offset_) + VecBytes(generation_) + VecBytes(live_) +
+        VecBytes(comp_of_by_vertex_);
+    for (const TileScratch& scratch : slots_) {
+      bytes += VecBytes(scratch.queue) + VecBytes(scratch.totals) +
+               static_cast<std::uint64_t>(scratch.visited.size()) * 4;
+    }
     for (const CondensedSnapshot& snap : owned_) bytes += snap.MemoryBytes();
     return bytes;
   }
 
  private:
+  /// Worlds per tile of a greedy round. Tiles are the unit of both
+  /// parallelism and locality; the value never changes a result.
+  static constexpr std::uint64_t kTileWorlds = 32;
+
+  /// One worker slot's scratch for a tiled sweep (slot 0 also serves
+  /// single-vertex estimates and Update). A slot runs one tile at a time,
+  /// so nothing here needs a lock; each slot has cache lines of its own.
+  struct alignas(64) TileScratch {
+    VisitedMarker visited{0};           // component ids, max-C sized
+    std::vector<std::uint32_t> queue;
+    std::vector<std::uint64_t> totals;  // per candidate, this slot's tiles
+    TraversalCounters counters;
+  };
+
   /// Sizes the packed state, pre-seeds the gain cache from warmth's
   /// exact entries, accumulates the per-vertex CELF bound totals, and
   /// transposes comp_of vertex-major (comp_of_by_vertex_[v·τ + i]) so
@@ -390,10 +453,20 @@ class CondensedBackend : public SnapshotEstimator::Backend {
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
       live_[i] = snaps_[i].num_components();
     }
+    // The round sweep's engine, on the same pool as the build (a
+    // borrowing build has none and sweeps inline). Rounds are never
+    // cancelled, so it keeps no pointer to the build's cancel token.
+    SamplingOptions tiles = sampling_;
+    tiles.chunk_size = kTileWorlds;
+    tiles.cancel = nullptr;
+    sweep_ = std::make_unique<SamplingEngine>(tiles);
     // Component-granular scratch: sized to the largest DAG, not to n
     // (the scratch-per-mode contract MemoryBytes reports on).
-    visited_.Resize(max_components);
-    queue_.reserve(max_components);
+    slots_.resize(sweep_->num_workers());
+    for (TileScratch& scratch : slots_) {
+      scratch.visited.Resize(max_components);
+      scratch.queue.reserve(max_components);
+    }
     rqueue_.reserve(max_components);
     const std::uint64_t stride = snaps_.size();  // vertex-major rows
     comp_of_by_vertex_.resize(static_cast<std::uint64_t>(n) * stride);
@@ -430,29 +503,58 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   };
   static constexpr std::uint32_t kRemovedGen = ~0u;
 
+  /// The tile kernel: adds each candidate's gain summed over worlds
+  /// [begin, end) to scratch->totals[j], refreshing stale cache entries
+  /// of those worlds only. Candidates go through the worlds in order, so
+  /// every world sees its queries in candidate order.
+  void SweepTile(std::size_t begin, std::size_t end,
+                 std::span<const VertexId> candidates, TileScratch* scratch) {
+    const std::uint64_t stride = snaps_.size();
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      const std::uint32_t* comps =
+          comp_of_by_vertex_.data() +
+          static_cast<std::uint64_t>(candidates[j]) * stride;
+      std::uint64_t total = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t c = comps[i];
+        CompState& cs = state_[state_offset_[i] + c];
+        if (cs.gen == kRemovedGen) continue;
+        if (cs.gen != generation_[i]) {
+          cs.value = ResidualDagReach(i, c, scratch);
+          cs.gen = generation_[i];
+        }
+        total += cs.value;
+      }
+      scratch->totals[j] += total;
+    }
+  }
+
   /// Exact residual reach of component c in snapshot i: BFS over the live
   /// DAG summing member counts. Counter accounting is component-granular
   /// — that reduction (DAG nodes/arcs instead of live vertices/edges) is
   /// precisely what bench_snapshot_backends records.
-  std::uint32_t ResidualDagReach(std::size_t i, std::uint32_t c) {
+  std::uint32_t ResidualDagReach(std::size_t i, std::uint32_t c,
+                                 TileScratch* scratch) {
     const CondensedSnapshot& snap = snaps_[i];
     const CompState* state = state_.data() + state_offset_[i];
-    visited_.NextEpoch();
-    queue_.clear();
-    visited_.Mark(c);
-    queue_.push_back(c);
+    VisitedMarker& visited = scratch->visited;
+    std::vector<std::uint32_t>& queue = scratch->queue;
+    visited.NextEpoch();
+    queue.clear();
+    visited.Mark(c);
+    queue.push_back(c);
     std::uint64_t total = 0;
     std::size_t head = 0;
-    while (head < queue_.size()) {
-      std::uint32_t u = queue_[head++];
-      counters_->vertices += 1;
+    while (head < queue.size()) {
+      std::uint32_t u = queue[head++];
+      scratch->counters.vertices += 1;
       total += snap.comp_size[u];
       auto successors = snap.dag.Successors(u);
-      counters_->edges += successors.size();
+      scratch->counters.edges += successors.size();
       for (std::uint32_t w : successors) {
-        if (state[w].gen == kRemovedGen || visited_.IsMarked(w)) continue;
-        visited_.Mark(w);
-        queue_.push_back(w);
+        if (state[w].gen == kRemovedGen || visited.IsMarked(w)) continue;
+        visited.Mark(w);
+        queue.push_back(w);
       }
     }
     return static_cast<std::uint32_t>(total);
@@ -463,6 +565,7 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   std::uint64_t tau_;
   std::uint64_t seed_;
   SamplingOptions sampling_;
+  std::unique_ptr<ThreadPool> owned_pool_;  // a width without a pool
   TraversalCounters* counters_;
   std::vector<CondensedSnapshot> owned_;  // a fresh build's worlds
   std::span<const CondensedSnapshot> snaps_;  // owned_ or the arena prefix
@@ -473,9 +576,9 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   std::vector<std::uint32_t> generation_;   // per snapshot
   std::vector<std::uint32_t> live_;         // live components per snapshot
   std::vector<std::uint64_t> bound_total_;  // per vertex, Σ_i bound_i
-  VisitedMarker visited_;                   // component ids, max-C sized
-  std::vector<std::uint32_t> queue_;
-  std::vector<std::uint32_t> rqueue_;
+  std::unique_ptr<SamplingEngine> sweep_;   // tiles of a greedy round
+  std::vector<TileScratch> slots_;          // one per sweep worker slot
+  std::vector<std::uint32_t> rqueue_;       // Update's reverse walk
 };
 
 }  // namespace
@@ -525,6 +628,14 @@ double SnapshotEstimator::Estimate(VertexId v) {
   SOLDIST_CHECK(built_);
   return static_cast<double>(backend_->EstimateTotal(v)) /
          static_cast<double>(tau_);
+}
+
+void SnapshotEstimator::EstimateAll(std::span<const VertexId> candidates,
+                                    std::span<double> out) {
+  SOLDIST_CHECK(built_);
+  SOLDIST_CHECK(out.size() == candidates.size());
+  backend_->EstimateTotals(candidates, out);
+  for (double& total : out) total /= static_cast<double>(tau_);
 }
 
 void SnapshotEstimator::Update(VertexId v) {

@@ -25,7 +25,12 @@
 //                 iteration through InitialBound — sound upper bounds
 //                 (exact where the sketch saturates below k), so
 //                 selection is unchanged while the lazy queue touches the
-//                 fewest candidates.
+//                 fewest candidates. A greedy round (EstimateAll) cuts
+//                 the τ worlds into fixed tiles and scores every
+//                 candidate tile by tile on the sampling pool, each
+//                 tile owning its worlds' cache entries, so seeds,
+//                 estimates and counters are byte-identical at every
+//                 width.
 //
 // Because all three backends consume the SAME engine-chunked sampler
 // streams, the choice of backend — like the worker count — can never
@@ -65,6 +70,9 @@ class SnapshotEstimator : public InfluenceEstimator {
 
   /// Fresh build: Build samples τ live-edge graphs of `instance`'s model
   /// (LT requires lt_weights). \param tau number of snapshots (>= 1)
+  /// In kCondensed mode `sampling` also drives the greedy rounds: its
+  /// pool (or, without one, a private pool of its width kept for the
+  /// estimator's lifetime) runs every EstimateAll sweep.
   SnapshotEstimator(const ModelInstance& instance, std::uint64_t tau,
                     std::uint64_t seed, Mode mode = Mode::kResidual,
                     const SamplingOptions& sampling = {});
@@ -86,6 +94,14 @@ class SnapshotEstimator : public InfluenceEstimator {
   /// Estimated marginal gain: (1/τ) Σ_i [r_i(S+v) − r_i(S)].
   double Estimate(VertexId v) override;
 
+  /// kCondensed: one world-tiled sweep over every candidate, run as
+  /// SamplingEngine chunks on this estimator's SamplingOptions (the
+  /// build's pool; inline without a pool, on a pool worker, or for a
+  /// borrowing build). Values and counters equal the per-vertex loop's
+  /// at every width. kNaive/kResidual: the per-vertex loop itself.
+  void EstimateAll(std::span<const VertexId> candidates,
+                   std::span<double> out) override;
+
   void Update(VertexId v) override;
 
   bool EstimatesAreMarginal() const override { return true; }
@@ -106,8 +122,8 @@ class SnapshotEstimator : public InfluenceEstimator {
   Mode mode() const { return mode_; }
 
   /// Heap bytes of estimator-owned state after Build: sample storage plus
-  /// per-mode residual bookkeeping and scratch (a borrowing build owns no
-  /// worlds). The condensed backend's memory win (no raw CSR,
+  /// per-mode residual bookkeeping and scratch, including the condensed
+  /// sweep's per-worker-slot scratch (a borrowing build owns no worlds). The condensed backend's memory win (no raw CSR,
   /// component-granular state) is measured here by ablation_memory.
   std::uint64_t MemoryBytes() const;
 

@@ -86,7 +86,10 @@ class CancelToken {
 };
 
 /// \brief Sampling parallelism knob threaded through the estimator factory.
-/// No field but chunk_size ever changes a sampled byte.
+/// No field but chunk_size ever changes a sampled byte. A fresh condensed
+/// SnapshotEstimator also runs its greedy rounds on these options (world
+/// tiles of a fixed size, not chunk_size, on the same pool), with the
+/// same byte-identity at every width.
 struct SamplingOptions {
   /// Worker count: 1 (default) runs the chunks inline on the calling
   /// thread, 0 = hardware concurrency, N >= 2 = N workers. A non-null

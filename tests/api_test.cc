@@ -119,6 +119,23 @@ TEST(SessionTest, SnapshotModeIsAPureSpeedKnob) {
   }
 }
 
+TEST(SessionTest, SolveSecondsSplitIntoBuildAndSelect) {
+  api::Session session;
+  auto result = session.Solve(
+      api::WorkloadSpec::Dataset("Karate"),
+      api::SolveSpec{}
+          .WithApproach(Approach::kSnapshot)
+          .WithSnapshotMode(SnapshotEstimator::Mode::kCondensed)
+          .WithSampleNumber(256)
+          .WithK(3)
+          .WithSampleThreads(0));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result.value().build_seconds, 0.0);
+  EXPECT_GT(result.value().select_seconds, 0.0);
+  EXPECT_EQ(result.value().build_seconds + result.value().select_seconds,
+            result.value().solve_seconds);
+}
+
 TEST(SessionTest, KLargerThanNetworkIsStatus) {
   api::Session session;
   auto result = session.Solve(api::WorkloadSpec::Dataset("Karate"),

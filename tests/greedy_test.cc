@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/celf.h"
@@ -34,14 +35,14 @@ InfluenceGraph TwoEdgePairs() {
   return InfluenceGraph(std::move(g), {1.0, 1.0});
 }
 
-/// Stub estimator with fixed scores, recording Estimate calls.
+/// Stub estimator with fixed scores, recording Estimate calls in order.
 class FixedEstimator : public InfluenceEstimator {
  public:
   explicit FixedEstimator(std::vector<double> scores)
       : scores_(std::move(scores)) {}
   void Build() override {}
   double Estimate(VertexId v) override {
-    ++calls_;
+    order_.push_back(v);
     return scores_[v];
   }
   void Update(VertexId) override {}
@@ -49,11 +50,13 @@ class FixedEstimator : public InfluenceEstimator {
   std::uint64_t sample_number() const override { return 1; }
   const TraversalCounters& counters() const override { return counters_; }
   std::string name() const override { return "Fixed"; }
-  std::uint64_t calls() const { return calls_; }
+  std::uint64_t calls() const { return order_.size(); }
+  /// Every Estimate argument, in call order.
+  const std::vector<VertexId>& order() const { return order_; }
 
  private:
   std::vector<double> scores_;
-  std::uint64_t calls_ = 0;
+  std::vector<VertexId> order_;
   TraversalCounters counters_;
 };
 
@@ -74,6 +77,16 @@ TEST(GreedyTest, SweepsAllUnselectedVertices) {
   EXPECT_EQ(estimator.calls(), 9u);
   EXPECT_EQ(result.seeds[0], 4u);
   EXPECT_EQ(result.seeds[1], 3u);
+  // Each round asks the unselected vertices in the shuffled order (Oneshot
+  // draws one RNG stream per Estimate call, so its estimates depend on it).
+  std::vector<VertexId> order(5);
+  for (VertexId v = 0; v < 5; ++v) order[v] = v;
+  Rng replay(2);
+  std::shuffle(order.begin(), order.end(), replay.engine());
+  std::vector<VertexId> expected = order;
+  order.erase(std::find(order.begin(), order.end(), result.seeds[0]));
+  expected.insert(expected.end(), order.begin(), order.end());
+  EXPECT_EQ(estimator.order(), expected);
 }
 
 TEST(GreedyTest, SeedsAreDistinct) {
@@ -127,6 +140,15 @@ TEST(GreedyTest, LastMaximumWins) {
   Rng replay(42);
   std::shuffle(order.begin(), order.end(), replay.engine());
   EXPECT_EQ(result.seeds[0], order.back());
+}
+
+TEST(GreedyTest, DefaultEstimateAllCallsEstimateInCandidateOrder) {
+  FixedEstimator estimator({1.0, 2.0, 3.0, 4.0, 5.0});
+  const std::vector<VertexId> candidates = {3, 0, 4, 1};
+  std::vector<double> out(candidates.size());
+  estimator.EstimateAll(candidates, out);
+  EXPECT_EQ(estimator.order(), candidates);
+  EXPECT_EQ(out, (std::vector<double>{4.0, 1.0, 5.0, 2.0}));
 }
 
 TEST(GreedyTest, SortedSeedSetSorts) {

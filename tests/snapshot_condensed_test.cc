@@ -2,9 +2,14 @@
 // reachability EXACTLY, and the backends share sampler streams, so
 // Mode::kCondensed must be a pure speed change — byte-identical seed
 // sets and estimates to kNaive/kResidual under every driver and every
-// sampling width.
+// sampling width. Its world-tiled greedy rounds (EstimateAll) must equal
+// the per-vertex Estimate loop in value and in counters.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
+#include <string>
 
 #include "core/celf.h"
 #include "core/greedy.h"
@@ -13,6 +18,7 @@
 #include "graph/builder.h"
 #include "model/probability.h"
 #include "sim/condensed_snapshot.h"
+#include "sim/snapshot_arena.h"
 #include "sim/snapshot_sampler.h"
 
 namespace soldist {
@@ -81,7 +87,17 @@ struct ModeRun {
   GreedyRunResult greedy;
   GreedyRunResult celf;
   std::uint64_t celf_calls = 0;
+  TraversalCounters greedy_counters;
+  TraversalCounters celf_counters;
 };
+
+void ExpectCountersEq(const TraversalCounters& a, const TraversalCounters& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.vertices, b.vertices) << label;
+  EXPECT_EQ(a.edges, b.edges) << label;
+  EXPECT_EQ(a.sample_vertices, b.sample_vertices) << label;
+  EXPECT_EQ(a.sample_edges, b.sample_edges) << label;
+}
 
 ModeRun RunBothDrivers(const InfluenceGraph& ig, SnapshotEstimator::Mode mode,
                        std::uint64_t tau, std::uint64_t seed, int k,
@@ -92,6 +108,7 @@ ModeRun RunBothDrivers(const InfluenceGraph& ig, SnapshotEstimator::Mode mode,
                                 sampling);
     Rng tie_rng(seed + 1);
     out.greedy = RunGreedy(&estimator, ig.num_vertices(), k, &tie_rng);
+    out.greedy_counters = estimator.counters();
   }
   {
     SnapshotEstimator estimator(ModelInstance::Ic(&ig), tau, seed, mode,
@@ -101,16 +118,20 @@ ModeRun RunBothDrivers(const InfluenceGraph& ig, SnapshotEstimator::Mode mode,
         RunCelfGreedy(&estimator, ig.num_vertices(), k, &tie_rng);
     out.celf = celf.greedy;
     out.celf_calls = celf.estimate_calls;
+    out.celf_counters = estimator.counters();
   }
   return out;
 }
 
 /// Byte-identical seeds AND estimates across all three backends, for the
 /// plain greedy driver and the CELF driver, at sampling widths 1 (the
-/// default inline engine), 2, and 4 — and across those widths too.
+/// default inline engine), 2, and 4 — and across those widths too. The
+/// condensed backend's counters must also agree across widths: its
+/// greedy rounds run world tiles on the pool at widths 2 and 4.
 void CheckBackendParity(const InfluenceGraph& ig, std::uint64_t tau,
                         std::uint64_t seed, int k) {
   ModeRun width1;
+  ModeRun condensed_width1;
   for (int sample_threads : {1, 2, 4}) {
     SamplingOptions sampling;
     sampling.num_threads = sample_threads;
@@ -137,6 +158,14 @@ void CheckBackendParity(const InfluenceGraph& ig, std::uint64_t tau,
           << SnapshotModeName(mode) << " st=" << sample_threads;
       EXPECT_EQ(other.celf.estimates, residual.celf.estimates)
           << SnapshotModeName(mode) << " st=" << sample_threads;
+      if (mode != SnapshotEstimator::Mode::kCondensed) continue;
+      if (sample_threads == 1) condensed_width1 = other;
+      const std::string label = "condensed st=" +
+                                std::to_string(sample_threads);
+      ExpectCountersEq(other.greedy_counters,
+                       condensed_width1.greedy_counters, label + " greedy");
+      ExpectCountersEq(other.celf_counters, condensed_width1.celf_counters,
+                       label + " celf");
     }
   }
 }
@@ -148,6 +177,12 @@ TEST(CondensedBackendTest, ByteIdenticalKarate) {
                      22, 4);
 }
 
+TEST(CondensedBackendTest, ByteIdenticalAcrossPartialTiles) {
+  // τ=100: three full 32-world tiles and a partial 4-world last tile.
+  CheckBackendParity(Make(Datasets::Karate(), ProbabilityModel::kUc01), 100,
+                     25, 4);
+}
+
 TEST(CondensedBackendTest, ByteIdenticalBarabasiAlbert) {
   CheckBackendParity(Make(Datasets::BaSparse(5), ProbabilityModel::kIwc), 16,
                      23, 4);
@@ -157,6 +192,67 @@ TEST(CondensedBackendTest, ByteIdenticalStarGiantScc) {
   Graph g = GraphBuilder::FromEdgeList(BidirectedStar(48));
   InfluenceGraph ig(std::move(g), std::vector<double>(48 * 2, 0.3));
   CheckBackendParity(ig, 32, 24, 4);
+}
+
+/// Greedy rounds driven by hand on twin built estimators: each round,
+/// EstimateAll over the unselected vertices in shuffled order on `batched`
+/// must equal per-vertex Estimate on `single` in value and in counters()
+/// afterwards; then both commit the same winner.
+void ExpectEstimateAllMatchesPerVertex(InfluenceEstimator* batched,
+                                       InfluenceEstimator* single,
+                                       VertexId n, int rounds,
+                                       std::uint64_t shuffle_seed) {
+  std::vector<VertexId> candidates(n);
+  std::iota(candidates.begin(), candidates.end(), VertexId{0});
+  Rng rng(shuffle_seed);
+  std::shuffle(candidates.begin(), candidates.end(), rng.engine());
+  ExpectCountersEq(batched->counters(), single->counters(), "after Build");
+  for (int round = 0; round < rounds; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    std::vector<double> all(candidates.size());
+    batched->EstimateAll(candidates, all);
+    std::size_t best = 0;
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      ASSERT_EQ(all[j], single->Estimate(candidates[j]))
+          << label << " vertex " << candidates[j];
+      if (all[j] >= all[best]) best = j;
+    }
+    ExpectCountersEq(batched->counters(), single->counters(), label);
+    batched->Update(candidates[best]);
+    single->Update(candidates[best]);
+    candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(best));
+  }
+  ExpectCountersEq(batched->counters(), single->counters(), "after rounds");
+}
+
+TEST(CondensedBackendTest, EstimateAllEqualsPerVertexEstimate) {
+  InfluenceGraph ig = Make(Datasets::Karate(), ProbabilityModel::kUc01);
+  const ModelInstance instance = ModelInstance::Ic(&ig);
+  constexpr std::uint64_t kTau = 100;  // three full tiles + a partial one
+  SamplingOptions sampling;
+  sampling.num_threads = 4;
+  {
+    // Fresh twins at width 4: the batched twin sweeps its tiles on the pool.
+    SnapshotEstimator batched(instance, kTau, 61,
+                              SnapshotEstimator::Mode::kCondensed, sampling);
+    SnapshotEstimator single(instance, kTau, 61,
+                             SnapshotEstimator::Mode::kCondensed, sampling);
+    batched.Build();
+    single.Build();
+    ExpectEstimateAllMatchesPerVertex(&batched, &single, ig.num_vertices(),
+                                      6, 62);
+  }
+  {
+    // Twins borrowing one arena: the inline tiled path.
+    SnapshotArena arena = SnapshotArena::SampleFor(instance, 63, kTau,
+                                                   sampling);
+    SnapshotEstimator batched(&arena, kTau);
+    SnapshotEstimator single(&arena, kTau);
+    batched.Build();
+    single.Build();
+    ExpectEstimateAllMatchesPerVertex(&batched, &single, ig.num_vertices(),
+                                      6, 64);
+  }
 }
 
 TEST(CondensedBackendTest, InitialBoundsAreSound) {
