@@ -1,6 +1,21 @@
 #include "graph/traversal.h"
 
+#include <algorithm>
+#include <limits>
+
+#include "util/logging.h"
+
 namespace soldist {
+
+std::uint32_t MaxDegree(std::span<const EdgeId> offsets) {
+  EdgeId max_degree = 0;
+  for (std::size_t v = 1; v < offsets.size(); ++v) {
+    max_degree = std::max(max_degree, offsets[v] - offsets[v - 1]);
+  }
+  SOLDIST_CHECK(max_degree <= std::numeric_limits<std::uint32_t>::max())
+      << "degree " << max_degree << " exceeds 32-bit arc positions";
+  return static_cast<std::uint32_t>(max_degree);
+}
 
 BfsReachability::BfsReachability(const Graph* graph)
     : graph_(graph), visited_(graph->num_vertices()) {

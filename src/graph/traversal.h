@@ -40,12 +40,31 @@ class VisitedMarker {
     return true;
   }
 
+  /// Writes the positions i < count with ids[i] unmarked to out, in
+  /// ascending order, and returns how many there are. Branch-free: every
+  /// position is stored and the cursor moves past the unmarked ones only,
+  /// so `out` must hold `count` entries.
+  std::uint32_t CollectUnmarked(const VertexId* ids, std::uint32_t count,
+                                std::uint32_t* out) const {
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      out[kept] = i;
+      kept += stamp_[ids[i]] != epoch_ ? 1 : 0;
+    }
+    return kept;
+  }
+
   std::size_t size() const { return stamp_.size(); }
 
  private:
   std::vector<std::uint32_t> stamp_;
   std::uint32_t epoch_;
 };
+
+/// Largest gap between consecutive CSR offsets (the maximum out- or
+/// in-degree); CHECKs that it fits the 32-bit arc positions of
+/// VisitedMarker::CollectUnmarked.
+std::uint32_t MaxDegree(std::span<const EdgeId> offsets);
 
 /// \brief Forward-BFS reachability over the full graph (every arc present).
 ///

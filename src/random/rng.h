@@ -6,6 +6,11 @@
 // logical streams (vertex choice, edge coins), realized as two Rng
 // instances with distinct derived seeds.
 //
+// The generator is still the paper's MT19937-64. It runs on an in-tree
+// engine (random/mt19937_64.h) whose twist is written branch-free, and
+// random_test pins its draws, the operations below and std::shuffle over
+// engine() bit for bit to the standard library's mt19937_64.
+//
 // Parallel sampling keeps the same discipline one level down: the
 // SamplingEngine (sim/sampling_engine.h) gives chunk c of a build its own
 // stream family rooted at DeriveSeed(master, c), so results never depend
@@ -15,8 +20,8 @@
 #define SOLDIST_RANDOM_RNG_H_
 
 #include <cstdint>
-#include <random>
 
+#include "random/mt19937_64.h"
 #include "util/logging.h"
 
 namespace soldist {
@@ -58,10 +63,10 @@ class Rng {
   bool Bernoulli(double p) { return UnitReal() < p; }
 
   /// Underlying engine, for std::shuffle and std:: distributions.
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace soldist

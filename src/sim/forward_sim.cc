@@ -5,7 +5,9 @@
 namespace soldist {
 
 ForwardSimulator::ForwardSimulator(const InfluenceGraph* ig)
-    : ig_(ig), active_(ig->num_vertices()) {
+    : ig_(ig),
+      active_(ig->num_vertices()),
+      inactive_(MaxDegree(ig->graph().out_offsets())) {
   queue_.reserve(ig->num_vertices());
 }
 
@@ -26,10 +28,16 @@ std::uint32_t ForwardSimulator::Simulate(std::span<const VertexId> seeds,
     const EdgeId begin = g.out_offsets()[u];
     const EdgeId end = g.out_offsets()[u + 1];
     counters->edges += end - begin;
-    for (EdgeId e = begin; e < end; ++e) {
-      VertexId v = g.out_targets()[e];
-      if (active_.IsMarked(v)) continue;  // already active: coin is moot
-      if (rng->Bernoulli(ig_->OutProbability(e))) {
+    // Arcs to already-active targets get no coin: it would be moot.
+    const VertexId* targets = g.out_targets().data() + begin;
+    const double* probs = ig_->out_probabilities().data() + begin;
+    const std::uint32_t count = active_.CollectUnmarked(
+        targets, static_cast<std::uint32_t>(end - begin), inactive_.data());
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t arc = inactive_[i];
+      const VertexId v = targets[arc];
+      if (active_.IsMarked(v)) continue;  // a parallel arc activated it
+      if (rng->Bernoulli(probs[arc])) {
         active_.Mark(v);
         queue_.push_back(v);
       }

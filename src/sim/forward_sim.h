@@ -20,8 +20,14 @@ namespace soldist {
 ///
 /// Reusable across simulations (epoch-marked visited array, persistent
 /// queue); not thread-safe — use one simulator per thread.
+///
+/// Each activated vertex's out-arcs are scanned in two passes, as in
+/// RrSampler, so the coins drawn and the activated sequence are those of
+/// a one-pass loop that tests activity before every coin
+/// (forward_sim_test keeps it as the reference).
 class ForwardSimulator {
  public:
+  /// CHECKs that the graph's largest out-degree fits in 32 bits.
   explicit ForwardSimulator(const InfluenceGraph* ig);
 
   /// Runs one diffusion from `seeds`; returns |A_<=n|, the number of
@@ -49,6 +55,9 @@ class ForwardSimulator {
   const InfluenceGraph* ig_;
   VisitedMarker active_;
   std::vector<VertexId> queue_;
+  /// First-pass output: offsets, from the vertex's first out-arc, of the
+  /// arcs with an inactive target. Sized to the largest out-degree.
+  std::vector<std::uint32_t> inactive_;
 };
 
 /// Per-worker-slot simulator cache for EstimateInfluenceSharded: pass the

@@ -10,7 +10,9 @@
 namespace soldist {
 
 RrSampler::RrSampler(const InfluenceGraph* ig)
-    : ig_(ig), visited_(ig->num_vertices()) {}
+    : ig_(ig),
+      visited_(ig->num_vertices()),
+      unmarked_(MaxDegree(ig->graph().in_offsets())) {}
 
 void RrSampler::Sample(Rng* target_rng, Rng* coin_rng,
                        std::vector<VertexId>* out,
@@ -35,10 +37,15 @@ void RrSampler::SampleForTarget(VertexId target, Rng* coin_rng,
     const EdgeId begin = g.in_offsets()[v];
     const EdgeId end = g.in_offsets()[v + 1];
     counters->edges += end - begin;
-    for (EdgeId pos = begin; pos < end; ++pos) {
-      VertexId w = g.in_sources()[pos];
-      if (visited_.IsMarked(w)) continue;
-      if (coin_rng->Bernoulli(ig_->InProbability(pos))) {
+    const VertexId* sources = g.in_sources().data() + begin;
+    const double* probs = ig_->in_probabilities().data() + begin;
+    const std::uint32_t count = visited_.CollectUnmarked(
+        sources, static_cast<std::uint32_t>(end - begin), unmarked_.data());
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t arc = unmarked_[i];
+      const VertexId w = sources[arc];
+      if (visited_.IsMarked(w)) continue;  // a parallel arc marked it
+      if (coin_rng->Bernoulli(probs[arc])) {
         visited_.Mark(w);
         out->push_back(w);
       }

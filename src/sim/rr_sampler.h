@@ -25,8 +25,17 @@ namespace soldist {
 ///
 /// Matches the paper's PRNG discipline (Section 4.1): one stream picks the
 /// random target, a second stream drives the edge coins.
+///
+/// Each dequeued vertex's in-arcs are scanned in two passes. The first,
+/// branch-free, collects the arcs whose source is not yet marked; the
+/// second flips coins at exactly those arcs in arc order and re-checks
+/// the mark first, because GraphBuilder keeps parallel arcs and an
+/// earlier copy may just have marked the source. Coins, sets and
+/// counters are those of a one-pass loop that tests the mark before
+/// every coin (rr_sampler_test keeps it as the reference).
 class RrSampler {
  public:
+  /// CHECKs that the graph's largest in-degree fits in 32 bits.
   explicit RrSampler(const InfluenceGraph* ig);
 
   /// Samples one RR set for a uniformly random target into `*out`
@@ -49,6 +58,9 @@ class RrSampler {
  private:
   const InfluenceGraph* ig_;
   VisitedMarker visited_;
+  /// First-pass output: offsets, from the vertex's first in-arc, of the
+  /// arcs with an unmarked source. Sized to the largest in-degree.
+  std::vector<std::uint32_t> unmarked_;
 };
 
 /// \brief One chunk's worth of RR sets in flat+offsets (CSR) form, ready

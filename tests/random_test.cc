@@ -1,15 +1,20 @@
 // Unit tests for the PRNG substrate: determinism, ranges, rough
-// uniformity, and stream independence.
+// uniformity, and stream independence; plus the pin of the in-tree
+// MT19937-64 engine, and every Rng operation over it, to the standard
+// library's std::mt19937_64.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
 #include <set>
 #include <vector>
 
+#include "random/mt19937_64.h"
 #include "random/rng.h"
 #include "random/splitmix64.h"
-#include "random/xoshiro256pp.h"
 
 namespace soldist {
 namespace {
@@ -48,19 +53,91 @@ TEST(DeriveSeedTest, Deterministic) {
   EXPECT_NE(DeriveSeed(7, 3), DeriveSeed(7, 4));
 }
 
-TEST(Xoshiro256ppTest, DeterministicForSameSeed) {
-  Xoshiro256pp a(9), b(9);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
+/// The seeds every pin below covers: edge values, the standard default,
+/// and the per-trial / per-chunk seeds the library actually derives.
+std::vector<std::uint64_t> PinSeeds() {
+  std::vector<std::uint64_t> seeds{0, 1, 5489, ~std::uint64_t{0}};
+  for (std::uint64_t i = 0; i < 200; ++i) seeds.push_back(DeriveSeed(42, i));
+  return seeds;
 }
 
-TEST(Xoshiro256ppTest, JumpChangesStream) {
-  Xoshiro256pp a(9), b(9);
-  b.Jump();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.Next() == b.Next()) ++same;
+// The Rng operations written out over the reference engine.
+double ReferenceUnitReal(std::mt19937_64& g) {
+  return static_cast<double>(g() >> 11) * 0x1.0p-53;
+}
+
+std::uint64_t ReferenceUniformInt(std::mt19937_64& g, std::uint64_t bound) {
+  unsigned __int128 m = static_cast<unsigned __int128>(g()) * bound;
+  auto low = static_cast<std::uint64_t>(m);
+  if (low < bound) {
+    std::uint64_t threshold = (-bound) % bound;
+    while (low < threshold) {
+      m = static_cast<unsigned __int128>(g()) * bound;
+      low = static_cast<std::uint64_t>(m);
+    }
   }
-  EXPECT_EQ(same, 0);
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+TEST(Mt19937_64Test, StandardTenThousandthDraw) {
+  // [rand.predef]: the 10000th draw of a default-seeded (5489)
+  // mt19937_64 is 9981545732273789042.
+  Mt19937_64 g(5489);
+  for (int i = 1; i < 10000; ++i) g();
+  EXPECT_EQ(g(), 9981545732273789042ULL);
+}
+
+TEST(Mt19937_64Test, DrawsEqualStdMt19937_64) {
+  // 1,500 draws cross the 312-word twist more than four times.
+  for (std::uint64_t seed : PinSeeds()) {
+    Mt19937_64 g(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 1500; ++i) {
+      ASSERT_EQ(g(), reference()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64Test, RangeEqualsStdMt19937_64) {
+  EXPECT_EQ(Mt19937_64::min(), std::mt19937_64::min());
+  EXPECT_EQ(Mt19937_64::max(), std::mt19937_64::max());
+}
+
+TEST(RngPinTest, OperationsEqualFormulasOverStdMt19937_64) {
+  for (std::uint64_t seed : PinSeeds()) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_EQ(rng.NextBits(), reference());
+      ASSERT_EQ(rng.UnitReal(), ReferenceUnitReal(reference));
+      // 2^63 + 1 rejects about half its draws in Lemire's loop.
+      for (std::uint64_t bound :
+           {1ULL, 7ULL, 5242ULL, (1ULL << 63) + 1}) {
+        ASSERT_EQ(rng.UniformInt(bound), ReferenceUniformInt(reference, bound))
+            << "seed " << seed << " bound " << bound;
+      }
+      for (double p : {0.1, 0.5, 1.0}) {
+        ASSERT_EQ(rng.Bernoulli(p), ReferenceUnitReal(reference) < p);
+      }
+    }
+  }
+}
+
+TEST(RngPinTest, ShuffleEqualsShuffleOverStdMt19937_64) {
+  // libstdc++'s std::shuffle reads only the generator's range and draws,
+  // and with a 64-bit range it takes the path that draws two swap
+  // positions per call; both parities of the length are covered.
+  for (std::size_t length = 0; length <= 1000; ++length) {
+    std::vector<std::uint32_t> got(length);
+    std::iota(got.begin(), got.end(), 0u);
+    std::vector<std::uint32_t> want = got;
+    Rng rng(DeriveSeed(7, length));
+    std::mt19937_64 reference(DeriveSeed(7, length));
+    std::shuffle(got.begin(), got.end(), rng.engine());
+    std::shuffle(want.begin(), want.end(), reference);
+    ASSERT_EQ(got, want) << "length " << length;
+    ASSERT_EQ(rng.NextBits(), reference()) << "length " << length;
+  }
 }
 
 TEST(RngTest, UnitRealInHalfOpenInterval) {

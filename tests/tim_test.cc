@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/bounds.h"
 #include "core/tim.h"
 #include "gen/datasets.h"
