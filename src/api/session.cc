@@ -115,12 +115,19 @@ StatusOr<const RrOracle*> Session::ResolveOracleLocked(
   if (it != oracles_.end()) return it->second.get();
   std::uint64_t oracle_seed =
       DeriveSeed(options_.seed, std::hash<std::string>{}(key));
+  // Sampled and indexed on the session pool at full width, still holding
+  // mu_ (no pool task ever locks it; see mu_). The width never changes a
+  // set, so the oracle's values are those of an inline build.
+  SamplingOptions sampling;
+  sampling.pool = pool_.get();
   auto oracle =
       workload.model == DiffusionModel::kLt
           ? std::make_unique<RrOracle>(instance.value().lt_weights,
-                                       options_.oracle_rr, oracle_seed)
+                                       options_.oracle_rr, oracle_seed,
+                                       sampling)
           : std::make_unique<RrOracle>(instance.value().ig,
-                                       options_.oracle_rr, oracle_seed);
+                                       options_.oracle_rr, oracle_seed,
+                                       sampling);
   const RrOracle* ptr = oracle.get();
   oracles_[key] = std::move(oracle);
   return ptr;

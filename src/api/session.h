@@ -8,7 +8,8 @@
 // surfaces as a Status with an actionable message, never a CHECK-abort.
 //
 // Concurrency model: resolution (graph building, oracle construction,
-// pool creation) is serialized under an internal mutex; the solver runs
+// pool creation) is serialized under an internal mutex (an oracle build
+// waits on the shared pool while holding it); the solver runs
 // lock-free on stable, immutable instance data, so any number of threads
 // may call Solve concurrently. SolveBatch additionally fans independent
 // runs out across the shared pool — batches are serialized against each
@@ -46,7 +47,9 @@ struct SessionOptions {
   /// RR sets per shared influence oracle (paper Section 5.2 uses 10^7;
   /// the default is the harness-scale 10^5).
   std::uint64_t oracle_rr = 100000;
-  /// Shared worker-pool width (0 = hardware concurrency).
+  /// Shared worker-pool width (0 = hardware concurrency). The pool runs
+  /// SolveBatch fan-outs, sample_threads=0 solves and every oracle build;
+  /// no result depends on its width.
   std::int64_t threads = 0;
   /// Vertex-count override for the ⋆ proxy networks (0 = defaults).
   VertexId star_n = 0;
@@ -141,6 +144,9 @@ class Session {
   /// The workload's shared influence oracle (built on first use, then
   /// reused for every query on the instance — paper Section 5.2). Keyed
   /// by (network, prob, model): LT oracles draw backward-walk RR sets.
+  /// The first call samples and indexes the oracle on the shared pool at
+  /// full width; its sets and values are byte-identical to an inline
+  /// build at any `threads`.
   StatusOr<const RrOracle*> ResolveOracle(const WorkloadSpec& workload);
 
   /// SamplingOptions with the session's pools attached: 0 = the shared
@@ -174,7 +180,12 @@ class Session {
   SolveResult RunResolved(const ResolvedSolve& resolved);
 
   SessionOptions options_;
-  std::mutex mu_;        ///< guards all mutable session state below
+  /// Guards all mutable session state below. ResolveOracleLocked waits on
+  /// pool_ chunks while holding it, so no task running on pool_ may lock
+  /// mu_ (it could hold up the very chunks the lock holder waits for).
+  /// None does: trials, arena chunks and batch runs never call back into
+  /// the Session.
+  std::mutex mu_;
   std::mutex batch_mu_;  ///< serializes SolveBatch pool fan-outs
   /// Serializes oracle influence queries: RrCollection::CountCovered
   /// keeps mutable per-query scratch, so concurrent EstimateInfluence

@@ -70,7 +70,7 @@ ImmResult RunImm(const InfluenceGraph& ig, const ImmParams& params,
     const auto theta_i =
         static_cast<std::uint64_t>(std::ceil(lambda_prime / x));
     sample_until(theta_i);
-    collection.BuildIndex();
+    collection.BuildIndex(&engine);
     MaxCoverageResult cover = GreedyMaxCoverage(collection, params.k);
     double estimate = n * cover.Fraction(collection.size());
     if (estimate >= (1.0 + eps_prime) * x) {
@@ -87,7 +87,7 @@ ImmResult RunImm(const InfluenceGraph& ig, const ImmParams& params,
       collection.size(),
       static_cast<std::uint64_t>(std::ceil(lambda_star / lb)));
   sample_until(result.theta);
-  collection.BuildIndex();
+  collection.BuildIndex(&engine);
   MaxCoverageResult cover = GreedyMaxCoverage(collection, params.k);
   result.seeds = std::move(cover.seeds);
   result.estimated_influence = n * cover.Fraction(collection.size());

@@ -47,8 +47,8 @@ struct ImmResult {
 /// sets generated in the sampling phase").
 ///
 /// Each round's RR-set delta is drawn through SamplingEngine's chunked
-/// deterministic streams (one fresh master per round), so results are
-/// worker-count-independent.
+/// deterministic streams (one fresh master per round) and sorted into the
+/// index on the same engine, so results are worker-count-independent.
 ImmResult RunImm(const InfluenceGraph& ig, const ImmParams& params,
                  std::uint64_t seed, const SamplingOptions& sampling = {});
 

@@ -220,17 +220,17 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
 ///    lookup is one cache line, not three.
 ///
 /// Greedy rounds (EstimateTotals) cut the τ worlds into tiles of
-/// kTileWorlds and run them as SamplingEngine chunks on the estimator's
-/// own SamplingOptions: on the build's pool, or inline when there is no
-/// pool or the caller already runs on a pool worker. A tile streams every
-/// candidate through its worlds only, so one tile's slice of the gain
-/// cache stays hot, and only the tile that owns a world reads or writes
-/// that world's cache entries — each world sees the same queries in the
-/// same candidate order as a per-vertex loop. Every worker slot keeps its
-/// own BFS scratch, partial totals and counters, summed after the run;
-/// totals and counters are integer sums, so values and counters are
-/// byte-identical at every width. Single-vertex EstimateTotal runs the
-/// same tile kernel over [0, τ).
+/// kSnapshotTileWorlds and run them as SamplingEngine chunks on the
+/// estimator's own SamplingOptions: on the build's pool, or inline when
+/// there is no pool or the caller already runs on a pool worker. A tile
+/// streams every candidate through its worlds only, so one tile's slice
+/// of the gain cache stays hot, and only the tile that owns a world reads
+/// or writes that world's cache entries — each world sees the same
+/// queries in the same candidate order as a per-vertex loop. Every worker
+/// slot keeps its own BFS scratch, partial totals and counters, summed
+/// after the run; totals and counters are integer sums, so values and
+/// counters are byte-identical at every width. Single-vertex
+/// EstimateTotal runs the same tile kernel over [0, τ).
 ///
 /// The worlds come from one of two places: a fresh build samples and
 /// owns them (and frees each world's comp_of once it is transposed); a
@@ -413,10 +413,6 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   }
 
  private:
-  /// Worlds per tile of a greedy round. Tiles are the unit of both
-  /// parallelism and locality; the value never changes a result.
-  static constexpr std::uint64_t kTileWorlds = 32;
-
   /// One worker slot's scratch for a tiled sweep (slot 0 also serves
   /// single-vertex estimates and Update). A slot runs one tile at a time,
   /// so nothing here needs a lock; each slot has cache lines of its own.
@@ -456,10 +452,7 @@ class CondensedBackend : public SnapshotEstimator::Backend {
     // The round sweep's engine, on the same pool as the build (a
     // borrowing build has none and sweeps inline). Rounds are never
     // cancelled, so it keeps no pointer to the build's cancel token.
-    SamplingOptions tiles = sampling_;
-    tiles.chunk_size = kTileWorlds;
-    tiles.cancel = nullptr;
-    sweep_ = std::make_unique<SamplingEngine>(tiles);
+    sweep_ = std::make_unique<SamplingEngine>(WorldTiles(sampling_));
     // Component-granular scratch: sized to the largest DAG, not to n
     // (the scratch-per-mode contract MemoryBytes reports on).
     slots_.resize(sweep_->num_workers());

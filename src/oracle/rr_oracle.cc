@@ -8,27 +8,30 @@
 
 namespace soldist {
 
-// Both models draw the oracle's sets through the inline chunked engine,
-// so the collection is a pure function of `seed`.
+// Both models draw the oracle's sets through the chunked engine streams
+// and index them on the same engine, so the collection is a pure function
+// of (`seed`, sampling.chunk_size), whatever the width.
 RrOracle::RrOracle(const InfluenceGraph* ig, std::uint64_t num_rr_sets,
-                   std::uint64_t seed)
+                   std::uint64_t seed, const SamplingOptions& sampling)
     : ig_(ig), collection_(ig->num_vertices()) {
   SOLDIST_CHECK(num_rr_sets >= 1);
-  SamplingEngine engine;
+  SOLDIST_CHECK(sampling.cancel == nullptr) << "an oracle build never stops";
+  SamplingEngine engine(sampling);
   collection_.Merge(
       SampleRrShards(*ig, DeriveSeed(seed, 11), num_rr_sets, &engine));
-  collection_.BuildIndex();
+  collection_.BuildIndex(&engine);
 }
 
 RrOracle::RrOracle(const LtWeights* lt_weights, std::uint64_t num_rr_sets,
-                   std::uint64_t seed)
+                   std::uint64_t seed, const SamplingOptions& sampling)
     : ig_(&lt_weights->influence_graph()),
       collection_(ig_->num_vertices()) {
   SOLDIST_CHECK(num_rr_sets >= 1);
-  SamplingEngine engine;
+  SOLDIST_CHECK(sampling.cancel == nullptr) << "an oracle build never stops";
+  SamplingEngine engine(sampling);
   collection_.Merge(SampleLtRrShards(*lt_weights, DeriveSeed(seed, 11),
                                      num_rr_sets, &engine));
-  collection_.BuildIndex();
+  collection_.BuildIndex(&engine);
 }
 
 double RrOracle::EstimateInfluence(std::span<const VertexId> seeds) const {

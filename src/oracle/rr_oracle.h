@@ -5,6 +5,10 @@
 // Coverage estimation n·F_R(S) is diffusion-model-agnostic, so the same
 // oracle class serves IC (BFS RR sets) and LT (backward-walk RR sets) —
 // the constructor picks the sampler.
+//
+// The build samples and indexes at the width of the SamplingOptions it is
+// given (api::Session passes its pool); its sets, index and answers
+// depend only on the seed and the chunk size, never on that width.
 
 #ifndef SOLDIST_ORACLE_RR_ORACLE_H_
 #define SOLDIST_ORACLE_RR_ORACLE_H_
@@ -21,14 +25,17 @@ namespace soldist {
 /// solver.
 class RrOracle {
  public:
-  /// Builds an IC oracle with `num_rr_sets` RR sets.
+  /// Builds an IC oracle with `num_rr_sets` RR sets, sampled and indexed
+  /// on `sampling`'s workers (the default runs inline). The sets depend
+  /// on sampling.chunk_size, never on the width; sampling.cancel must be
+  /// null.
   RrOracle(const InfluenceGraph* ig, std::uint64_t num_rr_sets,
-           std::uint64_t seed);
+           std::uint64_t seed, const SamplingOptions& sampling = {});
 
   /// Builds an LT oracle: `num_rr_sets` backward-walk RR sets drawn from
-  /// `lt_weights` (which must outlive the oracle).
+  /// `lt_weights` (which must outlive the oracle), otherwise as above.
   RrOracle(const LtWeights* lt_weights, std::uint64_t num_rr_sets,
-           std::uint64_t seed);
+           std::uint64_t seed, const SamplingOptions& sampling = {});
 
   /// Unbiased influence estimate n · F_R(S).
   double EstimateInfluence(std::span<const VertexId> seeds) const;
@@ -44,6 +51,10 @@ class RrOracle {
   std::vector<VertexId> OracleGreedySeeds(int k) const;
 
   std::uint64_t num_rr_sets() const { return collection_.size(); }
+  /// Ascending ids of the oracle's RR sets containing v.
+  std::span<const std::uint32_t> InvertedList(VertexId v) const {
+    return collection_.InvertedList(v);
+  }
   double EmpiricalEpt() const { return collection_.MeanSize(); }
   const InfluenceGraph& influence_graph() const { return *ig_; }
 

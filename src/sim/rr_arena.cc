@@ -1,44 +1,13 @@
 #include "sim/rr_arena.h"
 
 #include <algorithm>
-#include <limits>
-#include <numeric>
 #include <utility>
 
+#include "sim/inverted_index.h"
 #include "sim/lt_samplers.h"
 #include "util/logging.h"
 
 namespace soldist {
-namespace {
-
-/// Rebuilds the vertex-major ascending inverted index of a flat payload
-/// (counting sort over the flat array — deterministic, so save/load
-/// round-trips reproduce the index byte-for-byte).
-void BuildFlatIndex(store::RrFlatPayload* payload, VertexId num_vertices) {
-  const std::uint64_t n = num_vertices;
-  payload->index_offsets.assign(n + 1, 0);
-  for (VertexId v : payload->flat) {
-    ++payload->index_offsets[static_cast<std::size_t>(v) + 1];
-  }
-  std::partial_sum(payload->index_offsets.begin(),
-                   payload->index_offsets.end(),
-                   payload->index_offsets.begin());
-  payload->index_ids.resize(payload->flat.size());
-  std::vector<std::uint32_t> cursor(payload->index_offsets.begin(),
-                                    payload->index_offsets.end() - 1);
-  const std::uint64_t num_sets =
-      static_cast<std::uint64_t>(payload->set_offsets.size()) - 1;
-  for (std::uint64_t set_id = 0; set_id < num_sets; ++set_id) {
-    for (std::uint64_t k = payload->set_offsets[set_id];
-         k < payload->set_offsets[set_id + 1]; ++k) {
-      payload->index_ids[cursor[payload->flat[k]]++] =
-          static_cast<std::uint32_t>(set_id);
-    }
-  }
-}
-
-}  // namespace
-
 RrArena RrArena::SampleFor(const ModelInstance& instance, std::uint64_t seed,
                            std::uint64_t capacity,
                            const SamplingOptions& sampling) {
@@ -57,7 +26,7 @@ RrArena RrArena::SampleFor(const ModelInstance& instance, std::uint64_t seed,
     shards = SampleRrShards(*instance.ig, seed, capacity, &engine,
                             /*record_per_set=*/true);
   }
-  arena.Finalize(std::move(shards), engine, capacity);
+  arena.Finalize(std::move(shards), &engine, capacity);
   return arena;
 }
 
@@ -84,24 +53,22 @@ RrArena RrArena::FromParts(VertexId num_vertices,
   store::RrFlatPayload payload;
   payload.flat = std::move(flat);
   payload.set_offsets = std::move(set_offsets);
-  BuildFlatIndex(&payload, num_vertices);
+  BuildInvertedIndex(num_vertices, payload.flat, payload.set_offsets,
+                     /*indexed_sets=*/0, /*engine=*/nullptr,
+                     &payload.index_ids, &payload.index_offsets);
   arena.AdoptPayload(std::move(payload));
   return arena;
 }
 
-void RrArena::Finalize(std::vector<RrShard>&& shards,
-                       const SamplingEngine& engine, std::uint64_t capacity) {
-  if (engine.cancel() != nullptr) {
-    capacity = engine.TruncateToCompletedPrefix(
+void RrArena::Finalize(std::vector<RrShard>&& shards, SamplingEngine* engine,
+                       std::uint64_t capacity) {
+  if (engine->cancel() != nullptr) {
+    capacity = engine->TruncateToCompletedPrefix(
         &shards, capacity,
         [](const RrShard& shard) { return shard.num_sets(); });
   }
   std::uint64_t total_entries = 0;
   for (const RrShard& shard : shards) total_entries += shard.flat.size();
-  SOLDIST_CHECK(capacity <= std::numeric_limits<std::uint32_t>::max())
-      << "32-bit set ids overflow: arena capacity " << capacity;
-  SOLDIST_CHECK(total_entries <= std::numeric_limits<std::uint32_t>::max())
-      << "32-bit index offsets overflow: " << total_entries << " entries";
   store::RrFlatPayload payload;
   payload.set_offsets.reserve(capacity + 1);
   payload.set_offsets.push_back(0);
@@ -130,7 +97,9 @@ void RrArena::Finalize(std::vector<RrShard>&& shards,
   SOLDIST_CHECK(this->capacity() == capacity)
       << "shards produced " << this->capacity() << " sets, expected "
       << capacity;
-  BuildFlatIndex(&payload, num_vertices_);
+  BuildInvertedIndex(num_vertices_, payload.flat, payload.set_offsets,
+                     /*indexed_sets=*/0, engine, &payload.index_ids,
+                     &payload.index_offsets);
   AdoptPayload(std::move(payload));
 }
 

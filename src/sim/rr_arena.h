@@ -164,7 +164,9 @@ class RrArena : public WorldArena {
 
  private:
   RrArena() = default;
-  void Finalize(std::vector<RrShard>&& shards, const SamplingEngine& engine,
+  /// Concatenates the shards (cut to their completed prefix when the
+  /// engine carries a cancel token) and indexes them on `engine`.
+  void Finalize(std::vector<RrShard>&& shards, SamplingEngine* engine,
                 std::uint64_t capacity);
   void AdoptPayload(store::RrFlatPayload&& payload);
 

@@ -1,11 +1,10 @@
 #include "sim/rr_sampler.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
-#include <numeric>
 
 #include "random/splitmix64.h"
+#include "sim/inverted_index.h"
 
 namespace soldist {
 
@@ -112,14 +111,8 @@ void RrCollection::Merge(std::span<const RrShard> shards) {
   index_built_ = false;
 }
 
-void RrCollection::BuildIndex() {
+void RrCollection::BuildIndex(SamplingEngine* engine) {
   const std::uint64_t total_sets = size();
-  SOLDIST_CHECK(total_sets <=
-                std::numeric_limits<std::uint32_t>::max())
-      << "32-bit set ids overflow: " << total_sets << " RR sets";
-  SOLDIST_CHECK(flat_.size() <=
-                std::numeric_limits<std::uint32_t>::max())
-      << "32-bit index offsets overflow: " << flat_.size() << " entries";
   if (index_built_ && indexed_sets_ == total_sets) {
     // Double-build with no new sets: a no-op, never a full rebuild
     // (IMM's final selection round builds on an unchanged collection).
@@ -127,43 +120,8 @@ void RrCollection::BuildIndex() {
         << "index/content mismatch on a supposedly indexed collection";
     return;
   }
-  // Single-pass counting sort of the appended tail: new per-vertex counts
-  // come from one scan of the un-indexed entries; appended set ids exceed
-  // every indexed id, so the old per-vertex lists are bulk-copied in front
-  // and the new ids placed behind them keep each list ascending.
-  const std::uint64_t n = num_vertices_;
-  const std::uint64_t indexed_entries = offsets_[indexed_sets_];
-  SOLDIST_DCHECK(index_flat_.size() == indexed_entries);
-  std::vector<std::uint32_t> new_offsets(n + 1, 0);
-  for (std::uint64_t pos = indexed_entries; pos < flat_.size(); ++pos) {
-    ++new_offsets[static_cast<std::size_t>(flat_[pos]) + 1];
-  }
-  if (indexed_sets_ > 0) {
-    for (std::uint64_t v = 0; v < n; ++v) {
-      new_offsets[v + 1] += index_offsets_[v + 1] - index_offsets_[v];
-    }
-  }
-  std::partial_sum(new_offsets.begin(), new_offsets.end(),
-                   new_offsets.begin());
-  std::vector<std::uint32_t> new_flat(flat_.size());
-  std::vector<std::uint32_t> cursor(new_offsets.begin(),
-                                    new_offsets.end() - 1);
-  if (indexed_sets_ > 0) {
-    for (std::uint64_t v = 0; v < n; ++v) {
-      const std::uint32_t len = index_offsets_[v + 1] - index_offsets_[v];
-      std::copy_n(index_flat_.begin() + index_offsets_[v], len,
-                  new_flat.begin() + cursor[v]);
-      cursor[v] += len;
-    }
-  }
-  for (std::uint64_t set_id = indexed_sets_; set_id < total_sets;
-       ++set_id) {
-    for (VertexId v : Set(set_id)) {
-      new_flat[cursor[v]++] = static_cast<std::uint32_t>(set_id);
-    }
-  }
-  index_flat_ = std::move(new_flat);
-  index_offsets_ = std::move(new_offsets);
+  BuildInvertedIndex(num_vertices_, flat_, offsets_, indexed_sets_, engine,
+                     &index_flat_, &index_offsets_);
   indexed_sets_ = total_sets;
   covered_stamp_.assign(total_sets, 0);
   covered_epoch_ = 0;

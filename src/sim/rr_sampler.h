@@ -206,12 +206,13 @@ class RrCollection {
   /// since the previous build are counting-sorted in (their ids are larger
   /// than every indexed id, so per-vertex lists stay ascending and the
   /// already-indexed prefix is a bulk copy, not a scattered re-placement);
-  /// a call with no new sets is a DCHECK-guarded no-op instead of the
-  /// full rebuild it used to be (IMM's Merge-then-select rounds hit both
-  /// cases every run). Set ids and offsets are 32-bit: a collection must
-  /// stay under 2^32 entries (CHECKed; the paper-full grids top out at
-  /// ~2^28).
-  void BuildIndex();
+  /// a call with no new sets is a DCHECK-guarded no-op (IMM's
+  /// Merge-then-select rounds hit both cases every run). The sort runs on
+  /// `engine`'s workers (null = inline) and its output never depends on
+  /// their number (sim/inverted_index.h). Set ids and offsets are 32-bit:
+  /// a collection must stay under 2^32 entries (CHECKed; the paper-full
+  /// grids top out at ~2^28).
+  void BuildIndex(SamplingEngine* engine = nullptr);
 
   /// Ids of the RR sets containing v, ascending. Requires BuildIndex().
   std::span<const std::uint32_t> InvertedList(VertexId v) const;

@@ -57,27 +57,30 @@ SamplingEngine::Chunk SamplingEngine::MakeChunk(std::uint64_t master_seed,
 void SamplingEngine::Run(std::uint64_t master_seed, std::uint64_t count,
                          const ChunkFn& fn) {
   const std::uint64_t num_chunks = NumChunks(count);
-  if (num_chunks == 0) return;
-  if (RunsInline(num_chunks)) {
-    for (std::uint64_t c = 0; c < num_chunks; ++c) {
-      fn(MakeChunk(master_seed, c, count, /*inline_run=*/true),
-         /*worker_slot=*/0);
-    }
+  const bool inline_run = RunsInline(num_chunks);
+  RunTasks(num_chunks, [&](std::uint64_t c, std::size_t slot) {
+    fn(MakeChunk(master_seed, c, count, inline_run), slot);
+  });
+}
+
+void SamplingEngine::RunTasks(std::uint64_t num_tasks, const TaskFn& fn) {
+  if (num_tasks == 0) return;
+  if (RunsInline(num_tasks)) {
+    for (std::uint64_t t = 0; t < num_tasks; ++t) fn(t, /*worker_slot=*/0);
     return;
   }
-  // Per-Run completion latch: the pool's Wait() drains *all* in-flight
-  // work and allows only a single waiter, whereas this Run must be able
+  // Per-call completion latch: the pool's Wait() drains *all* in-flight
+  // work and allows only a single waiter, whereas this call must be able
   // to coexist with other users of a shared pool. The same mutex guards
-  // the worker-slot freelist: at most pool-width chunks run concurrently,
+  // the worker-slot freelist: at most pool-width tasks run concurrently,
   // so a slot popped before fn and pushed after is exclusive for the call.
   std::mutex mutex;
   std::condition_variable done;
-  std::uint64_t remaining = num_chunks;
+  std::uint64_t remaining = num_tasks;
   std::vector<std::size_t> free_slots(pool_->num_threads());
   for (std::size_t s = 0; s < free_slots.size(); ++s) free_slots[s] = s;
-  for (std::uint64_t c = 0; c < num_chunks; ++c) {
-    Chunk chunk = MakeChunk(master_seed, c, count, /*inline_run=*/false);
-    pool_->Submit([&, chunk] {
+  for (std::uint64_t t = 0; t < num_tasks; ++t) {
+    pool_->Submit([&, t] {
       std::size_t slot;
       {
         std::unique_lock<std::mutex> lock(mutex);
@@ -85,7 +88,7 @@ void SamplingEngine::Run(std::uint64_t master_seed, std::uint64_t count,
         slot = free_slots.back();
         free_slots.pop_back();
       }
-      fn(chunk, slot);
+      fn(t, slot);
       std::unique_lock<std::mutex> lock(mutex);
       free_slots.push_back(slot);
       if (--remaining == 0) done.notify_one();

@@ -86,10 +86,11 @@ class CancelToken {
 };
 
 /// \brief Sampling parallelism knob threaded through the estimator factory.
-/// No field but chunk_size ever changes a sampled byte. A fresh condensed
-/// SnapshotEstimator also runs its greedy rounds on these options (world
-/// tiles of a fixed size, not chunk_size, on the same pool), with the
-/// same byte-identity at every width.
+/// No field but chunk_size ever changes a sampled byte. The work that
+/// follows a build runs on the same workers with the same byte-identity
+/// at every width: every RR inverted index (sim/inverted_index.h), and
+/// the condensed Snapshot warmth pass and greedy rounds (world tiles of
+/// a fixed size, not chunk_size).
 struct SamplingOptions {
   /// Worker count: 1 (default) runs the chunks inline on the calling
   /// thread, 0 = hardware concurrency, N >= 2 = N workers. A non-null
@@ -145,6 +146,11 @@ class SamplingEngine {
   /// it; all determinism flows from the Chunk alone.
   using ChunkFn = std::function<void(const Chunk&, std::size_t worker_slot)>;
 
+  /// Task callback of RunTasks: `task` < num_tasks, `worker_slot` as for
+  /// ChunkFn.
+  using TaskFn = std::function<void(std::uint64_t task,
+                                    std::size_t worker_slot)>;
+
   explicit SamplingEngine(const SamplingOptions& options = {});
 
   SamplingEngine(const SamplingEngine&) = delete;
@@ -157,6 +163,13 @@ class SamplingEngine {
   /// worker count.
   void Run(std::uint64_t master_seed, std::uint64_t count,
            const ChunkFn& fn);
+
+  /// Invokes fn once per task of [0, num_tasks) on the workers Run would
+  /// use (inline where Run would run inline) and blocks until all are
+  /// done. For work that draws no randomness and is cut by its caller —
+  /// into ActiveWorkers() blocks, say — so its result must not depend on
+  /// how many tasks there are.
+  void RunTasks(std::uint64_t num_tasks, const TaskFn& fn);
 
   /// Number of chunks Run() will produce for `count` samples.
   std::uint64_t NumChunks(std::uint64_t count) const;
@@ -201,6 +214,13 @@ class SamplingEngine {
   /// Worker count of the underlying pool (1 when running inline).
   std::size_t num_workers() const {
     return pool_ != nullptr ? pool_->num_threads() : 1;
+  }
+
+  /// Workers a Run or RunTasks of two or more tasks from this thread
+  /// keeps busy at once: num_workers(), or 1 when it runs inline (no
+  /// pool, a one-worker pool, or a call from a pool worker).
+  std::size_t ActiveWorkers() const {
+    return RunsInline(2) ? 1 : num_workers();
   }
 
  private:

@@ -66,7 +66,7 @@ std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
     }
   };
 
-  SamplingEngine engine(sampling);
+  SamplingEngine engine(WorldTiles(sampling));
   std::vector<std::unique_ptr<Slot>> slots(engine.num_workers());
   engine.Run(/*master_seed=*/0, static_cast<std::uint64_t>(snaps.size()),
              [&](const SamplingEngine::Chunk& chunk, std::size_t idx) {

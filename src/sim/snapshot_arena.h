@@ -43,6 +43,21 @@ namespace soldist {
 /// 8 already bounds the long subcritical tail exactly.
 inline constexpr int kSnapshotSketchK = 8;
 
+/// Worlds per tile of a pass over sampled worlds: the warmth pass and a
+/// condensed greedy round. Tiles, not sampling chunks (256 worlds), are
+/// the unit of parallelism there, so a τ=512 build still spreads over
+/// every worker; each world's work is a pure function of the world, so
+/// the value never changes a result.
+inline constexpr std::uint64_t kSnapshotTileWorlds = 32;
+
+/// `sampling` re-cut into tiles of kSnapshotTileWorlds worlds and never
+/// cancelled: the engine options of a pass over sampled worlds.
+inline SamplingOptions WorldTiles(SamplingOptions sampling) {
+  sampling.chunk_size = kSnapshotTileWorlds;
+  sampling.cancel = nullptr;
+  return sampling;
+}
+
 /// \brief Precomputed warm state of one condensed snapshot: per
 /// component, a sound CELF upper bound on its reachable count, and
 /// whether that bound is EXACT (the sketch saturated below k — the gain
@@ -66,9 +81,10 @@ struct SnapshotWarmth {
 
 /// Computes warmth for every snapshot: ONE distinct-rank permutation
 /// drawn from Rng(perm_seed), bottom-k sketches per DAG, then the capped
-/// successor-sum bounds. Chunked over snapshots through the engine
-/// (per-slot sketcher scratch; each snapshot's warmth is a pure function
-/// of that snapshot, so the worker count never changes a byte).
+/// successor-sum bounds. Runs on world tiles (WorldTiles(sampling)) with
+/// per-slot sketcher scratch; each snapshot's warmth is a pure function
+/// of that snapshot, so neither the tiles nor the worker count change a
+/// byte.
 std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
     std::span<const CondensedSnapshot> snaps, VertexId num_vertices,
     std::uint64_t perm_seed, const SamplingOptions& sampling);

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "api/session.h"
 #include "core/factory.h"
@@ -480,6 +482,78 @@ TEST(SessionTest, LtBatchIdenticalAcrossWidths) {
       EXPECT_EQ(batch.value()[i].influence, reference_influence[i]);
     }
   }
+}
+
+/// ResolveOracle waits on the session pool while it holds the session
+/// mutex. One thread resolving a fresh workload's oracle while another
+/// thread's SolveBatch fans out on the same pool must not deadlock, and
+/// both must answer what a one-thread session answers.
+TEST(SessionTest, OracleBuildOverlapsBatchFanOut) {
+  const auto batch_workload = api::WorkloadSpec::Dataset("Karate").Probability(
+      ProbabilityModel::kUc01);
+  const auto oracle_workload =
+      api::WorkloadSpec::Dataset("Physicians").Probability(
+          ProbabilityModel::kIwc);
+  std::vector<api::SolveSpec> specs;
+  for (Approach approach :
+       {Approach::kOneshot, Approach::kSnapshot, Approach::kRis}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      specs.push_back(api::SolveSpec{}
+                          .WithApproach(approach)
+                          .WithSampleNumber(64)
+                          .WithK(2)
+                          .WithSeed(seed)
+                          .WithSampleThreads(1));
+    }
+  }
+  const std::vector<std::vector<VertexId>> catalog = {
+      {0}, {1, 2}, {10, 20, 30}, {100, 200, 240}};
+  struct Answers {
+    std::vector<api::SolveResult> batch;
+    std::vector<double> influence;
+    std::vector<VertexId> greedy;
+  };
+  auto run = [&](std::int64_t threads) {
+    api::SessionOptions options;
+    options.threads = threads;
+    options.oracle_rr = 20000;
+    api::Session session(options);
+    // The batch workload's own oracle first: the race is between the
+    // batch fan-out and the other workload's oracle build.
+    EXPECT_TRUE(session.ResolveOracle(batch_workload).ok());
+    Answers answers;
+    std::atomic<bool> go{false};
+    std::thread solver([&] {
+      while (!go.load()) std::this_thread::yield();
+      auto batch = session.SolveBatch(batch_workload, specs);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      answers.batch = std::move(batch).value();
+    });
+    std::thread resolver([&] {
+      while (!go.load()) std::this_thread::yield();
+      auto oracle = session.ResolveOracle(oracle_workload);
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      for (const std::vector<VertexId>& seeds : catalog) {
+        answers.influence.push_back(oracle.value()->EstimateInfluence(seeds));
+      }
+      answers.greedy = oracle.value()->OracleGreedySeeds(3);
+    });
+    go.store(true);
+    solver.join();
+    resolver.join();
+    return answers;
+  };
+  const Answers reference = run(1);
+  const Answers pooled = run(4);
+  ASSERT_EQ(pooled.batch.size(), specs.size());
+  ASSERT_EQ(reference.batch.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(pooled.batch[i].seeds, reference.batch[i].seeds) << "spec " << i;
+    EXPECT_EQ(pooled.batch[i].estimates, reference.batch[i].estimates);
+    EXPECT_EQ(pooled.batch[i].influence, reference.batch[i].influence);
+  }
+  EXPECT_EQ(pooled.influence, reference.influence);
+  EXPECT_EQ(pooled.greedy, reference.greedy);
 }
 
 TEST(SessionTest, BatchFailsFastOnInvalidSpec) {

@@ -1,13 +1,16 @@
-// Tests for the influence oracles: RR oracle vs exact vs Monte Carlo.
+// Tests for the influence oracles: RR oracle vs exact vs Monte Carlo,
+// and a pool-built RR oracle vs an inline one.
 
 #include <gtest/gtest.h>
 
 #include "gen/datasets.h"
 #include "graph/builder.h"
+#include "model/lt.h"
 #include "model/probability.h"
 #include "oracle/exact_oracle.h"
 #include "oracle/mc_oracle.h"
 #include "oracle/rr_oracle.h"
+#include "util/thread_pool.h"
 
 namespace soldist {
 namespace {
@@ -128,6 +131,55 @@ TEST(RrOracleTest, OracleGreedyCoversDisjointComponents) {
   auto seeds = oracle.OracleGreedySeeds(2);
   std::sort(seeds.begin(), seeds.end());
   EXPECT_EQ(seeds, (std::vector<VertexId>{0, 4}));
+}
+
+/// Every observable of an oracle built on `sampling` equals that of the
+/// inline build `inline_oracle`: set count, EPT, every inverted list,
+/// the estimate of each seed set in a fixed catalog, and oracle greedy.
+void ExpectSameOracle(const RrOracle& inline_oracle, const RrOracle& pooled,
+                      int width) {
+  ASSERT_EQ(pooled.num_rr_sets(), inline_oracle.num_rr_sets());
+  EXPECT_EQ(pooled.EmpiricalEpt(), inline_oracle.EmpiricalEpt());
+  const VertexId n = inline_oracle.influence_graph().num_vertices();
+  for (VertexId v = 0; v < n; ++v) {
+    std::span<const std::uint32_t> a = inline_oracle.InvertedList(v);
+    std::span<const std::uint32_t> b = pooled.InvertedList(v);
+    ASSERT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()),
+              std::vector<std::uint32_t>(b.begin(), b.end()))
+        << "vertex " << v << " width " << width;
+  }
+  const std::vector<std::vector<VertexId>> catalog = {
+      {}, {0}, {33}, {0, 33}, {1, 2, 3}, {5, 16, 24, 31}, {0, 1, 32, 33}};
+  for (const std::vector<VertexId>& seeds : catalog) {
+    EXPECT_EQ(pooled.EstimateInfluence(seeds),
+              inline_oracle.EstimateInfluence(seeds))
+        << "width " << width;
+  }
+  EXPECT_EQ(pooled.OracleGreedySeeds(4), inline_oracle.OracleGreedySeeds(4))
+      << "width " << width;
+}
+
+/// Width 1 runs inline, width 2 on the engine's own pool, width 4 on a
+/// borrowed pool (as api::Session passes its own).
+TEST(RrOracleTest, PoolBuildEqualsInlineBuild) {
+  Graph g = GraphBuilder::FromEdgeList(Datasets::Karate());
+  InfluenceGraph uc01 = MakeInfluenceGraph(g, ProbabilityModel::kUc01);
+  InfluenceGraph iwc = MakeInfluenceGraph(std::move(g), ProbabilityModel::kIwc);
+  LtWeights weights(&iwc);
+  const RrOracle ic_inline(&uc01, 20000, /*seed=*/11);
+  const RrOracle lt_inline(&weights, 20000, /*seed=*/12);
+  ThreadPool pool(4);
+  for (int width : {1, 2, 4}) {
+    SamplingOptions sampling;
+    if (width == 4) {
+      sampling.pool = &pool;
+    } else {
+      sampling.num_threads = width;
+    }
+    ExpectSameOracle(ic_inline, RrOracle(&uc01, 20000, 11, sampling), width);
+    ExpectSameOracle(lt_inline, RrOracle(&weights, 20000, 12, sampling),
+                     width);
+  }
 }
 
 TEST(McOracleTest, MatchesExactOnDiamond) {

@@ -5,11 +5,16 @@
 // default inline engine, byte-identical to 2 and 4), both chunk sizes,
 // and both diffusion models. On top of that, a RisEstimator borrowing an
 // arena prefix must be indistinguishable from a fresh RisEstimator
-// through the greedy framework.
+// through the greedy framework. And every inverted index — an arena
+// sampled at widths 1/2/4 or cancelled, one reloaded through FromParts,
+// an RrCollection grown round by round — equals the serial reference
+// counting sort byte for byte.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "core/greedy.h"
@@ -237,6 +242,146 @@ TEST(RrArenaTest, InvertedPrefixMatchesPrefixViewCut) {
   for (VertexId v = 0; v < arena.num_vertices(); ++v) {
     EXPECT_EQ(arena.InvertedPrefix(v, 1000).size(),
               arena.InvertedAll(v).size());
+  }
+}
+
+/// The serial counting sort the block-parallel one replaced
+/// (sim/inverted_index.h): per-vertex counts, a prefix sum, then one
+/// pass over the sets in id order. Every index build must equal it byte
+/// for byte.
+struct ReferenceIndex {
+  std::vector<std::uint32_t> ids;
+  std::vector<std::uint32_t> offsets;
+};
+
+ReferenceIndex ReferenceInvertedIndex(
+    VertexId num_vertices, std::span<const VertexId> flat,
+    std::span<const std::uint64_t> set_offsets) {
+  ReferenceIndex index;
+  index.offsets.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
+  for (VertexId v : flat) ++index.offsets[static_cast<std::size_t>(v) + 1];
+  std::partial_sum(index.offsets.begin(), index.offsets.end(),
+                   index.offsets.begin());
+  index.ids.resize(flat.size());
+  std::vector<std::uint32_t> cursor(index.offsets.begin(),
+                                    index.offsets.end() - 1);
+  for (std::uint64_t set_id = 0; set_id + 1 < set_offsets.size(); ++set_id) {
+    for (std::uint64_t k = set_offsets[set_id]; k < set_offsets[set_id + 1];
+         ++k) {
+      index.ids[cursor[flat[k]]++] = static_cast<std::uint32_t>(set_id);
+    }
+  }
+  return index;
+}
+
+void ExpectArenaIndexIsReference(const RrArena& arena) {
+  const store::RrFlatPayload* payload = arena.storage().flat_payload();
+  ASSERT_NE(payload, nullptr);
+  ASSERT_EQ(payload->set_offsets.size(), arena.capacity() + 1);
+  const ReferenceIndex reference = ReferenceInvertedIndex(
+      arena.num_vertices(), payload->flat, payload->set_offsets);
+  EXPECT_EQ(payload->index_offsets, reference.offsets);
+  EXPECT_EQ(payload->index_ids, reference.ids);
+}
+
+void ExpectCollectionIndexIsReference(const RrCollection& collection) {
+  std::vector<VertexId> flat;
+  std::vector<std::uint64_t> set_offsets{0};
+  for (std::uint64_t i = 0; i < collection.size(); ++i) {
+    std::span<const VertexId> set = collection.Set(i);
+    flat.insert(flat.end(), set.begin(), set.end());
+    set_offsets.push_back(flat.size());
+  }
+  const ReferenceIndex reference =
+      ReferenceInvertedIndex(collection.num_vertices(), flat, set_offsets);
+  for (VertexId v = 0; v < collection.num_vertices(); ++v) {
+    std::span<const std::uint32_t> list = collection.InvertedList(v);
+    ASSERT_EQ(std::vector<std::uint32_t>(list.begin(), list.end()),
+              std::vector<std::uint32_t>(
+                  reference.ids.begin() + reference.offsets[v],
+                  reference.ids.begin() + reference.offsets[v + 1]))
+        << "vertex " << v << " of " << collection.size() << " sets";
+  }
+}
+
+TEST(InvertedIndexTest, ArenaSampleForMatchesReference) {
+  InfluenceGraph uc01 = KarateUc01();
+  InfluenceGraph iwc = KarateIwc();
+  LtWeights weights(&iwc);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ExpectArenaIndexIsReference(
+        RrArena::SampleIc(uc01, 41, 3000, Threads(threads, 64)));
+    ExpectArenaIndexIsReference(RrArena::SampleFor(
+        ModelInstance::Lt(&weights), 42, 2000, Threads(threads, 64)));
+  }
+}
+
+TEST(InvertedIndexTest, CancelledArenaMatchesReference) {
+  InfluenceGraph ig = KarateUc01();
+  std::atomic<int> checks{0};
+  CancelToken cancel([&] { return checks.fetch_add(1) + 1 >= 40; });
+  SamplingOptions sampling = Threads(4, 16);
+  sampling.cancel = &cancel;
+  RrArena arena = RrArena::SampleIc(ig, 43, 4000, sampling);
+  EXPECT_GE(arena.capacity(), 1u);
+  EXPECT_LT(arena.capacity(), 4000u);
+  ExpectArenaIndexIsReference(arena);
+}
+
+TEST(InvertedIndexTest, FromPartsMatchesReference) {
+  InfluenceGraph ig = KarateUc01();
+  RrArena sampled = RrArena::SampleIc(ig, 44, 1500, Threads(4, 64));
+  const store::RrFlatPayload& payload = *sampled.storage().flat_payload();
+  std::vector<TraversalCounters> per_set;
+  for (std::uint64_t i = 0; i < sampled.capacity(); ++i) {
+    per_set.push_back(sampled.PrefixCounters(i + 1) -
+                      sampled.PrefixCounters(i));
+  }
+  RrArena loaded = RrArena::FromParts(ig.num_vertices(), payload.flat,
+                                      payload.set_offsets, per_set);
+  ExpectArenaIndexIsReference(loaded);
+  EXPECT_EQ(loaded.storage().flat_payload()->index_ids, payload.index_ids);
+  // Vertices 1, 3 and 5 are in no set.
+  RrArena sparse = RrArena::FromParts(6, {0, 2, 2, 4, 0}, {0, 2, 3, 5},
+                                      std::vector<TraversalCounters>(3));
+  ExpectArenaIndexIsReference(sparse);
+  EXPECT_TRUE(sparse.InvertedAll(1).empty());
+}
+
+/// IMM's pattern: Merge a batch of fresh sets, BuildIndex, select,
+/// repeat — including a round smaller than the worker count and a
+/// second BuildIndex with nothing new.
+TEST(InvertedIndexTest, CollectionRoundsMatchReference) {
+  InfluenceGraph ig = KarateUc01();
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    SamplingEngine engine(Threads(threads, 64));
+    RrCollection one_shot(ig.num_vertices());
+    one_shot.Merge(SampleRrShards(ig, 45, 2000, &engine));
+    one_shot.BuildIndex(&engine);
+    ExpectCollectionIndexIsReference(one_shot);
+
+    RrCollection rounds(ig.num_vertices());
+    std::uint64_t round = 0;
+    for (std::uint64_t delta : {300u, 2u, 700u, 1500u}) {
+      rounds.Merge(
+          SampleRrShards(ig, DeriveSeed(46, round++), delta, &engine));
+      rounds.BuildIndex(&engine);
+      ExpectCollectionIndexIsReference(rounds);
+      rounds.BuildIndex(&engine);  // nothing new: a no-op
+      ExpectCollectionIndexIsReference(rounds);
+    }
+
+    RrCollection sparse(6);  // vertices 1, 3 and 5 are in no set
+    sparse.Add({0, 2});
+    sparse.BuildIndex(&engine);  // a 1-set collection
+    ExpectCollectionIndexIsReference(sparse);
+    sparse.Add({2});
+    sparse.Add({4, 0});
+    sparse.BuildIndex(&engine);
+    ExpectCollectionIndexIsReference(sparse);
+    EXPECT_TRUE(sparse.InvertedList(5).empty());
   }
 }
 
