@@ -40,8 +40,11 @@ class InfluenceEstimator {
   /// as that per-vertex loop. The default IS that loop, in candidate
   /// order — Oneshot draws one RNG stream per call, so its estimates
   /// depend on the order. An override may batch or parallelize the work
-  /// (the condensed Snapshot backend sweeps tiles of worlds on the
-  /// sampling pool) as long as the contract holds at every width.
+  /// as long as the contract holds at every width and for any candidate
+  /// subset: the condensed Snapshot backend refreshes only the stale
+  /// cached gains that some candidate holds, in tiles of worlds on the
+  /// sampling pool, and reads each score from a per-vertex running
+  /// total.
   virtual void EstimateAll(std::span<const VertexId> candidates,
                            std::span<double> out);
 

@@ -207,30 +207,45 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
 ///  * Gains are cached per (snapshot, component); Update invalidates a
 ///    conservative superset of the stale entries — the live DAG
 ///    *ancestors* of the newly removed components (precise reverse walk)
-///    or, when the removal is large, every entry of the snapshot (O(1)
-///    generation bump). Invalidation can only cause recomputation, never
-///    change a value.
+///    or, when the removal is large, every live entry of the snapshot
+///    (one O(C) marking pass). Invalidation can only cause
+///    recomputation, never change a value.
+///  * total_[v] keeps Σ_i (cached gain of v's live component in snapshot
+///    i): Update subtracts a removed component's gain from each member,
+///    and a refresh adds (new − old) to each member. Once the stale
+///    components holding v are refreshed, total_[v] = Σ_i r_i(v).
 ///
 /// Layout, tuned for the access pattern (τ up to 2^16 snapshots means
 /// every per-snapshot indirection in Estimate is a cache miss):
 ///  * comp_of is TRANSPOSED after Build into one vertex-major array —
 ///    Estimate(v) streams its τ component ids sequentially;
-///  * per-component state is one packed 8-byte {value, gen} record in a
-///    single flat array (removed = sentinel generation), so the state
-///    lookup is one cache line, not three.
+///  * per-component state is one packed 4-byte word in a single flat
+///    array: the cached gain, a stale bit, and an all-ones removed
+///    sentinel;
+///  * one u32 member reference per component — the vertex itself for a
+///    singleton, otherwise an offset into the snapshot's list of the
+///    members of non-singleton components — lets a refresh or removal
+///    reach the members' totals;
+///  * each snapshot has kDirtySlots slots for its stale components; a
+///    snapshot whose stale set outgrows them, was invalidated wholesale,
+///    or was never scored is flagged for a full scan of its components.
 ///
 /// Greedy rounds (EstimateTotals) cut the τ worlds into tiles of
 /// kSnapshotTileWorlds and run them as SamplingEngine chunks on the
 /// estimator's own SamplingOptions: on the build's pool, or inline when
 /// there is no pool or the caller already runs on a pool worker. A tile
-/// streams every candidate through its worlds only, so one tile's slice
-/// of the gain cache stays hot, and only the tile that owns a world reads
-/// or writes that world's cache entries — each world sees the same
-/// queries in the same candidate order as a per-vertex loop. Every worker
-/// slot keeps its own BFS scratch, partial totals and counters, summed
-/// after the run; totals and counters are integer sums, so values and
-/// counters are byte-identical at every width. Single-vertex
-/// EstimateTotal runs the same tile kernel over [0, τ).
+/// visits each of its worlds' dirty slots (all components when flagged)
+/// and refreshes the stale live components that hold a candidate; only
+/// the tile that owns a world reads or writes its state. Every worker
+/// slot keeps its own BFS scratch, counters and per-vertex deltas, summed
+/// into total_ after the run, and each score is read from total_. The
+/// removed set is fixed within a round, so a refresh costs the same walk
+/// in any order, and the per-vertex loop refreshes exactly the same
+/// components: values and counters are byte-identical at every width. A
+/// round costs the walks it counts plus O(n). Single-vertex
+/// EstimateTotal keeps the lazy path: it refreshes v's stale components
+/// world by world, pushing the same deltas, and sums v's gains directly
+/// — the loop tests hold the totals against.
 ///
 /// The worlds come from one of two places: a fresh build samples and
 /// owns them (and frees each world's comp_of once it is transposed); a
@@ -239,7 +254,8 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
 /// deterministic and counter-free — the warm cache entries and CELF
 /// bound totals are pure functions of the worlds (order-independent
 /// integer sums) — so the same worlds + warmth yield byte-identical state
-/// no matter who owns the worlds or how they were chunked.
+/// no matter who owns the worlds or how they were chunked. Init sizes
+/// every array the backend uses; rounds and updates grow none of them.
 class CondensedBackend : public SnapshotEstimator::Backend {
  public:
   /// A null `arena` means a fresh build of `instance`.
@@ -301,31 +317,40 @@ class CondensedBackend : public SnapshotEstimator::Backend {
 
   std::uint64_t EstimateTotal(VertexId v) override {
     TileScratch& scratch = slots_[0];
-    scratch.totals.assign(1, 0);
-    SweepTile(0, snaps_.size(), std::span<const VertexId>(&v, 1), &scratch);
+    const std::uint32_t* comps = comp_of_by_vertex_.data() +
+                                 static_cast<std::uint64_t>(v) * snaps_.size();
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < snaps_.size(); ++i) {
+      const std::uint32_t c = comps[i];
+      std::uint32_t word = state_[state_offset_[i] + c];
+      if (word == kRemoved) continue;
+      if (word >= kStale) word = Refresh(i, c, &scratch, total_.data());
+      total += word;
+    }
     *counters_ += scratch.counters;
     scratch.counters.Reset();
-    return scratch.totals[0];
+    return total;
   }
 
   void EstimateTotals(std::span<const VertexId> candidates,
                       std::span<double> totals) override {
-    for (TileScratch& scratch : slots_) {
-      scratch.totals.assign(candidates.size(), 0);
-    }
+    for (VertexId v : candidates) is_candidate_[v] = 1;
     // The seed is unused: a tile draws no randomness.
     sweep_->Run(/*master_seed=*/0, snaps_.size(),
                 [&](const SamplingEngine::Chunk& tile, std::size_t slot) {
-                  SweepTile(tile.begin, tile.end, candidates, &slots_[slot]);
+                  RefreshTile(tile.begin, tile.end, &slots_[slot]);
                 });
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      std::uint64_t total = 0;
-      for (const TileScratch& scratch : slots_) total += scratch.totals[j];
-      totals[j] = static_cast<double>(total);
-    }
+    for (VertexId v : candidates) is_candidate_[v] = 0;
     for (TileScratch& scratch : slots_) {
       *counters_ += scratch.counters;
       scratch.counters.Reset();
+      for (std::size_t u = 0; u < total_.size(); ++u) {
+        total_[u] += scratch.deltas[u];
+        scratch.deltas[u] = 0;
+      }
+    }
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      totals[j] = static_cast<double>(total_[candidates[j]]);
     }
   }
 
@@ -336,9 +361,9 @@ class CondensedBackend : public SnapshotEstimator::Backend {
                                  static_cast<std::uint64_t>(v) * snaps_.size();
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
       const CondensedSnapshot& snap = snaps_[i];
-      CompState* state = state_.data() + state_offset_[i];
+      std::uint32_t* state = state_.data() + state_offset_[i];
       const std::uint32_t c = comps[i];
-      if (state[c].gen == kRemovedGen) continue;  // r_i gains nothing
+      if (state[c] == kRemoved) continue;  // r_i gains nothing
 
       // Forward walk over the live DAG: the components the new seed
       // removes from snapshot i.
@@ -353,28 +378,40 @@ class CondensedBackend : public SnapshotEstimator::Backend {
         auto successors = snap.dag.Successors(u);
         counters_->edges += successors.size();
         for (std::uint32_t w : successors) {
-          if (state[w].gen == kRemovedGen || visited.IsMarked(w)) continue;
+          if (state[w] == kRemoved || visited.IsMarked(w)) continue;
           visited.Mark(w);
           queue.push_back(w);
         }
       }
-      for (std::uint32_t u : queue) state[u].gen = kRemovedGen;
+      // A removed component's cached gain leaves its members' totals.
+      for (std::uint32_t u : queue) {
+        const std::uint32_t gain = state[u] & ~kStale;
+        state[u] = kRemoved;
+        if (gain == 0) continue;
+        for (VertexId member : Members(i, u)) total_[member] -= gain;
+      }
       live_[i] -= static_cast<std::uint32_t>(queue.size());
 
       // Cached gains are now stale exactly for the live ANCESTORS of the
       // newly removed components. For a big removal (the typical first
       // seed wipes the hub region, whose ancestors are most of the DAG)
-      // a generation bump invalidates everything in O(1) — cheaper than
-      // walking ancestors that cover the DAG anyway. For small removals
-      // a precise reverse walk preserves the untouched caches.
-      // Previously removed components cannot sit on a path INTO the
-      // newly removed set (their successors were removed with them), so
-      // the reverse walk skips them without losing an ancestor.
+      // one pass over the snapshot's components marks every live entry
+      // stale — cheaper than walking ancestors that cover the DAG anyway.
+      // The pass runs even when the snapshot is already flagged for a
+      // full scan: per-vertex Estimate calls may have refreshed entries
+      // since. For small removals a precise reverse walk preserves the
+      // untouched caches. Previously removed components cannot sit on a
+      // path INTO the newly removed set (their successors were removed
+      // with them), so the reverse walk skips them without losing an
+      // ancestor.
       if (queue.size() * 4 > live_[i]) {
-        ++generation_[i];
+        for (std::uint32_t& word :
+             std::span<std::uint32_t>(state, snap.num_components())) {
+          if (word != kRemoved) word |= kStale;
+        }
+        dirty_count_[i] = kFullScan;
         continue;
       }
-      const std::uint32_t stale = generation_[i] - 1;  // != generation
       rqueue_.assign(queue.begin(), queue.end());
       head = 0;
       while (head < rqueue_.size()) {
@@ -383,10 +420,17 @@ class CondensedBackend : public SnapshotEstimator::Backend {
         auto predecessors = snap.rev.Successors(u);
         counters_->edges += predecessors.size();
         for (std::uint32_t p : predecessors) {
-          if (state[p].gen == kRemovedGen || visited.IsMarked(p)) continue;
+          if (state[p] == kRemoved || visited.IsMarked(p)) continue;
           visited.Mark(p);
-          state[p].gen = stale;
           rqueue_.push_back(p);
+          if (state[p] >= kStale) continue;  // already queued or flagged
+          state[p] |= kStale;
+          std::uint32_t& count = dirty_count_[i];
+          if (count < kDirtySlots) {
+            dirty_[i * kDirtySlots + count++] = p;
+          } else {
+            count = kFullScan;
+          }
         }
       }
     }
@@ -396,16 +440,19 @@ class CondensedBackend : public SnapshotEstimator::Backend {
     return bound_total_[v];
   }
 
-  /// Bookkeeping bytes, every worker slot's sweep scratch, and the worlds
-  /// a fresh build owns (a borrowing build's worlds belong to the arena
-  /// and are not counted).
+  /// Bookkeeping bytes (state words, member references and lists, dirty
+  /// slots, running totals), every worker slot's sweep scratch, and the
+  /// worlds a fresh build owns. A borrowing build's worlds belong to the
+  /// arena and are not counted.
   std::uint64_t MemoryBytes() const override {
     std::uint64_t bytes =
         VecBytes(bound_total_) + VecBytes(rqueue_) + VecBytes(state_) +
-        VecBytes(state_offset_) + VecBytes(generation_) + VecBytes(live_) +
-        VecBytes(comp_of_by_vertex_);
+        VecBytes(state_offset_) + VecBytes(member_ref_) +
+        VecBytes(members_) + VecBytes(member_offset_) + VecBytes(dirty_) +
+        VecBytes(dirty_count_) + VecBytes(live_) + VecBytes(total_) +
+        VecBytes(is_candidate_) + VecBytes(comp_of_by_vertex_);
     for (const TileScratch& scratch : slots_) {
-      bytes += VecBytes(scratch.queue) + VecBytes(scratch.totals) +
+      bytes += VecBytes(scratch.queue) + VecBytes(scratch.deltas) +
                static_cast<std::uint64_t>(scratch.visited.size()) * 4;
     }
     for (const CondensedSnapshot& snap : owned_) bytes += snap.MemoryBytes();
@@ -417,34 +464,58 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   /// single-vertex estimates and Update). A slot runs one tile at a time,
   /// so nothing here needs a lock; each slot has cache lines of its own.
   struct alignas(64) TileScratch {
-    VisitedMarker visited{0};           // component ids, max-C sized
+    VisitedMarker visited{0};  // component ids, max-C sized
     std::vector<std::uint32_t> queue;
-    std::vector<std::uint64_t> totals;  // per candidate, this slot's tiles
+    /// Per vertex: this slot's refresh deltas of the current round
+    /// (wrapping sums), folded into total_ after the sweep.
+    std::vector<std::uint64_t> deltas;
     TraversalCounters counters;
   };
 
-  /// Sizes the packed state, pre-seeds the gain cache from warmth's
-  /// exact entries, accumulates the per-vertex CELF bound totals, and
-  /// transposes comp_of vertex-major (comp_of_by_vertex_[v·τ + i]) so
-  /// the Estimate/Update hot loops stream their per-vertex component ids
+  /// State word: the cached gain in the low 31 bits; kStale set when the
+  /// gain must be recomputed before use; kRemoved (all ones) when the
+  /// component is removed. Init checks n < 2^31 − 1, so no stale gain
+  /// spells kRemoved.
+  static constexpr std::uint32_t kStale = 1u << 31;
+  static constexpr std::uint32_t kRemoved = ~0u;
+  /// Dirty slots per snapshot; dirty_count_ == kFullScan flags a scan
+  /// of every component instead.
+  static constexpr std::uint32_t kDirtySlots = 32;
+  static constexpr std::uint32_t kFullScan = ~0u;
+
+  /// Sizes every array, pre-seeds the gain cache and the running totals
+  /// from warmth's exact entries, accumulates the per-vertex CELF bound
+  /// totals, lists each snapshot's component members, and transposes
+  /// comp_of vertex-major (comp_of_by_vertex_[v·τ + i]) so the
+  /// Estimate/Update hot loops stream their per-vertex component ids
   /// sequentially instead of taking one cache miss per snapshot. A
   /// fresh build frees each world's comp_of afterwards; an arena keeps
   /// them for point queries.
   void Init(std::span<const CondensedSnapshot> snaps, VertexId n,
             std::span<const SnapshotWarmth> warmth) {
     SOLDIST_CHECK(warmth.size() == snaps.size());
+    SOLDIST_CHECK(n < (kRemoved & ~kStale)) << "too many vertices: " << n;
     snaps_ = snaps;
     std::uint32_t max_components = 0;
     state_offset_.resize(snaps_.size() + 1);
+    member_offset_.resize(snaps_.size() + 1);
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
       const std::uint32_t c = snaps_[i].num_components();
       state_offset_[i + 1] = state_offset_[i] + c;
+      std::uint64_t grouped = 0;  // members of non-singleton components
+      for (std::uint32_t size : snaps_[i].comp_size) {
+        if (size > 1) grouped += size;
+      }
+      member_offset_[i + 1] = member_offset_[i] + grouped;
       max_components = std::max(max_components, c);
     }
-    // gen 0 != generation 1: everything starts stale (then the warmth
-    // pass below pre-seeds the saturated components).
-    state_.assign(state_offset_.back(), CompState{0, 0});
-    generation_.assign(snaps_.size(), 1);
+    state_.resize(state_offset_.back());
+    member_ref_.resize(state_offset_.back());
+    members_.resize(member_offset_.back());
+    // No snapshot has been scored yet: each starts flagged for a full
+    // scan.
+    dirty_.resize(snaps_.size() * kDirtySlots);
+    dirty_count_.assign(snaps_.size(), kFullScan);
     live_.resize(snaps_.size());
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
       live_[i] = snaps_[i].num_components();
@@ -459,66 +530,102 @@ class CondensedBackend : public SnapshotEstimator::Backend {
     for (TileScratch& scratch : slots_) {
       scratch.visited.Resize(max_components);
       scratch.queue.reserve(max_components);
+      scratch.deltas.assign(n, 0);
     }
     rqueue_.reserve(max_components);
     const std::uint64_t stride = snaps_.size();  // vertex-major rows
     comp_of_by_vertex_.resize(static_cast<std::uint64_t>(n) * stride);
     bound_total_.assign(n, 0);
+    total_.assign(n, 0);
+    is_candidate_.assign(n, 0);
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
       const CondensedSnapshot& snap = snaps_[i];
       const SnapshotWarmth& w = warmth[i];
-      CompState* state = state_.data() + state_offset_[i];
-      const std::uint32_t num_components = snap.num_components();
-      for (std::uint32_t c = 0; c < num_components; ++c) {
-        if (w.is_exact[c]) {
-          // Exact warmth IS the reachable count: pre-seed the gain
-          // cache so the first greedy iteration is a lookup for the
-          // long small-reach tail.
-          state[c].value = w.bound[c];
-          state[c].gen = 1;  // == the initial generation: warm
+      std::uint32_t* state = state_.data() + state_offset_[i];
+      std::uint32_t* member_ref = member_ref_.data() + state_offset_[i];
+      VertexId* members = members_.data() + member_offset_[i];
+      std::uint32_t grouped = 0;
+      for (std::uint32_t c = 0; c < snap.num_components(); ++c) {
+        // Exact warmth IS the reachable count: pre-seed the gain cache
+        // so the first greedy iteration is a lookup for the long
+        // small-reach tail. Every other gain starts stale at 0.
+        state[c] = w.is_exact[c] ? w.bound[c] : kStale;
+        if (snap.comp_size[c] > 1) {
+          // The group's end; the member pass counts it down to its start.
+          grouped += snap.comp_size[c];
+          member_ref[c] = grouped;
         }
       }
       const std::uint32_t* comp_of = snap.comp_of.data();
       std::uint32_t* transposed = comp_of_by_vertex_.data() + i;
       for (VertexId v = 0; v < n; ++v) {
-        bound_total_[v] += w.bound[comp_of[v]];
-        transposed[static_cast<std::uint64_t>(v) * stride] = comp_of[v];
+        const std::uint32_t c = comp_of[v];
+        bound_total_[v] += w.bound[c];
+        total_[v] += state[c] & ~kStale;
+        transposed[static_cast<std::uint64_t>(v) * stride] = c;
+        if (snap.comp_size[c] == 1) {
+          member_ref[c] = v;
+        } else {
+          members[--member_ref[c]] = v;
+        }
       }
     }
   }
 
-  /// Packed per-(snapshot, component) state: one 8-byte record, one
-  /// cache line per lookup. gen == kRemovedGen marks the component
-  /// removed; otherwise value is valid iff gen == generation_[snapshot].
-  struct CompState {
-    std::uint32_t value;
-    std::uint32_t gen;
-  };
-  static constexpr std::uint32_t kRemovedGen = ~0u;
+  /// The vertices of component c in snapshot i.
+  std::span<const VertexId> Members(std::size_t i, std::uint32_t c) const {
+    const std::uint32_t* ref = member_ref_.data() + state_offset_[i] + c;
+    const std::uint32_t size = snaps_[i].comp_size[c];
+    if (size == 1) return {ref, 1};
+    return {members_.data() + member_offset_[i] + *ref, size};
+  }
 
-  /// The tile kernel: adds each candidate's gain summed over worlds
-  /// [begin, end) to scratch->totals[j], refreshing stale cache entries
-  /// of those worlds only. Candidates go through the worlds in order, so
-  /// every world sees its queries in candidate order.
-  void SweepTile(std::size_t begin, std::size_t end,
-                 std::span<const VertexId> candidates, TileScratch* scratch) {
-    const std::uint64_t stride = snaps_.size();
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      const std::uint32_t* comps =
-          comp_of_by_vertex_.data() +
-          static_cast<std::uint64_t>(candidates[j]) * stride;
-      std::uint64_t total = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t c = comps[i];
-        CompState& cs = state_[state_offset_[i] + c];
-        if (cs.gen == kRemovedGen) continue;
-        if (cs.gen != generation_[i]) {
-          cs.value = ResidualDagReach(i, c, scratch);
-          cs.gen = generation_[i];
+  /// Recomputes the stale gain of live component c in snapshot i, adds
+  /// (new − old) to each member's entry of `totals` (wrapping: a gain
+  /// that shrank subtracts), and returns the new gain.
+  std::uint32_t Refresh(std::size_t i, std::uint32_t c, TileScratch* scratch,
+                        std::uint64_t* totals) {
+    std::uint32_t& word = state_[state_offset_[i] + c];
+    const std::uint32_t old_gain = word & ~kStale;
+    const std::uint32_t gain = ResidualDagReach(i, c, scratch);
+    word = gain;
+    const std::uint64_t delta = static_cast<std::uint64_t>(gain) - old_gain;
+    if (delta != 0) {
+      for (VertexId member : Members(i, c)) totals[member] += delta;
+    }
+    return gain;
+  }
+
+  /// The tile kernel of a greedy round: in each snapshot of [begin, end),
+  /// refreshes the stale live components that hold a candidate (pushing
+  /// their deltas into scratch->deltas) and keeps the others in the
+  /// snapshot's dirty slots — or its full-scan flag, once they overflow —
+  /// for a later round.
+  void RefreshTile(std::size_t begin, std::size_t end, TileScratch* scratch) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t* state = state_.data() + state_offset_[i];
+      std::uint32_t* dirty = dirty_.data() + i * kDirtySlots;
+      std::uint32_t kept = 0;
+      const auto visit = [&](std::uint32_t c) {
+        if (state[c] < kStale || state[c] == kRemoved) return;
+        const std::span<const VertexId> members = Members(i, c);
+        if (std::any_of(members.begin(), members.end(),
+                        [&](VertexId u) { return is_candidate_[u] != 0; })) {
+          Refresh(i, c, scratch, scratch->deltas.data());
+          return;
         }
-        total += cs.value;
+        // Compacts in place: kept never passes the slot being read.
+        if (kept < kDirtySlots) dirty[kept] = c;
+        ++kept;
+      };
+      if (dirty_count_[i] == kFullScan) {
+        for (std::uint32_t c = 0; c < snaps_[i].num_components(); ++c) {
+          visit(c);
+        }
+      } else {
+        for (std::uint32_t k = 0; k < dirty_count_[i]; ++k) visit(dirty[k]);
       }
-      scratch->totals[j] += total;
+      dirty_count_[i] = kept <= kDirtySlots ? kept : kFullScan;
     }
   }
 
@@ -529,7 +636,7 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   std::uint32_t ResidualDagReach(std::size_t i, std::uint32_t c,
                                  TileScratch* scratch) {
     const CondensedSnapshot& snap = snaps_[i];
-    const CompState* state = state_.data() + state_offset_[i];
+    const std::uint32_t* state = state_.data() + state_offset_[i];
     VisitedMarker& visited = scratch->visited;
     std::vector<std::uint32_t>& queue = scratch->queue;
     visited.NextEpoch();
@@ -545,7 +652,7 @@ class CondensedBackend : public SnapshotEstimator::Backend {
       auto successors = snap.dag.Successors(u);
       scratch->counters.edges += successors.size();
       for (std::uint32_t w : successors) {
-        if (state[w].gen == kRemovedGen || visited.IsMarked(w)) continue;
+        if (state[w] == kRemoved || visited.IsMarked(w)) continue;
         visited.Mark(w);
         queue.push_back(w);
       }
@@ -564,10 +671,18 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   std::span<const CondensedSnapshot> snaps_;  // owned_ or the arena prefix
   /// comp_of_by_vertex_[v·τ + i] = component of v in snapshot i.
   std::vector<std::uint32_t> comp_of_by_vertex_;
-  std::vector<CompState> state_;            // flat, all snapshots
-  std::vector<std::uint64_t> state_offset_; // per snapshot, into state_
-  std::vector<std::uint32_t> generation_;   // per snapshot
+  std::vector<std::uint32_t> state_;         // state words, all snapshots
+  std::vector<std::uint64_t> state_offset_;  // per snapshot, into state_
+  /// Per (snapshot, component), at state_ positions: the vertex of a
+  /// singleton, else the offset of its group in the snapshot's members.
+  std::vector<std::uint32_t> member_ref_;
+  std::vector<VertexId> members_;  // non-singleton members, all snapshots
+  std::vector<std::uint64_t> member_offset_;  // per snapshot, into members_
+  std::vector<std::uint32_t> dirty_;        // kDirtySlots per snapshot
+  std::vector<std::uint32_t> dirty_count_;  // per snapshot, or kFullScan
   std::vector<std::uint32_t> live_;         // live components per snapshot
+  std::vector<std::uint64_t> total_;  // per vertex, Σ_i cached gain
+  std::vector<std::uint8_t> is_candidate_;  // per vertex, during a round
   std::vector<std::uint64_t> bound_total_;  // per vertex, Σ_i bound_i
   std::unique_ptr<SamplingEngine> sweep_;   // tiles of a greedy round
   std::vector<TileScratch> slots_;          // one per sweep worker slot

@@ -17,20 +17,28 @@
 //                 reachability exactly), and greedy rounds run
 //                 component-granular on the residual DAG with
 //                 incrementally maintained marginal gains: Update marks
-//                 the seed's reachable components removed and invalidates
-//                 cached gains only for their live DAG ancestors, so
-//                 Estimate is a cache hit for every candidate whose reach
-//                 set the last Update did not touch. Bottom-k sketches
-//                 over each DAG (graph/reach_sketch.h) order CELF's first
-//                 iteration through InitialBound — sound upper bounds
-//                 (exact where the sketch saturates below k), so
-//                 selection is unchanged while the lazy queue touches the
-//                 fewest candidates. A greedy round (EstimateAll) cuts
-//                 the τ worlds into fixed tiles and scores every
-//                 candidate tile by tile on the sampling pool, each
-//                 tile owning its worlds' cache entries, so seeds,
-//                 estimates and counters are byte-identical at every
-//                 width.
+//                 the seed's reachable components removed and marks
+//                 stale only the cached gains of their live DAG
+//                 ancestors (every live gain of the snapshot, in one
+//                 O(C) pass, when the removal is large), so Estimate is
+//                 a cache hit for every candidate whose reach set the
+//                 last Update did not touch. Each gain is a 4-byte word
+//                 per (snapshot, component), and each vertex keeps a
+//                 running total of its components' cached gains over
+//                 all snapshots, moved only where a gain changes.
+//                 Bottom-k sketches over each DAG (graph/reach_sketch.h)
+//                 order CELF's first iteration through InitialBound —
+//                 sound upper bounds (exact where the sketch saturates
+//                 below k), so selection is unchanged while the lazy
+//                 queue touches the fewest candidates. A greedy round
+//                 (EstimateAll) cuts the τ worlds into fixed tiles and,
+//                 tile by tile on the sampling pool, refreshes only the
+//                 stale gains that belong to a candidate (each snapshot
+//                 lists its stale components in a few dirty slots, or
+//                 is flagged for a full scan), then reads every score
+//                 from the running totals: it costs the walks it
+//                 counts plus O(n), and seeds, estimates and counters
+//                 are byte-identical at every width.
 //
 // Because all three backends consume the SAME engine-chunked sampler
 // streams, the choice of backend — like the worker count — can never
@@ -94,11 +102,13 @@ class SnapshotEstimator : public InfluenceEstimator {
   /// Estimated marginal gain: (1/τ) Σ_i [r_i(S+v) − r_i(S)].
   double Estimate(VertexId v) override;
 
-  /// kCondensed: one world-tiled sweep over every candidate, run as
-  /// SamplingEngine chunks on this estimator's SamplingOptions (the
-  /// build's pool; inline without a pool, on a pool worker, or for a
-  /// borrowing build). Values and counters equal the per-vertex loop's
-  /// at every width. kNaive/kResidual: the per-vertex loop itself.
+  /// kCondensed: one world-tiled sweep that refreshes the stale gains
+  /// held by a candidate, run as SamplingEngine chunks on this
+  /// estimator's SamplingOptions (the build's pool; inline without a
+  /// pool, on a pool worker, or for a borrowing build), then one read of
+  /// each candidate's running total. Values and counters equal the
+  /// per-vertex loop's at every width. kNaive/kResidual: the per-vertex
+  /// loop itself.
   void EstimateAll(std::span<const VertexId> candidates,
                    std::span<double> out) override;
 
@@ -121,10 +131,12 @@ class SnapshotEstimator : public InfluenceEstimator {
 
   Mode mode() const { return mode_; }
 
-  /// Heap bytes of estimator-owned state after Build: sample storage plus
-  /// per-mode residual bookkeeping and scratch, including the condensed
-  /// sweep's per-worker-slot scratch (a borrowing build owns no worlds). The condensed backend's memory win (no raw CSR,
-  /// component-granular state) is measured here by ablation_memory.
+  /// Heap bytes of estimator-owned state after Build: sample storage
+  /// plus per-mode residual bookkeeping and scratch. For kCondensed that
+  /// includes the state words, member references, dirty slots, running
+  /// totals and each sweep worker slot's scratch; a borrowing build owns
+  /// no worlds. ablation_memory measures the condensed backend's memory
+  /// win (no raw CSR, component-granular state) here.
   std::uint64_t MemoryBytes() const;
 
   /// Per-mode reachability backend (an implementation detail defined in

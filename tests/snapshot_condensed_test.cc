@@ -2,8 +2,9 @@
 // reachability EXACTLY, and the backends share sampler streams, so
 // Mode::kCondensed must be a pure speed change — byte-identical seed
 // sets and estimates to kNaive/kResidual under every driver and every
-// sampling width. Its world-tiled greedy rounds (EstimateAll) must equal
-// the per-vertex Estimate loop in value and in counters.
+// sampling width. Its world-tiled greedy rounds (EstimateAll), over all
+// candidates or a subset, must equal the per-vertex Estimate loop in
+// value and in counters, however the two paths interleave.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "core/snapshot.h"
 #include "gen/datasets.h"
 #include "graph/builder.h"
+#include "model/lt.h"
 #include "model/probability.h"
 #include "sim/condensed_snapshot.h"
 #include "sim/snapshot_arena.h"
@@ -38,6 +40,15 @@ EdgeList BidirectedStar(VertexId leaves) {
     edges.Add(0, leaf);
     edges.Add(leaf, 0);
   }
+  return edges;
+}
+
+/// A 1+n-vertex star whose leaves all point at the hub: removing the hub
+/// is a small removal with up to n live ancestors.
+EdgeList InStar(VertexId leaves) {
+  EdgeList edges;
+  edges.num_vertices = leaves + 1;
+  for (VertexId leaf = 1; leaf <= leaves; ++leaf) edges.Add(leaf, 0);
   return edges;
 }
 
@@ -253,6 +264,109 @@ TEST(CondensedBackendTest, EstimateAllEqualsPerVertexEstimate) {
     ExpectEstimateAllMatchesPerVertex(&batched, &single, ig.num_vertices(),
                                       6, 64);
   }
+}
+
+/// Greedy rounds that mix both scoring paths on `mixed`: each round runs
+/// EstimateAll over every other unselected vertex plus one duplicate,
+/// per-vertex Estimate on a few vertices, then EstimateAll over every
+/// unselected vertex. `single` answers the same calls one Estimate at a
+/// time. Values and counters() must agree after every call; then both
+/// commit the same winner. The subset rounds leave stale components that
+/// hold no candidate, and `single` never clears a full-scan flag, so
+/// both the dirty slots and the flagged worlds are exercised.
+void ExpectMixedRoundsMatchPerVertex(InfluenceEstimator* mixed,
+                                     InfluenceEstimator* single, VertexId n,
+                                     int rounds, const std::string& fixture) {
+  std::vector<VertexId> unselected(n);
+  std::iota(unselected.begin(), unselected.end(), VertexId{0});
+  ExpectCountersEq(mixed->counters(), single->counters(),
+                   fixture + " after Build");
+  const auto estimate_all = [&](const std::vector<VertexId>& candidates,
+                                const std::string& label) {
+    std::vector<double> out(candidates.size());
+    mixed->EstimateAll(candidates, out);
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      EXPECT_EQ(out[j], single->Estimate(candidates[j]))
+          << label << " vertex " << candidates[j];
+    }
+    ExpectCountersEq(mixed->counters(), single->counters(), label);
+    return out;
+  };
+  for (int round = 0; round < rounds; ++round) {
+    const std::string label = fixture + " round " + std::to_string(round);
+    std::vector<VertexId> subset;
+    for (std::size_t j = 0; j < unselected.size(); j += 2) {
+      subset.push_back(unselected[j]);
+    }
+    subset.push_back(subset.front());
+    estimate_all(subset, label + " subset");
+    for (std::size_t j = 1; j < unselected.size() && j <= 7; j += 3) {
+      const VertexId v = unselected[j];
+      EXPECT_EQ(mixed->Estimate(v), single->Estimate(v))
+          << label << " single vertex " << v;
+      ExpectCountersEq(mixed->counters(), single->counters(),
+                       label + " single vertex " + std::to_string(v));
+    }
+    const std::vector<double> all = estimate_all(unselected, label + " all");
+    const auto best = static_cast<std::ptrdiff_t>(
+        std::max_element(all.begin(), all.end()) - all.begin());
+    mixed->Update(unselected[best]);
+    single->Update(unselected[best]);
+    ExpectCountersEq(mixed->counters(), single->counters(),
+                     label + " update");
+    unselected.erase(unselected.begin() + best);
+  }
+}
+
+/// Fresh twins at widths 1 and 4, then twins borrowing a τ-prefix of one
+/// arena.
+void CheckMixedRounds(const ModelInstance& instance, std::uint64_t tau,
+                      std::uint64_t seed, int rounds,
+                      const std::string& fixture) {
+  const VertexId n = instance.ig->num_vertices();
+  for (int width : {1, 4}) {
+    SamplingOptions sampling;
+    sampling.num_threads = width;
+    SnapshotEstimator mixed(instance, tau, seed,
+                            SnapshotEstimator::Mode::kCondensed, sampling);
+    SnapshotEstimator single(instance, tau, seed,
+                             SnapshotEstimator::Mode::kCondensed, sampling);
+    mixed.Build();
+    single.Build();
+    ExpectMixedRoundsMatchPerVertex(
+        &mixed, &single, n, rounds,
+        fixture + " width " + std::to_string(width));
+  }
+  SamplingOptions sampling;
+  sampling.num_threads = 4;
+  SnapshotArena arena =
+      SnapshotArena::SampleFor(instance, seed, tau + 16, sampling);
+  SnapshotEstimator mixed(&arena, tau);
+  SnapshotEstimator single(&arena, tau);
+  mixed.Build();
+  single.Build();
+  ExpectMixedRoundsMatchPerVertex(&mixed, &single, n, rounds,
+                                  fixture + " arena");
+}
+
+TEST(CondensedBackendTest, MixedRoundPathsMatchPerVertex) {
+  // Karate uc0.1: small removals, so Update walks ancestors precisely.
+  InfluenceGraph karate = Make(Datasets::Karate(), ProbabilityModel::kUc01);
+  CheckMixedRounds(ModelInstance::Ic(&karate), 100, 71, 6, "karate uc0.1");
+  // Dense live star: one giant SCC per world, so the first Update takes
+  // the whole-snapshot invalidation branch.
+  Graph g = GraphBuilder::FromEdgeList(BidirectedStar(512));
+  InfluenceGraph star(std::move(g), std::vector<double>(512 * 2, 0.9));
+  CheckMixedRounds(ModelInstance::Ic(&star), 32, 72, 3, "star p=0.9");
+  // Leaves into a hub at p=0.5: the first seed removes the hub, and the
+  // precise reverse walk marks more stale ancestors than a world has
+  // dirty slots.
+  InfluenceGraph in_star(GraphBuilder::FromEdgeList(InStar(96)),
+                         std::vector<double>(96, 0.5));
+  CheckMixedRounds(ModelInstance::Ic(&in_star), 32, 74, 3, "in-star p=0.5");
+  InfluenceGraph karate_iwc = Make(Datasets::Karate(), ProbabilityModel::kIwc);
+  LtWeights weights(&karate_iwc);
+  CheckMixedRounds(ModelInstance::Lt(&weights), 64, 73, 6, "karate lt");
 }
 
 TEST(CondensedBackendTest, InitialBoundsAreSound) {
