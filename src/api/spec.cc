@@ -84,6 +84,11 @@ Status SolveSpec::Validate() const {
     return Status::InvalidArgument(
         "SolveSpec: sampling.chunk_size must be >= 1");
   }
+  if (sampling.cancel != nullptr) {
+    return Status::InvalidArgument(
+        "SolveSpec: sampling.cancel must be null (a solve always runs to "
+        "completion; deadlines belong to serve::QueryService)");
+  }
   return Status::OK();
 }
 

@@ -98,7 +98,9 @@ struct SolveSpec {
   /// shared pool (num_threads == 0) or a cached dedicated pool
   /// (num_threads >= 2). A condensed Snapshot run also scores its greedy
   /// rounds on that pool (world tiles; core/snapshot.h) — like sampling,
-  /// with byte-identical results at every width.
+  /// with byte-identical results at every width. Leave cancel null too:
+  /// Validate rejects a cancel token, since a Solve or SolveBatch run is
+  /// never cancelled (deadlines belong to serve::QueryService).
   SamplingOptions sampling;
   /// Evaluate the chosen seeds on the session's shared RR oracle
   /// (SolveResult::influence). Off: skip the oracle entirely — no oracle
@@ -132,8 +134,9 @@ struct SolveSpec {
     snapshot_mode = mode;
     return *this;
   }
-  /// Field-level validation (sample_number/k/sampling ranges). k against
-  /// the network size is checked by Session once the workload is resolved.
+  /// Field-level validation (sample_number/k/sampling ranges, no cancel
+  /// token). k against the network size is checked by Session once the
+  /// workload is resolved.
   Status Validate() const;
 };
 

@@ -12,6 +12,8 @@ RisEstimator::RisEstimator(const ModelInstance& instance, std::uint64_t theta,
       theta_(theta) {
   SOLDIST_CHECK(instance_.ig != nullptr);
   SOLDIST_CHECK(theta_ >= 1);
+  SOLDIST_CHECK(sampling_.cancel == nullptr)
+      << "a fresh estimator build never stops";
 }
 
 RisEstimator::RisEstimator(const RrArena* arena, std::uint64_t theta)

@@ -32,7 +32,8 @@ class RisEstimator : public InfluenceEstimator {
  public:
   /// Fresh build: Build samples θ RR sets of `instance`'s model (two
   /// PRNG streams per chunk: targets and edge coins, as in paper Section
-  /// 4.1) into a private arena. \param theta must be >= 1.
+  /// 4.1) into a private arena. \param theta must be >= 1. A build
+  /// always runs to completion: sampling.cancel must be null.
   RisEstimator(const ModelInstance& instance, std::uint64_t theta,
                std::uint64_t seed, const SamplingOptions& sampling = {});
 

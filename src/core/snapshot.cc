@@ -6,8 +6,6 @@
 #include <numeric>
 
 #include "graph/traversal.h"
-#include "random/splitmix64.h"
-#include "sim/condensed_snapshot.h"
 #include "sim/lt_samplers.h"
 #include "sim/snapshot_arena.h"
 
@@ -247,69 +245,42 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
 /// world by world, pushing the same deltas, and sums v's gains directly
 /// — the loop tests hold the totals against.
 ///
-/// The worlds come from one of two places: a fresh build samples and
-/// owns them (and frees each world's comp_of once it is transposed); a
-/// borrowing build serves the first τ worlds of a SnapshotArena with the
-/// arena's precomputed warmth (sim/snapshot_arena.h). Init is
-/// deterministic and counter-free — the warm cache entries and CELF
-/// bound totals are pure functions of the worlds (order-independent
-/// integer sums) — so the same worlds + warmth yield byte-identical state
-/// no matter who owns the worlds or how they were chunked. Init sizes
-/// every array the backend uses; rounds and updates grow none of them.
+/// The worlds always come from a SnapshotArena (sim/snapshot_arena.h):
+/// Build serves its first τ worlds with their precomputed warmth. A
+/// borrowing build leaves them in the shared arena; a fresh build
+/// samples a private arena of exactly τ worlds, then KeepWorlds takes
+/// the worlds out of it and frees each world's comp_of, which Init has
+/// transposed. Init is deterministic and counter-free — the warm cache
+/// entries and CELF bound totals are pure functions of the worlds
+/// (order-independent integer sums) — so the same worlds + warmth yield
+/// byte-identical state whatever the arena's capacity or chunking. Init
+/// sizes every array the backend uses; rounds and updates grow none of
+/// them.
 class CondensedBackend : public SnapshotEstimator::Backend {
  public:
-  /// A null `arena` means a fresh build of `instance`.
-  CondensedBackend(const ModelInstance& instance, const SnapshotArena* arena,
-                   std::uint64_t tau, std::uint64_t seed,
+  /// `arena` must hold at least τ worlds and outlive Build — and the
+  /// backend, unless KeepWorlds takes its worlds.
+  CondensedBackend(const SnapshotArena* arena, std::uint64_t tau,
                    const SamplingOptions& sampling,
                    TraversalCounters* counters)
-      : instance_(instance),
-        arena_(arena),
-        tau_(tau),
-        seed_(seed),
-        sampling_(sampling),
-        counters_(counters) {}
+      : arena_(arena), tau_(tau), sampling_(sampling), counters_(counters) {}
 
   void Build() override {
-    if (arena_ != nullptr) {
-      // The sampling cost of exactly the first τ worlds — identical to
-      // what a fresh build at τ would have accumulated.
-      *counters_ = arena_->PrefixCounters(tau_);
-      Init(arena_->Worlds(tau_), arena_->num_vertices(),
-           arena_->Warmths(tau_));
-      return;
-    }
-    // Sampling, warmth and every greedy round share one pool: the
-    // caller's, or for a width without one a private pool that lives as
-    // long as the backend.
-    SOLDIST_CHECK(sampling_.num_threads >= 0);
-    if (sampling_.pool == nullptr && sampling_.num_threads != 1) {
-      owned_pool_ = std::make_unique<ThreadPool>(
-          static_cast<std::size_t>(sampling_.num_threads));
-      sampling_.pool = owned_pool_.get();
-    }
-    owned_.reserve(tau_);
-    // Same chunk streams as kNaive/kResidual, condensed sample by sample
-    // so the raw CSR never accumulates.
-    SamplingEngine engine(sampling_);
-    std::vector<CondensedSnapshotShard> shards =
-        SampleCondensedSnapshotShards(instance_, seed_, tau_, &engine);
-    for (CondensedSnapshotShard& shard : shards) {
-      *counters_ += shard.counters;
-      for (CondensedSnapshot& snap : shard.snapshots) {
-        owned_.push_back(std::move(snap));
-      }
-    }
-    // Warmth (sketch exact counts + CELF bounds) is a pure function of
-    // each snapshot — the permutation stream below only orders the
-    // sketch internals, never the results — so this matches a
-    // SnapshotArena's precomputed warmth byte for byte.
-    const VertexId n = instance_.ig->num_vertices();
-    const std::vector<SnapshotWarmth> warmth = ComputeSnapshotWarmth(
-        owned_, n, DeriveSeed(seed_, tau_ + 1), sampling_);
-    Init(owned_, n, warmth);
-    // comp_of now lives transposed in comp_of_by_vertex_; free the
-    // per-snapshot copies (a transpose, not a second copy).
+    // The sampling cost of exactly the first τ worlds — identical to
+    // what a τ-sized arena accumulated.
+    *counters_ = arena_->PrefixCounters(tau_);
+    Init(arena_->Worlds(tau_), arena_->num_vertices(), arena_->Warmths(tau_));
+  }
+
+  /// Adopts `worlds`, the τ worlds Build read, moved out of the private
+  /// arena (a moved vector keeps its buffer, so snaps_ still views
+  /// them), and frees their comp_of: it lives on transposed in
+  /// comp_of_by_vertex_ (a transpose, not a second copy).
+  void KeepWorlds(std::vector<CondensedSnapshot> worlds) {
+    SOLDIST_CHECK(worlds.data() == snaps_.data() &&
+                  worlds.size() == snaps_.size());
+    owned_ = std::move(worlds);
+    arena_ = nullptr;
     for (CondensedSnapshot& snap : owned_) {
       std::vector<std::uint32_t>().swap(snap.comp_of);
     }
@@ -489,8 +460,8 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   /// comp_of vertex-major (comp_of_by_vertex_[v·τ + i]) so the
   /// Estimate/Update hot loops stream their per-vertex component ids
   /// sequentially instead of taking one cache miss per snapshot. A
-  /// fresh build frees each world's comp_of afterwards; an arena keeps
-  /// them for point queries.
+  /// fresh build frees each world's comp_of afterwards (KeepWorlds); a
+  /// shared arena keeps them for point queries.
   void Init(std::span<const CondensedSnapshot> snaps, VertexId n,
             std::span<const SnapshotWarmth> warmth) {
     SOLDIST_CHECK(warmth.size() == snaps.size());
@@ -521,8 +492,7 @@ class CondensedBackend : public SnapshotEstimator::Backend {
       live_[i] = snaps_[i].num_components();
     }
     // The round sweep's engine, on the same pool as the build (a
-    // borrowing build has none and sweeps inline). Rounds are never
-    // cancelled, so it keeps no pointer to the build's cancel token.
+    // borrowing build has none and sweeps inline).
     sweep_ = std::make_unique<SamplingEngine>(WorldTiles(sampling_));
     // Component-granular scratch: sized to the largest DAG, not to n
     // (the scratch-per-mode contract MemoryBytes reports on).
@@ -660,12 +630,9 @@ class CondensedBackend : public SnapshotEstimator::Backend {
     return static_cast<std::uint32_t>(total);
   }
 
-  ModelInstance instance_;  // fresh build only
-  const SnapshotArena* arena_;  // borrowing build only
+  const SnapshotArena* arena_;  // null once KeepWorlds took the worlds
   std::uint64_t tau_;
-  std::uint64_t seed_;
   SamplingOptions sampling_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // a width without a pool
   TraversalCounters* counters_;
   std::vector<CondensedSnapshot> owned_;  // a fresh build's worlds
   std::span<const CondensedSnapshot> snaps_;  // owned_ or the arena prefix
@@ -702,6 +669,8 @@ SnapshotEstimator::SnapshotEstimator(const ModelInstance& instance,
       sampling_(sampling) {
   SOLDIST_CHECK(instance_.ig != nullptr);
   SOLDIST_CHECK(tau_ >= 1);
+  SOLDIST_CHECK(sampling_.cancel == nullptr)
+      << "a fresh estimator build never stops";
 }
 
 SnapshotEstimator::SnapshotEstimator(const SnapshotArena* arena,
@@ -722,14 +691,34 @@ void SnapshotEstimator::Build() {
   // Scratch and residual state are owned (and sized) by the mode's
   // backend: the condensed backend keeps component-granular state only
   // and never allocates the O(n)-per-snapshot arrays of the full modes.
-  if (mode_ == Mode::kCondensed) {
-    backend_ = std::make_unique<CondensedBackend>(
-        instance_, arena_, tau_, seed_, sampling_, &counters_);
-  } else {
+  if (mode_ != Mode::kCondensed) {
     backend_ = std::make_unique<FullSnapshotBackend>(
         instance_, tau_, seed_, mode_, sampling_, &counters_);
+    backend_->Build();
+    return;
   }
-  backend_->Build();
+  if (arena_ != nullptr) {
+    backend_ =
+        std::make_unique<CondensedBackend>(arena_, tau_, sampling_, &counters_);
+    backend_->Build();
+    return;
+  }
+  // Sampling, warmth and every greedy round share one pool: the
+  // caller's, or for a width without one a private pool that lives as
+  // long as the estimator.
+  SOLDIST_CHECK(sampling_.num_threads >= 0);
+  if (sampling_.pool == nullptr && sampling_.num_threads != 1) {
+    owned_pool_ = std::make_unique<ThreadPool>(
+        static_cast<std::size_t>(sampling_.num_threads));
+    sampling_.pool = owned_pool_.get();
+  }
+  SnapshotArena arena =
+      SnapshotArena::SampleFor(instance_, seed_, tau_, sampling_);
+  auto backend =
+      std::make_unique<CondensedBackend>(&arena, tau_, sampling_, &counters_);
+  backend->Build();
+  backend->KeepWorlds(std::move(arena).TakeWorlds());
+  backend_ = std::move(backend);
 }
 
 double SnapshotEstimator::Estimate(VertexId v) {

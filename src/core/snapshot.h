@@ -47,13 +47,15 @@
 // byte-identical RunGreedy and RunCelfGreedy outputs across backends and
 // thread counts.
 //
-// A condensed estimator can also borrow its worlds: constructed over a
-// SnapshotArena (sim/snapshot_arena.h) it serves the arena's first τ
-// condensed worlds and precomputed warmth instead of sampling, with the
-// same Estimate/Update/InitialBound sequence and counters as a fresh
-// condensed build at τ with the arena's seed (ctest snapshot_arena_test).
-// Fresh condensed builds keep sampling their own worlds: a private arena
-// would keep every world's comp_of alive next to the transposed copy.
+// Condensed worlds always come from a SnapshotArena (sim/snapshot_arena.h),
+// the one sampler of condensed worlds and their warmth. A fresh condensed
+// build samples a private arena of exactly τ worlds, builds its state from
+// it, then keeps only the worlds — each world's comp_of freed once
+// transposed, the arena's warmth and counter table freed with the arena.
+// A borrowing estimator serves the first τ worlds of a shared arena
+// instead, with the same Estimate/Update/InitialBound sequence and
+// counters as a fresh condensed build at τ with the arena's seed (ctest
+// snapshot_arena_test).
 
 #ifndef SOLDIST_CORE_SNAPSHOT_H_
 #define SOLDIST_CORE_SNAPSHOT_H_
@@ -80,7 +82,8 @@ class SnapshotEstimator : public InfluenceEstimator {
   /// (LT requires lt_weights). \param tau number of snapshots (>= 1)
   /// In kCondensed mode `sampling` also drives the greedy rounds: its
   /// pool (or, without one, a private pool of its width kept for the
-  /// estimator's lifetime) runs every EstimateAll sweep.
+  /// estimator's lifetime) runs every EstimateAll sweep. A build always
+  /// runs to completion: sampling.cancel must be null.
   SnapshotEstimator(const ModelInstance& instance, std::uint64_t tau,
                     std::uint64_t seed, Mode mode = Mode::kResidual,
                     const SamplingOptions& sampling = {});
@@ -95,8 +98,9 @@ class SnapshotEstimator : public InfluenceEstimator {
 
   /// Samples the τ snapshots through SamplingEngine's deterministic
   /// chunked streams (byte-identical at any worker count). In kCondensed
-  /// mode each snapshot is condensed as it is sampled and the raw
-  /// live-edge CSR is discarded immediately.
+  /// mode a fresh build samples them as SnapshotArena::SampleFor(instance,
+  /// seed, τ, sampling), which condenses each snapshot as it is sampled
+  /// and discards the raw live-edge CSR immediately.
   void Build() override;
 
   /// Estimated marginal gain: (1/τ) Σ_i [r_i(S+v) − r_i(S)].
@@ -150,6 +154,9 @@ class SnapshotEstimator : public InfluenceEstimator {
   std::uint64_t seed_ = 0;
   Mode mode_;
   SamplingOptions sampling_;
+  /// A fresh condensed build's pool for a width without one; declared
+  /// before backend_ so the backend's round engine dies first.
+  std::unique_ptr<ThreadPool> owned_pool_;
   std::unique_ptr<Backend> backend_;
   TraversalCounters counters_;
   bool built_ = false;

@@ -6,10 +6,100 @@
 
 #include "graph/reach_sketch.h"
 #include "random/splitmix64.h"
+#include "sim/lt_samplers.h"
 #include "util/logging.h"
 
 namespace soldist {
+namespace {
 
+/// A run of consecutive condensed snapshots, with each one's counter
+/// delta (the arena's prefix counter table is built from these).
+struct CondensedSnapshotShard {
+  std::vector<CondensedSnapshot> snapshots;
+  std::vector<TraversalCounters> per_snapshot;
+};
+
+/// The body both models share: `Sampler` is SnapshotSampler (IC, built
+/// from the InfluenceGraph) or LtSnapshotSampler (LT, built from the
+/// LtWeights); both fill a Snapshot through SampleInto.
+template <typename Sampler, typename Source>
+std::vector<CondensedSnapshotShard> SampleCondensedShardsWith(
+    const Source* source, VertexId num_vertices, std::uint64_t master_seed,
+    std::uint64_t count, SamplingEngine* engine) {
+  std::vector<CondensedSnapshotShard> shards(engine->NumShards(count));
+  // Per-worker-slot scratch (sampler, condenser, one reusable raw
+  // snapshot): schedule-dependent but output-invisible — every chunk's
+  // randomness comes from its own derived stream and condensation is a
+  // pure function of the sampled snapshot.
+  struct Slot {
+    Sampler sampler;
+    SnapshotCondenser condenser;
+    Snapshot scratch;
+    Slot(const Source* source, VertexId n) : sampler(source), condenser(n) {}
+  };
+  std::vector<std::unique_ptr<Slot>> slots(engine->num_workers());
+  const CancelToken* cancel = engine->cancel();
+  engine->Run(master_seed, count,
+              [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
+    // Cooperative cancel (see SampleRrShards): skip whole chunks past
+    // chunk 0 once the token fires; a short or empty shard marks the cut.
+    if (cancel != nullptr && chunk.index > 0 && cancel->cancelled()) {
+      return;
+    }
+    if (slots[slot] == nullptr) {
+      slots[slot] = std::make_unique<Slot>(source, num_vertices);
+    }
+    // Stream 1 of the chunk seed: byte-identical live-edge graphs to the
+    // raw snapshot shards, so kCondensed condenses exactly the snapshots
+    // kNaive and kResidual walk.
+    Rng rng(DeriveSeed(chunk.seed, 1));
+    CondensedSnapshotShard& shard = shards[chunk.shard];
+    if (shard.snapshots.empty()) {
+      shard.snapshots.reserve(chunk.shard_size);
+      shard.per_snapshot.reserve(chunk.shard_size);
+    }
+    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+      if (cancel != nullptr && (chunk.index > 0 || i > chunk.begin) &&
+          cancel->cancelled()) {
+        break;
+      }
+      TraversalCounters delta;
+      slots[slot]->sampler.SampleInto(&rng, &delta, &slots[slot]->scratch);
+      shard.per_snapshot.push_back(delta);
+      shard.snapshots.push_back(
+          slots[slot]->condenser.Condense(slots[slot]->scratch));
+    }
+  });
+  return shards;
+}
+
+/// Samples `count` live-edge graphs of `instance`'s model through
+/// `engine` (same chunk streams and shard layout as SampleSnapshotShards /
+/// SampleLtSnapshotShards, so a condensed build sees byte-identical
+/// live-edge graphs) and condenses each inside its chunk worker; the raw
+/// CSR never outlives the sample. Shard concatenation is
+/// worker-count-independent. Honors engine->cancel() like
+/// SampleRrShards. LT requires instance.lt_weights.
+std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
+    const ModelInstance& instance, std::uint64_t master_seed,
+    std::uint64_t count, SamplingEngine* engine) {
+  const VertexId n = instance.ig->num_vertices();
+  if (instance.model == DiffusionModel::kLt) {
+    SOLDIST_CHECK(instance.lt_weights != nullptr)
+        << "LT instance without LtWeights";
+    return SampleCondensedShardsWith<LtSnapshotSampler>(
+        instance.lt_weights, n, master_seed, count, engine);
+  }
+  return SampleCondensedShardsWith<SnapshotSampler>(instance.ig, n,
+                                                    master_seed, count, engine);
+}
+
+/// Computes warmth for every snapshot: ONE distinct-rank permutation
+/// drawn from Rng(perm_seed), bottom-k sketches per DAG, then the capped
+/// successor-sum bounds. Runs on world tiles (WorldTiles(sampling)) with
+/// per-slot sketcher scratch; each snapshot's warmth is a pure function
+/// of that snapshot, so neither the tiles nor the worker count change a
+/// byte.
 std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
     std::span<const CondensedSnapshot> snaps, VertexId num_vertices,
     std::uint64_t perm_seed, const SamplingOptions& sampling) {
@@ -78,6 +168,8 @@ std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
   return warmth;
 }
 
+}  // namespace
+
 SnapshotArena SnapshotArena::SampleFor(const ModelInstance& instance,
                                        std::uint64_t seed,
                                        std::uint64_t capacity,
@@ -89,8 +181,8 @@ SnapshotArena SnapshotArena::SampleFor(const ModelInstance& instance,
   arena.snaps_.reserve(capacity);
   arena.counters_.Reserve(capacity);
   SamplingEngine engine(sampling);
-  std::vector<CondensedSnapshotShard> shards = SampleCondensedSnapshotShards(
-      instance, seed, capacity, &engine, /*record_per_snapshot=*/true);
+  std::vector<CondensedSnapshotShard> shards =
+      SampleCondensedSnapshotShards(instance, seed, capacity, &engine);
   const std::uint64_t actual =
       sampling.cancel == nullptr
           ? capacity
@@ -99,7 +191,6 @@ SnapshotArena SnapshotArena::SampleFor(const ModelInstance& instance,
                   return shard.snapshots.size();
                 });
   for (CondensedSnapshotShard& shard : shards) {
-    SOLDIST_CHECK(shard.per_snapshot.size() == shard.snapshots.size());
     for (std::size_t j = 0; j < shard.snapshots.size(); ++j) {
       arena.counters_.Append(shard.per_snapshot[j]);
       arena.snaps_.push_back(std::move(shard.snapshots[j]));
@@ -110,10 +201,9 @@ SnapshotArena SnapshotArena::SampleFor(const ModelInstance& instance,
     arena.max_components_ =
         std::max(arena.max_components_, snap.num_components());
   }
-  // Warmth permutation stream: off the sampler chunk streams, like the
-  // fresh backend's DeriveSeed(seed, τ + 1) — any distinct-rank
-  // permutation yields the same warmth (header note), so capacity vs τ
-  // in the derivation cannot change a byte.
+  // Warmth permutation stream: off the sampler chunk streams. Any
+  // distinct-rank permutation yields the same warmth (header note), so
+  // the capacity in the derivation cannot change a byte of a prefix.
   arena.warmth_ = ComputeSnapshotWarmth(
       arena.snaps_, arena.num_vertices_, DeriveSeed(seed, capacity + 1),
       sampling);
@@ -147,6 +237,10 @@ SnapshotArena SnapshotArena::Restore(
         std::max(arena.max_components_, snap.num_components());
   }
   return arena;
+}
+
+std::vector<CondensedSnapshot> SnapshotArena::TakeWorlds() && {
+  return std::move(snaps_);
 }
 
 std::uint64_t SnapshotArena::MemoryBytes() const {

@@ -9,19 +9,19 @@
 // master seed. The chunked engine gives chunk c its randomness from
 // DeriveSeed(master, c) alone and draws the chunk's snapshots in order,
 // so the first τ₁ snapshots of a τ₂ build are byte-identical to a τ₁
-// build. The arena samples with EXACTLY the streams of
-// SnapshotEstimator's condensed backend, which is what makes a
-// SnapshotEstimator borrowing the arena byte-identical to a freshly
-// sampled one (ctest snapshot_arena_test enforces this for both models
-// at worker counts 1/2/4).
+// build. This is the only code that samples condensed worlds: a fresh
+// condensed SnapshotEstimator samples a private arena of exactly τ
+// worlds, so an estimator borrowing a larger arena's prefix is
+// byte-identical to a fresh one (ctest snapshot_arena_test enforces this
+// for both models at worker counts 1/2/4).
 //
 // Warmth: the condensed gain backend pre-seeds its cache and CELF bounds
 // from bottom-k DAG sketches. Both the exactness test (len < k ⟺
 // reachable count < k) and every bound value are *permutation-
-// independent* — a pure function of the snapshot — so the arena can
-// precompute warmth once at build and every prefix estimator starts from
-// byte-identical warm state no matter which rank permutation seeded the
-// sketches (see ComputeSnapshotWarmth).
+// independent* — a pure function of the snapshot — so the arena
+// precomputes warmth once at build, from one rank permutation, and every
+// prefix estimator starts from byte-identical warm state whatever the
+// arena's capacity.
 
 #ifndef SOLDIST_SIM_SNAPSHOT_ARENA_H_
 #define SOLDIST_SIM_SNAPSHOT_ARENA_H_
@@ -67,8 +67,9 @@ inline SamplingOptions WorldTiles(SamplingOptions sampling) {
 /// count < k for ANY distinct-rank permutation, exact bounds are the
 /// exact counts, and non-exact bounds derive only from exact ones via
 /// the topologically capped successor-sum. ctest snapshot_arena_test
-/// relies on this to match arena warmth (one permutation at capacity)
-/// against fresh-build warmth (one permutation per τ) byte for byte.
+/// relies on this to match the warmth of an arena's prefix (one
+/// permutation at capacity) against a τ-sized arena's (one permutation
+/// at τ) byte for byte.
 struct SnapshotWarmth {
   std::vector<std::uint32_t> bound;    ///< per component, sound and tight
   std::vector<std::uint8_t> is_exact;  ///< bound[c] is the exact count
@@ -79,16 +80,6 @@ struct SnapshotWarmth {
   }
 };
 
-/// Computes warmth for every snapshot: ONE distinct-rank permutation
-/// drawn from Rng(perm_seed), bottom-k sketches per DAG, then the capped
-/// successor-sum bounds. Runs on world tiles (WorldTiles(sampling)) with
-/// per-slot sketcher scratch; each snapshot's warmth is a pure function
-/// of that snapshot, so neither the tiles nor the worker count change a
-/// byte.
-std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
-    std::span<const CondensedSnapshot> snaps, VertexId num_vertices,
-    std::uint64_t perm_seed, const SamplingOptions& sampling);
-
 /// \brief An immutable arena of `capacity` condensed sampled worlds with
 /// precomputed warmth and exact per-prefix sampling-cost attribution.
 /// All queries are const: any number of threads may serve estimator
@@ -96,12 +87,14 @@ std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
 class SnapshotArena : public WorldArena {
  public:
   /// Samples `capacity` live-edge graphs of `instance`'s model through
-  /// the condensed backend's engine chunk streams, condensing each as it
-  /// is sampled, then precomputes warmth with the permutation stream
-  /// DeriveSeed(seed, capacity + 1). A fresh condensed
-  /// SnapshotEstimator(instance, τ, seed, kCondensed, sampling) for any
-  /// τ <= capacity consumes the byte-identical prefix of this arena, at
-  /// any worker count. A fired sampling.cancel truncates the arena to its
+  /// the engine chunk streams every Snapshot backend draws (stream 1 of
+  /// each chunk seed), condensing each inside its chunk as it is sampled,
+  /// then precomputes warmth on world tiles with the permutation stream
+  /// DeriveSeed(seed, capacity + 1). Byte-identical at any worker count,
+  /// and the first τ worlds of any capacity are those of a τ-sized
+  /// arena: a fresh condensed SnapshotEstimator(instance, τ, seed,
+  /// kCondensed, sampling) samples exactly SampleFor(instance, seed, τ,
+  /// sampling). A fired sampling.cancel truncates the arena to its
   /// completed prefix (capacity() tells). LT requires lt_weights.
   static SnapshotArena SampleFor(const ModelInstance& instance,
                                  std::uint64_t seed, std::uint64_t capacity,
@@ -134,6 +127,11 @@ class SnapshotArena : public WorldArena {
   std::span<const SnapshotWarmth> Warmths(std::uint64_t count) const {
     return {warmth_.data(), count};
   }
+
+  /// Moves the worlds out of a spent arena; the warmth and counter table
+  /// die with it. A fresh condensed SnapshotEstimator keeps only these
+  /// after its backend has read the whole arena.
+  std::vector<CondensedSnapshot> TakeWorlds() &&;
 
   /// Largest component count over all worlds (scratch sizing).
   std::uint32_t max_components() const { return max_components_; }

@@ -568,6 +568,34 @@ TEST(SessionTest, BatchFailsFastOnInvalidSpec) {
   EXPECT_NE(batch.status().message().find("spec 1"), std::string::npos);
 }
 
+TEST(SessionTest, CancelTokenIsStatusNotCrash) {
+  // A solve always runs to completion: a fired token would truncate the
+  // sampled prefix under an estimator sized for the full sample number
+  // (a CHECK-abort for RIS, an answer from fewer worlds than τ for
+  // condensed Snapshot). Validate rejects it on both entry points.
+  CancelToken cancel;
+  cancel.Cancel();
+  api::Session session;
+  const auto workload = api::WorkloadSpec::Dataset("Karate");
+  auto base = api::SolveSpec{}.WithSampleNumber(512).WithK(2);
+  base.sampling.cancel = &cancel;
+  const api::SolveSpec specs[] = {
+      api::SolveSpec(base).WithApproach(Approach::kRis),
+      api::SolveSpec(base)
+          .WithApproach(Approach::kSnapshot)
+          .WithSnapshotMode(SnapshotEstimator::Mode::kCondensed)};
+  for (const api::SolveSpec& spec : specs) {
+    const std::string label = ApproachName(spec.approach);
+    EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument) << label;
+    auto solved = session.Solve(workload, spec);
+    ASSERT_FALSE(solved.ok()) << label;
+    EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument) << label;
+    auto batch = session.SolveBatch(workload, {spec});
+    ASSERT_FALSE(batch.ok()) << label;
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument) << label;
+  }
+}
+
 TEST(SessionTest, SkippingInfluenceSkipsOracle) {
   api::Session session;
   api::SolveSpec spec;

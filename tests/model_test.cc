@@ -6,7 +6,6 @@
 #include "gen/datasets.h"
 #include "graph/builder.h"
 #include "model/influence_graph.h"
-#include "model/instance.h"
 #include "model/probability.h"
 
 namespace soldist {
@@ -129,11 +128,6 @@ TEST(InfluenceGraphTest, MTildeForIwcIsN) {
   Graph g = GraphBuilder::FromEdgeList(edges);
   InfluenceGraph ig = MakeInfluenceGraph(std::move(g), ProbabilityModel::kIwc);
   EXPECT_NEAR(ig.SumProbabilities(), 34.0, 1e-9);
-}
-
-TEST(InstanceSpecTest, LabelMatchesPaperStyle) {
-  InstanceSpec spec{"Karate", ProbabilityModel::kUc01, 4};
-  EXPECT_EQ(spec.Label(), "Karate (uc0.1, k=4)");
 }
 
 }  // namespace

@@ -52,6 +52,34 @@ EdgeList InStar(VertexId leaves) {
   return edges;
 }
 
+/// Reference: condenses one snapshot with a fresh condenser (no scratch
+/// carried over from an earlier snapshot).
+CondensedSnapshot CondenseSnapshot(const Snapshot& snapshot,
+                                   VertexId num_vertices) {
+  return SnapshotCondenser(num_vertices).Condense(snapshot);
+}
+
+/// Reference: the number of vertices reachable from `v` in the original
+/// snapshot, summed component-granular over the whole condensation DAG
+/// (the backend has its own residual-aware walk).
+std::uint32_t CountReachable(const CondensedSnapshot& snap, VertexId v) {
+  std::vector<std::uint8_t> visited(snap.num_components(), 0);
+  std::vector<std::uint32_t> queue = {snap.comp_of[v]};
+  visited[queue.front()] = 1;
+  std::uint64_t total = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t c = queue[head];
+    total += snap.comp_size[c];
+    for (std::uint32_t succ : snap.dag.Successors(c)) {
+      if (!visited[succ]) {
+        visited[succ] = 1;
+        queue.push_back(succ);
+      }
+    }
+  }
+  return static_cast<std::uint32_t>(total);
+}
+
 /// Exact reach parity, snapshot by snapshot and vertex by vertex: the
 /// condensed DAG count must equal a raw BFS on the live-edge CSR.
 void CheckReachParity(const InfluenceGraph& ig, std::uint64_t tau,
@@ -67,7 +95,7 @@ void CheckReachParity(const InfluenceGraph& ig, std::uint64_t tau,
     ASSERT_EQ(total_members, ig.num_vertices());
     for (VertexId v = 0; v < ig.num_vertices(); ++v) {
       const VertexId source[1] = {v};
-      ASSERT_EQ(condensed.CountReachable(v),
+      ASSERT_EQ(CountReachable(condensed, v),
                 sampler.CountReachable(snap, source, &counters))
           << "snapshot " << i << " vertex " << v;
     }
@@ -408,6 +436,33 @@ TEST(CondensedBackendTest, CondensedUsesLessMemoryWhenComponentsAreLarge) {
   residual.Build();
   condensed.Build();
   EXPECT_LT(condensed.MemoryBytes(), residual.MemoryBytes());
+}
+
+TEST(CondensedBackendTest, FreshBuildKeepsOnlyItsWorlds) {
+  // A fresh condensed build samples a private arena of τ worlds and
+  // keeps only the worlds, each without its comp_of (transposed into
+  // the backend's state); the arena's warmth and counter table go with
+  // it. So at width 1 (one round slot, as a borrowing build has) the
+  // fresh build owns exactly a borrowing build's bookkeeping plus those
+  // world bytes.
+  InfluenceGraph ig = Make(Datasets::Karate(), ProbabilityModel::kUc01);
+  const ModelInstance instance = ModelInstance::Ic(&ig);
+  constexpr std::uint64_t kTau = 100;
+  constexpr std::uint64_t kSeed = 81;
+  SnapshotEstimator fresh(instance, kTau, kSeed,
+                          SnapshotEstimator::Mode::kCondensed);
+  fresh.Build();
+  const SnapshotArena arena =
+      SnapshotArena::SampleFor(instance, kSeed, kTau, SamplingOptions{});
+  SnapshotEstimator borrowing(&arena, kTau);
+  borrowing.Build();
+  std::uint64_t world_bytes = 0;
+  for (const CondensedSnapshot& world : arena.Worlds(kTau)) {
+    world_bytes += world.MemoryBytes() -
+                   world.comp_of.capacity() * sizeof(world.comp_of[0]);
+  }
+  EXPECT_EQ(fresh.MemoryBytes(), borrowing.MemoryBytes() + world_bytes);
+  ExpectCountersEq(fresh.counters(), borrowing.counters(), "after Build");
 }
 
 TEST(SnapshotModeTest, ParseAndName) {
