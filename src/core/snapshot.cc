@@ -253,9 +253,10 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
 /// transposed. Init is deterministic and counter-free — the warm cache
 /// entries and CELF bound totals are pure functions of the worlds
 /// (order-independent integer sums) — so the same worlds + warmth yield
-/// byte-identical state whatever the arena's capacity or chunking. Init
-/// sizes every array the backend uses; rounds and updates grow none of
-/// them.
+/// byte-identical state whatever the arena's capacity or chunking, and
+/// whatever the width its per-world work runs at (the rounds' tiles and
+/// pool). Init sizes every array the backend uses; rounds and updates
+/// grow none of them.
 class CondensedBackend : public SnapshotEstimator::Backend {
  public:
   /// `arena` must hold at least τ worlds and outlive Build — and the
@@ -461,7 +462,10 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   /// Estimate/Update hot loops stream their per-vertex component ids
   /// sequentially instead of taking one cache miss per snapshot. A
   /// fresh build frees each world's comp_of afterwards (KeepWorlds); a
-  /// shared arena keeps them for point queries.
+  /// shared arena keeps them for point queries. The per-world work runs
+  /// on the round sweep's tiles and pool; each slot sums its bound and
+  /// gain totals apart, folded in afterwards (integer sums, so neither
+  /// the order nor the width shows).
   void Init(std::span<const CondensedSnapshot> snaps, VertexId n,
             std::span<const SnapshotWarmth> warmth) {
     SOLDIST_CHECK(warmth.size() == snaps.size());
@@ -488,9 +492,6 @@ class CondensedBackend : public SnapshotEstimator::Backend {
     dirty_.resize(snaps_.size() * kDirtySlots);
     dirty_count_.assign(snaps_.size(), kFullScan);
     live_.resize(snaps_.size());
-    for (std::size_t i = 0; i < snaps_.size(); ++i) {
-      live_[i] = snaps_[i].num_components();
-    }
     // The round sweep's engine, on the same pool as the build (a
     // borrowing build has none and sweeps inline).
     sweep_ = std::make_unique<SamplingEngine>(WorldTiles(sampling_));
@@ -503,17 +504,46 @@ class CondensedBackend : public SnapshotEstimator::Backend {
       scratch.deltas.assign(n, 0);
     }
     rqueue_.reserve(max_components);
-    const std::uint64_t stride = snaps_.size();  // vertex-major rows
-    comp_of_by_vertex_.resize(static_cast<std::uint64_t>(n) * stride);
+    comp_of_by_vertex_.resize(static_cast<std::uint64_t>(n) * snaps_.size());
     bound_total_.assign(n, 0);
     total_.assign(n, 0);
     is_candidate_.assign(n, 0);
-    for (std::size_t i = 0; i < snaps_.size(); ++i) {
+    // Each slot's gain sums go to its (zeroed) round deltas, its bound
+    // sums to a buffer that lives only for this call.
+    std::vector<std::vector<std::uint64_t>> bound_sums(
+        slots_.size(), std::vector<std::uint64_t>(n, 0));
+    sweep_->Run(/*master_seed=*/0, snaps_.size(),
+                [&](const SamplingEngine::Chunk& tile, std::size_t slot) {
+                  InitWorlds(tile.begin, tile.end, warmth,
+                             bound_sums[slot].data(),
+                             slots_[slot].deltas.data());
+                });
+    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+      std::vector<std::uint64_t>& deltas = slots_[slot].deltas;
+      for (VertexId v = 0; v < n; ++v) {
+        bound_total_[v] += bound_sums[slot][v];
+        total_[v] += deltas[v];
+        deltas[v] = 0;
+      }
+    }
+  }
+
+  /// Init's per-world work for snapshots [begin, end): state words,
+  /// member lists, the comp_of transpose and the live counts; each
+  /// vertex's bound and warm gain over these snapshots are added to
+  /// bound_sums[v] and gain_sums[v].
+  void InitWorlds(std::size_t begin, std::size_t end,
+                  std::span<const SnapshotWarmth> warmth,
+                  std::uint64_t* bound_sums, std::uint64_t* gain_sums) {
+    const VertexId n = static_cast<VertexId>(bound_total_.size());
+    const std::uint64_t stride = snaps_.size();  // vertex-major rows
+    for (std::size_t i = begin; i < end; ++i) {
       const CondensedSnapshot& snap = snaps_[i];
       const SnapshotWarmth& w = warmth[i];
       std::uint32_t* state = state_.data() + state_offset_[i];
       std::uint32_t* member_ref = member_ref_.data() + state_offset_[i];
       VertexId* members = members_.data() + member_offset_[i];
+      live_[i] = snap.num_components();
       std::uint32_t grouped = 0;
       for (std::uint32_t c = 0; c < snap.num_components(); ++c) {
         // Exact warmth IS the reachable count: pre-seed the gain cache
@@ -530,8 +560,8 @@ class CondensedBackend : public SnapshotEstimator::Backend {
       std::uint32_t* transposed = comp_of_by_vertex_.data() + i;
       for (VertexId v = 0; v < n; ++v) {
         const std::uint32_t c = comp_of[v];
-        bound_total_[v] += w.bound[c];
-        total_[v] += state[c] & ~kStale;
+        bound_sums[v] += w.bound[c];
+        gain_sums[v] += state[c] & ~kStale;
         transposed[static_cast<std::uint64_t>(v) * stride] = c;
         if (snap.comp_size[c] == 1) {
           member_ref[c] = v;

@@ -80,10 +80,10 @@ class SnapshotEstimator : public InfluenceEstimator {
 
   /// Fresh build: Build samples τ live-edge graphs of `instance`'s model
   /// (LT requires lt_weights). \param tau number of snapshots (>= 1)
-  /// In kCondensed mode `sampling` also drives the greedy rounds: its
-  /// pool (or, without one, a private pool of its width kept for the
-  /// estimator's lifetime) runs every EstimateAll sweep. A build always
-  /// runs to completion: sampling.cancel must be null.
+  /// In kCondensed mode `sampling` also drives the warm-state init and
+  /// the greedy rounds: its pool (or, without one, a private pool of its
+  /// width kept for the estimator's lifetime) runs them on world tiles. A
+  /// build always runs to completion: sampling.cancel must be null.
   SnapshotEstimator(const ModelInstance& instance, std::uint64_t tau,
                     std::uint64_t seed, Mode mode = Mode::kResidual,
                     const SamplingOptions& sampling = {});
@@ -99,8 +99,8 @@ class SnapshotEstimator : public InfluenceEstimator {
   /// Samples the τ snapshots through SamplingEngine's deterministic
   /// chunked streams (byte-identical at any worker count). In kCondensed
   /// mode a fresh build samples them as SnapshotArena::SampleFor(instance,
-  /// seed, τ, sampling), which condenses each snapshot as it is sampled
-  /// and discards the raw live-edge CSR immediately.
+  /// seed, τ, sampling), which condenses and warms each snapshot as it is
+  /// sampled and discards the raw live-edge CSR immediately.
   void Build() override;
 
   /// Estimated marginal gain: (1/τ) Σ_i [r_i(S+v) − r_i(S)].

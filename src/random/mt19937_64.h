@@ -46,6 +46,18 @@ class Mt19937_64 {
     return z;
   }
 
+  /// Advances the engine by `count` draws without computing them: whole
+  /// untempered twists, then a move of the read position — as the
+  /// standard library's discard does, so the next draw is the one
+  /// `count` calls to operator() would have reached.
+  void Discard(std::uint64_t count) {
+    while (count > kN - pos_) {
+      count -= kN - pos_;
+      Twist();
+    }
+    pos_ += static_cast<std::size_t>(count);
+  }
+
  private:
   static constexpr std::size_t kN = 312;
   static constexpr std::size_t kM = 156;

@@ -62,6 +62,11 @@ class Rng {
   /// "generate random x in [0,1] ... alive if x < p(e)".
   bool Bernoulli(double p) { return UnitReal() < p; }
 
+  /// Skips the next `count` engine words (Mt19937_64::Discard): a sampler
+  /// that draws a fixed number of words per sample can enter its stream
+  /// at any sample index.
+  void Discard(std::uint64_t count) { engine_.Discard(count); }
+
   /// Underlying engine, for std::shuffle and std:: distributions.
   Mt19937_64& engine() { return engine_; }
 

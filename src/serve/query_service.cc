@@ -505,9 +505,10 @@ StatusOr<ArenaCache::ArenaPtr> QueryService::Acquire(
   }
   SamplingOptions sampling =
       session_->SamplingFor(spec.sample_threads, spec.chunk_size);
-  // Deadline-bound cooperative cancel: the sampler checks the token at
-  // chunk granularity and a cancelled build truncates to its completed
-  // prefix — a byte-identical direct smaller build (sim/rr_arena.h).
+  // Deadline-bound cooperative cancel: an RR build checks the token at
+  // chunk granularity, a snapshot build before every world, and a
+  // cancelled build truncates to its completed prefix — a byte-identical
+  // direct smaller build (sim/rr_arena.h, sim/snapshot_arena.h).
   CancelToken cancel([deadline] { return deadline.expired(); });
   if (!deadline.unlimited()) sampling.cancel = &cancel;
   // One request-shared IO attempt pool: the builder's load AND save draw

@@ -9,8 +9,8 @@
 // live-edge CSR is discarded right after condensation, so the resident
 // footprint is component-granular. Greedy reachability then walks the
 // (much smaller) DAG instead of the live-edge graph. SnapshotArena
-// (sim/snapshot_arena.h) is the one sampler of condensed worlds: it
-// condenses each live-edge graph inside its sampling chunk.
+// (sim/snapshot_arena.h) is the one sampler of condensed worlds: the
+// build task that samples a live-edge graph condenses it right away.
 
 #ifndef SOLDIST_SIM_CONDENSED_SNAPSHOT_H_
 #define SOLDIST_SIM_CONDENSED_SNAPSHOT_H_

@@ -8,7 +8,12 @@
 namespace soldist {
 
 LtSnapshotSampler::LtSnapshotSampler(const LtWeights* weights)
-    : weights_(weights) {}
+    : weights_(weights) {
+  const Graph& g = weights_->influence_graph().graph();
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (g.in_offsets()[v + 1] > g.in_offsets()[v]) ++draws_per_world_;
+  }
+}
 
 Snapshot LtSnapshotSampler::Sample(Rng* rng, TraversalCounters* counters) {
   Snapshot snap;

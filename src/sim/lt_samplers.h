@@ -44,8 +44,14 @@ class LtSnapshotSampler {
   /// condensed build's per-slot scratch, as SnapshotSampler::SampleInto).
   void SampleInto(Rng* rng, TraversalCounters* counters, Snapshot* out);
 
+  /// Engine words one Sample/SampleInto call draws: one per vertex with
+  /// an in-arc (a vertex without one draws nothing), as
+  /// SnapshotSampler::DrawsPerWorld.
+  std::uint64_t DrawsPerWorld() const { return draws_per_world_; }
+
  private:
   const LtWeights* weights_;
+  std::uint64_t draws_per_world_ = 0;
   std::vector<Arc> scratch_arcs_;
   std::vector<EdgeId> cursor_;
 };

@@ -86,11 +86,14 @@ class CancelToken {
 };
 
 /// \brief Sampling parallelism knob threaded through the estimator factory.
-/// No field but chunk_size ever changes a sampled byte. The work that
-/// follows a build runs on the same workers with the same byte-identity
-/// at every width: every RR inverted index (sim/inverted_index.h), and
-/// the condensed Snapshot warmth pass and greedy rounds (world tiles of
-/// a fixed size, not chunk_size).
+/// No field but chunk_size ever changes a sampled byte. A condensed
+/// Snapshot build whose chunks would leave workers idle cuts them into
+/// pieces that enter their chunk's stream mid-chunk, so it too spreads
+/// over every worker (sim/snapshot_arena.h).
+/// The work that follows a build runs on the same workers with the same
+/// byte-identity at every width: every RR inverted index
+/// (sim/inverted_index.h), and the condensed Snapshot backend's Init and
+/// greedy rounds (world tiles of a fixed size, not chunk_size).
 struct SamplingOptions {
   /// Worker count: 1 (default) runs the chunks inline on the calling
   /// thread, 0 = hardware concurrency, N >= 2 = N workers. A non-null
@@ -108,9 +111,10 @@ struct SamplingOptions {
   ThreadPool* pool = nullptr;
 
   /// Optional cooperative cancel token (not owned). Samplers that honor
-  /// it skip whole chunks (never chunk 0, so at least one set always
-  /// lands) once it fires; the build then finalizes at the contiguous
-  /// completed prefix. Null = never cancelled.
+  /// it skip their remaining tasks once it fires — whole chunks, or the
+  /// worlds of a SnapshotArena build task — but never sample 0, so at
+  /// least one set or world always lands; the build then finalizes at the
+  /// contiguous completed prefix. Null = never cancelled.
   CancelToken* cancel = nullptr;
 
   /// True when sampling asks for worker threads (a pool, or a width other
@@ -166,9 +170,10 @@ class SamplingEngine {
 
   /// Invokes fn once per task of [0, num_tasks) on the workers Run would
   /// use (inline where Run would run inline) and blocks until all are
-  /// done. For work that draws no randomness and is cut by its caller —
-  /// into ActiveWorkers() blocks, say — so its result must not depend on
-  /// how many tasks there are.
+  /// done. For work its caller cuts — into ActiveWorkers() blocks, say —
+  /// so its result must not depend on how many tasks there are: work
+  /// that draws no randomness, or that draws from chunk streams it
+  /// enters itself (SnapshotArena's build pieces).
   void RunTasks(std::uint64_t num_tasks, const TaskFn& fn);
 
   /// Number of chunks Run() will produce for `count` samples.

@@ -12,160 +12,185 @@
 namespace soldist {
 namespace {
 
-/// A run of consecutive condensed snapshots, with each one's counter
-/// delta (the arena's prefix counter table is built from these).
-struct CondensedSnapshotShard {
-  std::vector<CondensedSnapshot> snapshots;
-  std::vector<TraversalCounters> per_snapshot;
+/// One build task: worlds [begin, end) of sampling chunk `chunk`.
+struct WorldRange {
+  std::uint64_t chunk;
+  std::uint64_t begin;
+  std::uint64_t end;
 };
+
+/// What one build task produced: its worlds, condensed and warmed, with
+/// each world's counter delta (the arena's prefix counter table is built
+/// from these). A run shorter than its task was cut by a cancel.
+struct WorldRun {
+  std::vector<CondensedSnapshot> worlds;
+  std::vector<SnapshotWarmth> warmth;
+  std::vector<TraversalCounters> per_world;
+};
+
+/// Cuts [0, count) into build tasks that never cross a sampling chunk.
+/// Whole chunks fill the workers `engine` keeps busy round after round;
+/// the chunks of a last, partial round (every chunk, when the build has
+/// fewer chunks than workers) are cut into pieces of one worker's share
+/// of their worlds, and at least kSnapshotTileWorlds (the last piece of
+/// a chunk may be shorter). So a τ=512 build of two 256-world chunks
+/// spreads over four workers, and a fifth chunk does not run alone. A
+/// piece skips the draws of its chunk's earlier worlds; the skips add up
+/// to about (workers − 1) / 2 times the draws of the chunks cut at most,
+/// whatever the chunk size. An inline build, or one whose chunks fill
+/// whole rounds, keeps whole chunks and skips no draws.
+std::vector<WorldRange> CutBuildTasks(const SamplingEngine& engine,
+                                      std::uint64_t count) {
+  const std::uint64_t chunk_size = engine.chunk_size();
+  const std::uint64_t num_chunks = engine.NumChunks(count);
+  const std::uint64_t workers = engine.ActiveWorkers();
+  const std::uint64_t first_cut = num_chunks - num_chunks % workers;
+  const std::uint64_t cut_worlds =
+      count - std::min(count, first_cut * chunk_size);
+  const std::uint64_t piece =
+      std::max(kSnapshotTileWorlds, (cut_worlds + workers - 1) / workers);
+  std::vector<WorldRange> tasks;
+  for (std::uint64_t c = 0; c < num_chunks; ++c) {
+    const std::uint64_t chunk_begin = c * chunk_size;
+    const std::uint64_t chunk_end = std::min(chunk_begin + chunk_size, count);
+    const std::uint64_t step = c < first_cut ? chunk_size : piece;
+    for (std::uint64_t b = chunk_begin; b < chunk_end; b += step) {
+      tasks.push_back({c, b, std::min(b + step, chunk_end)});
+    }
+  }
+  return tasks;
+}
+
+/// The rank order every world's warmth sketches share: ONE random
+/// permutation of ranks (perm[v]+1)/n drawn from Rng(perm_seed). Only
+/// rank distinctness matters for exactness, and a fixed assignment keeps
+/// the per-world cost at the merges. (The stream never touches results —
+/// see the permutation-independence note in the header.)
+struct WarmthRanks {
+  std::vector<double> ranks;
+  std::vector<VertexId> by_rank;  // inverse permutation = rank order
+
+  WarmthRanks(VertexId n, std::uint64_t perm_seed) : ranks(n), by_rank(n) {
+    Rng rng(perm_seed);
+    std::vector<VertexId> perm(n);
+    std::iota(perm.begin(), perm.end(), VertexId{0});
+    std::shuffle(perm.begin(), perm.end(), rng.engine());
+    for (VertexId v = 0; v < n; ++v) {
+      ranks[v] = static_cast<double>(perm[v] + 1) / static_cast<double>(n);
+      by_rank[perm[v]] = v;
+    }
+  }
+};
+
+/// Warmth of one world: bottom-k sketches of its DAG under `ranks`, then
+/// the capped successor-sum bounds. A pure function of the world.
+SnapshotWarmth WarmWorld(const CondensedSnapshot& snap, VertexId n,
+                         const WarmthRanks& ranks, DagSketcher* sketcher,
+                         DagSketches* sketches) {
+  const std::uint32_t num_components = snap.num_components();
+  sketcher->Sketch(snap.comp_of, n, snap.dag, ranks.ranks, ranks.by_rank,
+                   sketches);
+  SnapshotWarmth w;
+  w.bound.resize(num_components);
+  w.is_exact.assign(num_components, 0);
+  std::uint64_t prefix = 0;  // Σ size over ids ≤ c ⊇ descendants
+  for (std::uint32_t c = 0; c < num_components; ++c) {
+    prefix += snap.comp_size[c];
+    if (sketches->IsExact(c)) {
+      // Saturated below k: len IS the exact reachable count.
+      w.bound[c] = sketches->len[c];
+      w.is_exact[c] = 1;
+      continue;
+    }
+    std::uint64_t sum = snap.comp_size[c];
+    for (std::uint32_t succ : snap.dag.Successors(c)) {
+      sum += w.bound[succ];
+      if (sum >= prefix) break;  // already at the cap
+    }
+    w.bound[c] = static_cast<std::uint32_t>(std::min(sum, prefix));
+  }
+  return w;
+}
 
 /// The body both models share: `Sampler` is SnapshotSampler (IC, built
 /// from the InfluenceGraph) or LtSnapshotSampler (LT, built from the
-/// LtWeights); both fill a Snapshot through SampleInto.
+/// LtWeights); both fill a Snapshot through SampleInto and draw
+/// DrawsPerWorld() engine words per world. Returns the runs of the
+/// completed prefix, in world order.
 template <typename Sampler, typename Source>
-std::vector<CondensedSnapshotShard> SampleCondensedShardsWith(
-    const Source* source, VertexId num_vertices, std::uint64_t master_seed,
-    std::uint64_t count, SamplingEngine* engine) {
-  std::vector<CondensedSnapshotShard> shards(engine->NumShards(count));
+std::vector<WorldRun> SampleWorldsWith(const Source* source,
+                                       VertexId num_vertices,
+                                       std::uint64_t master_seed,
+                                       std::uint64_t count,
+                                       const WarmthRanks& ranks,
+                                       SamplingEngine* engine) {
+  const std::vector<WorldRange> tasks = CutBuildTasks(*engine, count);
+  std::vector<WorldRun> runs(tasks.size());
   // Per-worker-slot scratch (sampler, condenser, one reusable raw
-  // snapshot): schedule-dependent but output-invisible — every chunk's
-  // randomness comes from its own derived stream and condensation is a
-  // pure function of the sampled snapshot.
+  // snapshot, sketcher): schedule-dependent but output-invisible — every
+  // world's draws come from its chunk's stream, and condensing and
+  // warming are pure functions of the sampled world.
   struct Slot {
     Sampler sampler;
     SnapshotCondenser condenser;
     Snapshot scratch;
-    Slot(const Source* source, VertexId n) : sampler(source), condenser(n) {}
-  };
-  std::vector<std::unique_ptr<Slot>> slots(engine->num_workers());
-  const CancelToken* cancel = engine->cancel();
-  engine->Run(master_seed, count,
-              [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
-    // Cooperative cancel (see SampleRrShards): skip whole chunks past
-    // chunk 0 once the token fires; a short or empty shard marks the cut.
-    if (cancel != nullptr && chunk.index > 0 && cancel->cancelled()) {
-      return;
-    }
-    if (slots[slot] == nullptr) {
-      slots[slot] = std::make_unique<Slot>(source, num_vertices);
-    }
-    // Stream 1 of the chunk seed: byte-identical live-edge graphs to the
-    // raw snapshot shards, so kCondensed condenses exactly the snapshots
-    // kNaive and kResidual walk.
-    Rng rng(DeriveSeed(chunk.seed, 1));
-    CondensedSnapshotShard& shard = shards[chunk.shard];
-    if (shard.snapshots.empty()) {
-      shard.snapshots.reserve(chunk.shard_size);
-      shard.per_snapshot.reserve(chunk.shard_size);
-    }
-    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-      if (cancel != nullptr && (chunk.index > 0 || i > chunk.begin) &&
-          cancel->cancelled()) {
-        break;
-      }
-      TraversalCounters delta;
-      slots[slot]->sampler.SampleInto(&rng, &delta, &slots[slot]->scratch);
-      shard.per_snapshot.push_back(delta);
-      shard.snapshots.push_back(
-          slots[slot]->condenser.Condense(slots[slot]->scratch));
-    }
-  });
-  return shards;
-}
-
-/// Samples `count` live-edge graphs of `instance`'s model through
-/// `engine` (same chunk streams and shard layout as SampleSnapshotShards /
-/// SampleLtSnapshotShards, so a condensed build sees byte-identical
-/// live-edge graphs) and condenses each inside its chunk worker; the raw
-/// CSR never outlives the sample. Shard concatenation is
-/// worker-count-independent. Honors engine->cancel() like
-/// SampleRrShards. LT requires instance.lt_weights.
-std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
-    const ModelInstance& instance, std::uint64_t master_seed,
-    std::uint64_t count, SamplingEngine* engine) {
-  const VertexId n = instance.ig->num_vertices();
-  if (instance.model == DiffusionModel::kLt) {
-    SOLDIST_CHECK(instance.lt_weights != nullptr)
-        << "LT instance without LtWeights";
-    return SampleCondensedShardsWith<LtSnapshotSampler>(
-        instance.lt_weights, n, master_seed, count, engine);
-  }
-  return SampleCondensedShardsWith<SnapshotSampler>(instance.ig, n,
-                                                    master_seed, count, engine);
-}
-
-/// Computes warmth for every snapshot: ONE distinct-rank permutation
-/// drawn from Rng(perm_seed), bottom-k sketches per DAG, then the capped
-/// successor-sum bounds. Runs on world tiles (WorldTiles(sampling)) with
-/// per-slot sketcher scratch; each snapshot's warmth is a pure function
-/// of that snapshot, so neither the tiles nor the worker count change a
-/// byte.
-std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
-    std::span<const CondensedSnapshot> snaps, VertexId num_vertices,
-    std::uint64_t perm_seed, const SamplingOptions& sampling) {
-  const VertexId n = num_vertices;
-  // ONE random permutation of ranks (perm[v]+1)/n shared by all
-  // sketches: only rank distinctness matters for exactness, and a fixed
-  // assignment keeps the per-snapshot cost at the merges. (The stream
-  // never touches results — see the permutation-independence note in the
-  // header.)
-  Rng rng(perm_seed);
-  std::vector<VertexId> perm(n);
-  std::iota(perm.begin(), perm.end(), VertexId{0});
-  std::shuffle(perm.begin(), perm.end(), rng.engine());
-  std::vector<double> ranks(n);
-  std::vector<VertexId> by_rank(n);  // inverse permutation = rank order
-  for (VertexId v = 0; v < n; ++v) {
-    ranks[v] = static_cast<double>(perm[v] + 1) / static_cast<double>(n);
-    by_rank[perm[v]] = v;
-  }
-
-  std::vector<SnapshotWarmth> warmth(snaps.size());
-  struct Slot {
     DagSketcher sketcher;
     DagSketches sketches;
-    Slot(VertexId n, int k) : sketcher(n, k) {}
+    Slot(const Source* source, VertexId n)
+        : sampler(source), condenser(n), sketcher(n, kSnapshotSketchK) {}
   };
-  auto warm_range = [&](std::uint64_t begin, std::uint64_t end, Slot* slot) {
-    for (std::uint64_t i = begin; i < end; ++i) {
-      const CondensedSnapshot& snap = snaps[i];
-      SOLDIST_CHECK(!snap.comp_of.empty())
-          << "snapshot " << i << " has no comp_of (already transposed?)";
-      const std::uint32_t num_components = snap.num_components();
-      slot->sketcher.Sketch(snap.comp_of, n, snap.dag, ranks, by_rank,
-                            &slot->sketches);
-      SnapshotWarmth& w = warmth[i];
-      w.bound.resize(num_components);
-      w.is_exact.assign(num_components, 0);
-      std::uint64_t prefix = 0;  // Σ size over ids ≤ c ⊇ descendants
-      for (std::uint32_t c = 0; c < num_components; ++c) {
-        prefix += snap.comp_size[c];
-        if (slot->sketches.IsExact(c)) {
-          // Saturated below k: len IS the exact reachable count.
-          w.bound[c] = slot->sketches.len[c];
-          w.is_exact[c] = 1;
-          continue;
-        }
-        std::uint64_t sum = snap.comp_size[c];
-        for (std::uint32_t succ : snap.dag.Successors(c)) {
-          sum += w.bound[succ];
-          if (sum >= prefix) break;  // already at the cap
-        }
-        w.bound[c] = static_cast<std::uint32_t>(std::min(sum, prefix));
-      }
-    }
+  std::vector<std::unique_ptr<Slot>> slots(engine->num_workers());
+  // Cooperative cancel (see SampleRrShards): every world but world 0
+  // polls the token first, so at least one world always lands and a
+  // short run marks the cut.
+  const CancelToken* cancel = engine->cancel();
+  const auto stopped = [cancel](std::uint64_t world) {
+    return world > 0 && cancel != nullptr && cancel->cancelled();
   };
-
-  SamplingEngine engine(WorldTiles(sampling));
-  std::vector<std::unique_ptr<Slot>> slots(engine.num_workers());
-  engine.Run(/*master_seed=*/0, static_cast<std::uint64_t>(snaps.size()),
-             [&](const SamplingEngine::Chunk& chunk, std::size_t idx) {
-    if (slots[idx] == nullptr) {
-      slots[idx] = std::make_unique<Slot>(n, kSnapshotSketchK);
+  engine->RunTasks(tasks.size(), [&](std::uint64_t t, std::size_t s) {
+    const WorldRange& task = tasks[t];
+    if (stopped(task.begin)) return;
+    if (slots[s] == nullptr) {
+      slots[s] = std::make_unique<Slot>(source, num_vertices);
     }
-    warm_range(chunk.begin, chunk.end, slots[idx].get());
+    Slot& slot = *slots[s];
+    // Stream 1 of the chunk seed: byte-identical live-edge graphs to the
+    // raw snapshot shards, so kCondensed condenses exactly the snapshots
+    // kNaive and kResidual walk. A piece enters it at its first world by
+    // skipping the words the chunk's earlier worlds draw, one world at a
+    // time so that a cancel still lands during the skip.
+    Rng rng(DeriveSeed(DeriveSeed(master_seed, task.chunk), 1));
+    for (std::uint64_t i = task.chunk * engine->chunk_size(); i < task.begin;
+         ++i) {
+      if (stopped(i)) return;
+      rng.Discard(slot.sampler.DrawsPerWorld());
+    }
+    WorldRun& run = runs[t];
+    run.worlds.reserve(task.end - task.begin);
+    run.warmth.reserve(task.end - task.begin);
+    run.per_world.reserve(task.end - task.begin);
+    for (std::uint64_t i = task.begin; i < task.end; ++i) {
+      if (i > task.begin && stopped(i)) break;
+      TraversalCounters delta;
+      slot.sampler.SampleInto(&rng, &delta, &slot.scratch);
+      run.per_world.push_back(delta);
+      run.worlds.push_back(slot.condenser.Condense(slot.scratch));
+      run.warmth.push_back(WarmWorld(run.worlds.back(), num_vertices, ranks,
+                                     &slot.sketcher, &slot.sketches));
+    }
   });
-  return warmth;
+  // Tasks run in world order: the first short run ends the prefix whose
+  // worlds all landed. Because every world draws only from its chunk's
+  // stream, the survivors equal a direct build at their count.
+  std::size_t kept = 0;
+  while (kept < runs.size()) {
+    const WorldRange& task = tasks[kept];
+    const bool complete = runs[kept].worlds.size() == task.end - task.begin;
+    ++kept;
+    if (!complete) break;
+  }
+  runs.resize(kept);
+  return runs;
 }
 
 }  // namespace
@@ -176,37 +201,40 @@ SnapshotArena SnapshotArena::SampleFor(const ModelInstance& instance,
                                        const SamplingOptions& sampling) {
   SOLDIST_CHECK(instance.ig != nullptr);
   SOLDIST_CHECK(capacity >= 1);
-  SnapshotArena arena;
-  arena.num_vertices_ = instance.ig->num_vertices();
-  arena.snaps_.reserve(capacity);
-  arena.counters_.Reserve(capacity);
+  const VertexId n = instance.ig->num_vertices();
+  // Warmth permutation stream: off the sampler chunk streams, drawn
+  // before any world. Any distinct-rank permutation yields the same
+  // warmth (header note), so the capacity in the derivation cannot
+  // change a byte of a prefix.
+  const WarmthRanks ranks(n, DeriveSeed(seed, capacity + 1));
   SamplingEngine engine(sampling);
-  std::vector<CondensedSnapshotShard> shards =
-      SampleCondensedSnapshotShards(instance, seed, capacity, &engine);
-  const std::uint64_t actual =
-      sampling.cancel == nullptr
-          ? capacity
-          : engine.TruncateToCompletedPrefix(
-                &shards, capacity, [](const CondensedSnapshotShard& shard) {
-                  return shard.snapshots.size();
-                });
-  for (CondensedSnapshotShard& shard : shards) {
-    for (std::size_t j = 0; j < shard.snapshots.size(); ++j) {
-      arena.counters_.Append(shard.per_snapshot[j]);
-      arena.snaps_.push_back(std::move(shard.snapshots[j]));
+  std::vector<WorldRun> runs;
+  if (instance.model == DiffusionModel::kLt) {
+    SOLDIST_CHECK(instance.lt_weights != nullptr)
+        << "LT instance without LtWeights";
+    runs = SampleWorldsWith<LtSnapshotSampler>(instance.lt_weights, n, seed,
+                                               capacity, ranks, &engine);
+  } else {
+    runs = SampleWorldsWith<SnapshotSampler>(instance.ig, n, seed, capacity,
+                                             ranks, &engine);
+  }
+  std::uint64_t kept = 0;
+  for (const WorldRun& run : runs) kept += run.worlds.size();
+  SOLDIST_CHECK(kept == capacity || sampling.cancel != nullptr);
+  SnapshotArena arena;
+  arena.num_vertices_ = n;
+  arena.snaps_.reserve(kept);
+  arena.warmth_.reserve(kept);
+  arena.counters_.Reserve(kept);
+  for (WorldRun& run : runs) {
+    for (std::size_t j = 0; j < run.worlds.size(); ++j) {
+      arena.counters_.Append(run.per_world[j]);
+      arena.max_components_ =
+          std::max(arena.max_components_, run.worlds[j].num_components());
+      arena.snaps_.push_back(std::move(run.worlds[j]));
+      arena.warmth_.push_back(std::move(run.warmth[j]));
     }
   }
-  SOLDIST_CHECK(arena.capacity() == actual);
-  for (const CondensedSnapshot& snap : arena.snaps_) {
-    arena.max_components_ =
-        std::max(arena.max_components_, snap.num_components());
-  }
-  // Warmth permutation stream: off the sampler chunk streams. Any
-  // distinct-rank permutation yields the same warmth (header note), so
-  // the capacity in the derivation cannot change a byte of a prefix.
-  arena.warmth_ = ComputeSnapshotWarmth(
-      arena.snaps_, arena.num_vertices_, DeriveSeed(seed, capacity + 1),
-      sampling);
   return arena;
 }
 

@@ -9,11 +9,16 @@
 // master seed. The chunked engine gives chunk c its randomness from
 // DeriveSeed(master, c) alone and draws the chunk's snapshots in order,
 // so the first τ₁ snapshots of a τ₂ build are byte-identical to a τ₁
-// build. This is the only code that samples condensed worlds: a fresh
-// condensed SnapshotEstimator samples a private arena of exactly τ
-// worlds, so an estimator borrowing a larger arena's prefix is
-// byte-identical to a fresh one (ctest snapshot_arena_test enforces this
-// for both models at worker counts 1/2/4).
+// build. Each sampler draws a fixed number of engine words per world
+// (DrawsPerWorld), so a build task may also enter a chunk's stream at
+// any world by skipping the words of the chunk's earlier worlds: a
+// build whose last round of chunks would leave workers idle cuts those
+// chunks into pieces that do, and the cut never moves a drawn bit. This
+// is the only code that samples condensed worlds: a fresh condensed
+// SnapshotEstimator samples a private arena of exactly τ worlds, so an
+// estimator borrowing a larger arena's prefix is byte-identical to a
+// fresh one (ctest snapshot_arena_test enforces this for both models at
+// worker counts 1/2/4/8, on whole chunks and on cut ones).
 //
 // Warmth: the condensed gain backend pre-seeds its cache and CELF bounds
 // from bottom-k DAG sketches. Both the exactness test (len < k ⟺
@@ -43,11 +48,12 @@ namespace soldist {
 /// 8 already bounds the long subcritical tail exactly.
 inline constexpr int kSnapshotSketchK = 8;
 
-/// Worlds per tile of a pass over sampled worlds: the warmth pass and a
-/// condensed greedy round. Tiles, not sampling chunks (256 worlds), are
-/// the unit of parallelism there, so a τ=512 build still spreads over
-/// every worker; each world's work is a pure function of the world, so
-/// the value never changes a result.
+/// Worlds per tile of a pass over sampled worlds: the condensed
+/// backend's warm-state Init and a condensed greedy round. Tiles, not
+/// sampling chunks (256 worlds), are the unit of parallelism there, so a
+/// τ=512 build still spreads over every worker; each world's work is a
+/// pure function of the world, so the value never changes a result. It
+/// is also the smallest piece a SnapshotArena build cuts a chunk into.
 inline constexpr std::uint64_t kSnapshotTileWorlds = 32;
 
 /// `sampling` re-cut into tiles of kSnapshotTileWorlds worlds and never
@@ -88,14 +94,22 @@ class SnapshotArena : public WorldArena {
  public:
   /// Samples `capacity` live-edge graphs of `instance`'s model through
   /// the engine chunk streams every Snapshot backend draws (stream 1 of
-  /// each chunk seed), condensing each inside its chunk as it is sampled,
-  /// then precomputes warmth on world tiles with the permutation stream
-  /// DeriveSeed(seed, capacity + 1). Byte-identical at any worker count,
+  /// each chunk seed). Each build task samples, condenses and warms its
+  /// worlds in one pass, the warmth from one rank permutation drawn
+  /// first from DeriveSeed(seed, capacity + 1). A task is a whole chunk,
+  /// or — for the chunks of a last round that would leave some of the
+  /// engine's workers idle (every chunk, when the build has fewer chunks
+  /// than workers) — a piece of one worker's share of those chunks'
+  /// worlds, at least kSnapshotTileWorlds, which enters the chunk's
+  /// stream at its first world by skipping the earlier worlds' draws
+  /// (Rng::Discard). A cancel is polled before every world but world 0,
+  /// skipped or sampled. Byte-identical at any worker count and cut,
   /// and the first τ worlds of any capacity are those of a τ-sized
   /// arena: a fresh condensed SnapshotEstimator(instance, τ, seed,
   /// kCondensed, sampling) samples exactly SampleFor(instance, seed, τ,
   /// sampling). A fired sampling.cancel truncates the arena to its
-  /// completed prefix (capacity() tells). LT requires lt_weights.
+  /// completed prefix (capacity() tells; world 0 always lands). LT
+  /// requires lt_weights.
   static SnapshotArena SampleFor(const ModelInstance& instance,
                                  std::uint64_t seed, std::uint64_t capacity,
                                  const SamplingOptions& sampling);

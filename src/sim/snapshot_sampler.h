@@ -44,6 +44,11 @@ class SnapshotSampler {
   /// one scratch snapshot serves the whole loop.
   void SampleInto(Rng* rng, TraversalCounters* counters, Snapshot* out);
 
+  /// Engine words one Sample/SampleInto call draws: one coin per arc, m.
+  /// A snapshot build enters a chunk's stream mid-chunk by skipping a
+  /// multiple of it (Rng::Discard).
+  std::uint64_t DrawsPerWorld() const { return ig_->graph().num_edges(); }
+
   /// r_G(i)(seeds): vertices reachable from `seeds` in `snapshot`.
   ///
   /// Accounting: each reached vertex is scanned (+1 vertex) and its *live*

@@ -98,6 +98,27 @@ TEST(Mt19937_64Test, DrawsEqualStdMt19937_64) {
   }
 }
 
+TEST(Mt19937_64Test, DiscardEqualsStdMt19937_64Discard) {
+  // Skips that stop short of, on and just past the 312-word twist, and
+  // one of many twists, each from read positions before, on and past a
+  // twist boundary; 700 draws afterwards cross the next twist.
+  for (std::uint64_t before : {0, 1, 311, 312, 500}) {
+    for (std::uint64_t skip : {0, 1, 311, 312, 313, 1000003}) {
+      Mt19937_64 g(DeriveSeed(42, skip));
+      std::mt19937_64 reference(DeriveSeed(42, skip));
+      for (std::uint64_t i = 0; i < before; ++i) {
+        ASSERT_EQ(g(), reference());
+      }
+      g.Discard(skip);
+      reference.discard(skip);
+      for (int i = 0; i < 700; ++i) {
+        ASSERT_EQ(g(), reference())
+            << "after " << before << " draws, skip " << skip << ", draw " << i;
+      }
+    }
+  }
+}
+
 TEST(Mt19937_64Test, RangeEqualsStdMt19937_64) {
   EXPECT_EQ(Mt19937_64::min(), std::mt19937_64::min());
   EXPECT_EQ(Mt19937_64::max(), std::mt19937_64::max());

@@ -1,9 +1,18 @@
-// Tests for snapshot (live-edge graph) sampling and reachability.
+// Tests for snapshot (live-edge graph) sampling and reachability, and
+// the pin of each snapshot sampler's per-world draw count.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "gen/datasets.h"
 #include "graph/builder.h"
 #include "model/influence_graph.h"
+#include "model/lt.h"
+#include "model/probability.h"
+#include "sim/lt_samplers.h"
 #include "sim/snapshot_sampler.h"
 
 namespace soldist {
@@ -114,6 +123,62 @@ TEST(SnapshotSamplerTest, DuplicateSeedsHandled) {
   Snapshot snap = sampler.Sample(&rng, &counters);
   const VertexId seeds[3] = {0, 0, 3};
   EXPECT_EQ(sampler.CountReachable(snap, seeds, &counters), 4u);
+}
+
+/// After k SampleInto calls the sampler's Rng equals a twin that skipped
+/// k × DrawsPerWorld() words — the count a snapshot build piece skips to
+/// enter its chunk's stream mid-chunk. Equality is read as the next 700
+/// draws, which cross a twist.
+template <typename Sampler>
+void ExpectDrawsPerWorldPinned(Sampler* sampler, const std::string& label) {
+  constexpr std::uint64_t kSeed = 0x5eed;
+  Rng rng(kSeed);
+  TraversalCounters counters;
+  Snapshot scratch;
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    sampler->SampleInto(&rng, &counters, &scratch);
+    Rng probe = rng;
+    Rng twin(kSeed);
+    twin.Discard(k * sampler->DrawsPerWorld());
+    for (int i = 0; i < 700; ++i) {
+      ASSERT_EQ(probe.NextBits(), twin.NextBits())
+          << label << " after " << k << " worlds, draw " << i;
+    }
+  }
+}
+
+InfluenceGraph Make(const EdgeList& edges, ProbabilityModel prob) {
+  return MakeInfluenceGraph(GraphBuilder::FromEdgeList(edges), prob);
+}
+
+TEST(SnapshotSamplerTest, DrawsPerWorldIsWhatSampleIntoDraws) {
+  const std::vector<std::pair<std::string, EdgeList>> graphs = {
+      {"Karate", Datasets::Karate()},
+      {"Physicians", Datasets::Physicians(1)},
+      {"ca-GrQc", Datasets::CaGrQc(1)}};
+  for (const auto& [name, edges] : graphs) {
+    for (ProbabilityModel prob :
+         {ProbabilityModel::kIwc, ProbabilityModel::kUc01}) {
+      InfluenceGraph ig = Make(edges, prob);
+      SnapshotSampler sampler(&ig);
+      EXPECT_EQ(sampler.DrawsPerWorld(), ig.graph().num_edges());
+      ExpectDrawsPerWorldPinned(&sampler, "IC " + name);
+    }
+    InfluenceGraph ig = Make(edges, ProbabilityModel::kIwc);
+    LtWeights weights(&ig);
+    LtSnapshotSampler sampler(&weights);
+    ExpectDrawsPerWorldPinned(&sampler, "LT " + name);
+  }
+}
+
+TEST(SnapshotSamplerTest, LtDrawsPerWorldSkipsVerticesWithoutInArcs) {
+  // Vertex 0 has no in-arc and draws nothing; 1, 2 and 3 draw one word
+  // each.
+  InfluenceGraph ig = Diamond(0.5);
+  LtWeights weights(&ig);
+  LtSnapshotSampler sampler(&weights);
+  EXPECT_EQ(sampler.DrawsPerWorld(), 3u);
+  ExpectDrawsPerWorldPinned(&sampler, "LT diamond");
 }
 
 }  // namespace
