@@ -1,6 +1,7 @@
 #include "api/session.h"
 
 #include <functional>
+#include <limits>
 #include <utility>
 
 #include "core/factory.h"
@@ -18,6 +19,10 @@ Status SessionOptions::Validate() const {
     return Status::InvalidArgument(
         "SessionOptions: oracle_rr must be >= 1 (RR sets per shared "
         "oracle)");
+  }
+  if (oracle_rr > std::uint64_t{std::numeric_limits<std::uint32_t>::max()}) {
+    return Status::InvalidArgument(
+        "SessionOptions: oracle_rr exceeds the oracle's 32-bit set ids");
   }
   if (threads < 0) {
     return Status::InvalidArgument(
@@ -220,14 +225,9 @@ SolveResult Session::RunResolved(const ResolvedSolve& resolved) {
   result.solve_seconds = result.build_seconds + result.select_seconds;
   if (resolved.oracle != nullptr) {
     timer.Restart();
-    {
-      // CountCovered's per-query scratch is not thread-safe; concurrent
-      // runs (batch fan-out, concurrent Solve callers) take turns. The
-      // value is a pure function of (oracle, seed_set) either way.
-      std::lock_guard<std::mutex> lock(oracle_eval_mu_);
-      result.influence =
-          resolved.oracle->EstimateInfluence(result.seed_set);
-    }
+    // Lock-free: the oracle's queries keep no scratch, so batch fan-outs
+    // and concurrent Solve callers evaluate on it at once.
+    result.influence = resolved.oracle->EstimateInfluence(result.seed_set);
     result.oracle_ci99 = resolved.oracle->ConfidenceInterval99();
     result.evaluate_seconds = timer.Seconds();
   }

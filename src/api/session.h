@@ -9,9 +9,10 @@
 //
 // Concurrency model: resolution (graph building, oracle construction,
 // pool creation) is serialized under an internal mutex (an oracle build
-// waits on the shared pool while holding it); the solver runs
-// lock-free on stable, immutable instance data, so any number of threads
-// may call Solve concurrently. SolveBatch additionally fans independent
+// waits on the shared pool while holding it); the solver and the oracle
+// evaluation of its seeds run lock-free on stable, immutable instance
+// data and oracles, so any number of threads may call Solve
+// concurrently. SolveBatch additionally fans independent
 // runs out across the shared pool — batches are serialized against each
 // other (the pool has a single-waiter contract) but results are ALWAYS
 // byte-identical to issuing the same specs sequentially through Solve:
@@ -45,7 +46,8 @@ struct SessionOptions {
   /// draws, and per-instance oracle seed derivation all flow from it.
   std::uint64_t seed = 42;
   /// RR sets per shared influence oracle (paper Section 5.2 uses 10^7;
-  /// the default is the harness-scale 10^5).
+  /// the default is the harness-scale 10^5). At most 2^32 − 1: the
+  /// oracle's set ids are 32-bit.
   std::uint64_t oracle_rr = 100000;
   /// Shared worker-pool width (0 = hardware concurrency). The pool runs
   /// SolveBatch fan-outs, sample_threads=0 solves and every oracle build;
@@ -146,7 +148,8 @@ class Session {
   /// by (network, prob, model): LT oracles draw backward-walk RR sets.
   /// The first call samples and indexes the oracle on the shared pool at
   /// full width; its sets and values are byte-identical to an inline
-  /// build at any `threads`.
+  /// build at any `threads`. Any number of threads may query the
+  /// returned oracle at once.
   StatusOr<const RrOracle*> ResolveOracle(const WorkloadSpec& workload);
 
   /// SamplingOptions with the session's pools attached: 0 = the shared
@@ -187,11 +190,6 @@ class Session {
   /// the Session.
   std::mutex mu_;
   std::mutex batch_mu_;  ///< serializes SolveBatch pool fan-outs
-  /// Serializes oracle influence queries: RrCollection::CountCovered
-  /// keeps mutable per-query scratch, so concurrent EstimateInfluence
-  /// calls on one shared oracle would race (the result is deterministic
-  /// either way — the scratch never carries state between queries).
-  std::mutex oracle_eval_mu_;
   InstanceRegistry registry_;
   std::unique_ptr<ThreadPool> pool_;
   /// Names already loaded from a file / in-memory edge list.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 
 namespace soldist {
 namespace api {
@@ -70,6 +71,11 @@ Status SolveSpec::Validate() const {
     return Status::InvalidArgument(
         "SolveSpec: sample_number must be >= 1 (the sample-number grid is "
         "2^0 and up)");
+  }
+  if (approach == Approach::kRis &&
+      sample_number > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "SolveSpec: RIS sample_number exceeds the arena's 32-bit set ids");
   }
   if (k < 1) {
     return Status::InvalidArgument("SolveSpec: k must be >= 1, got " +

@@ -90,7 +90,7 @@ struct WorkloadSpec {
 /// arenas and their storage backends belong to serve/ (QueryService).
 struct SolveSpec {
   Approach approach = Approach::kRis;
-  std::uint64_t sample_number = 1024;  ///< β, τ, or θ
+  std::uint64_t sample_number = 1024;  ///< β, τ, or θ (θ < 2^32)
   int k = 1;                           ///< seed-set size
   std::uint64_t seed = 1;              ///< master seed for this run
   SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;

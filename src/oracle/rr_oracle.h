@@ -8,16 +8,22 @@
 //
 // The build samples and indexes at the width of the SamplingOptions it is
 // given (api::Session passes its pool); its sets, index and answers
-// depend only on the seed and the chunk size, never on that width.
+// depend only on the seed and the chunk size, never on that width. The
+// sets live in the flat payload an RrArena stores (MergeRrShards), but
+// without the arena's per-set counter table, which no oracle query reads.
+// Every query is const and keeps no scratch, so any number of threads
+// may evaluate one oracle at once.
 
 #ifndef SOLDIST_ORACLE_RR_ORACLE_H_
 #define SOLDIST_ORACLE_RR_ORACLE_H_
 
+#include <span>
 #include <vector>
 
 #include "model/influence_graph.h"
 #include "model/lt.h"
-#include "sim/rr_sampler.h"
+#include "sim/sampling_engine.h"
+#include "store/arena_storage.h"
 
 namespace soldist {
 
@@ -37,7 +43,7 @@ class RrOracle {
   RrOracle(const LtWeights* lt_weights, std::uint64_t num_rr_sets,
            std::uint64_t seed, const SamplingOptions& sampling = {});
 
-  /// Unbiased influence estimate n · F_R(S).
+  /// Unbiased influence estimate n · F_R(S). Thread-safe.
   double EstimateInfluence(std::span<const VertexId> seeds) const;
 
   /// Half-width of the 99% confidence interval around an influence
@@ -45,22 +51,23 @@ class RrOracle {
   /// conservative p(1−p) <= 1/4 Bernoulli bound with z_{0.995} = 2.576).
   double ConfidenceInterval99() const;
 
-  /// Greedy on the oracle's own collection (lazy max coverage): the
+  /// Greedy on the oracle's own RR sets (lazy max coverage): the
   /// "Exact Greedy" reference against which near-optimality (0.95×) is
   /// judged in Table 5.
   std::vector<VertexId> OracleGreedySeeds(int k) const;
 
-  std::uint64_t num_rr_sets() const { return collection_.size(); }
+  std::uint64_t num_rr_sets() const { return payload_.size(); }
   /// Ascending ids of the oracle's RR sets containing v.
   std::span<const std::uint32_t> InvertedList(VertexId v) const {
-    return collection_.InvertedList(v);
+    return payload_.InvertedList(v);
   }
-  double EmpiricalEpt() const { return collection_.MeanSize(); }
+  /// Mean RR-set size: the empirical EPT of Section 3.5.2.
+  double EmpiricalEpt() const;
   const InfluenceGraph& influence_graph() const { return *ig_; }
 
  private:
   const InfluenceGraph* ig_;
-  RrCollection collection_;
+  store::RrFlatPayload payload_;
 };
 
 }  // namespace soldist

@@ -10,7 +10,7 @@ namespace soldist {
 void BuildInvertedIndex(VertexId num_vertices,
                         std::span<const VertexId> flat,
                         std::span<const std::uint64_t> set_offsets,
-                        std::uint64_t indexed_sets, SamplingEngine* engine,
+                        SamplingEngine* engine,
                         std::vector<std::uint32_t>* ids,
                         std::vector<std::uint32_t>* offsets) {
   SOLDIST_CHECK(!set_offsets.empty());
@@ -19,26 +19,19 @@ void BuildInvertedIndex(VertexId num_vertices,
       << "32-bit set ids overflow: " << num_sets << " RR sets";
   SOLDIST_CHECK(flat.size() <= std::numeric_limits<std::uint32_t>::max())
       << "32-bit index offsets overflow: " << flat.size() << " entries";
-  SOLDIST_CHECK(indexed_sets <= num_sets);
   SOLDIST_DCHECK(set_offsets.back() == flat.size());
   const std::uint64_t n = num_vertices;
-  if (indexed_sets > 0) {
-    SOLDIST_DCHECK(offsets->size() == n + 1 &&
-                   ids->size() == set_offsets[indexed_sets])
-        << "index/content mismatch on a supposedly indexed prefix";
-  }
   SamplingEngine inline_engine;
   if (engine == nullptr) engine = &inline_engine;
 
-  // Cut the new sets into blocks of equal set counts (RR sets are i.i.d.,
-  // so their entries even out). The cut only spreads work: the lists come
+  // Cut the sets into blocks of equal set counts (RR sets are i.i.d., so
+  // their entries even out). The cut only spreads work: the lists come
   // out the same for any cut.
-  const std::uint64_t new_sets = num_sets - indexed_sets;
   const std::uint64_t num_blocks = std::max<std::uint64_t>(
-      1, std::min<std::uint64_t>(engine->ActiveWorkers(), new_sets));
+      1, std::min<std::uint64_t>(engine->ActiveWorkers(), num_sets));
   std::vector<std::uint64_t> block_sets(num_blocks + 1);
   for (std::uint64_t b = 0; b <= num_blocks; ++b) {
-    block_sets[b] = indexed_sets + new_sets * b / num_blocks;
+    block_sets[b] = num_sets * b / num_blocks;
   }
 
   // cursor[b·stride + v]: first the number of v's entries in block b,
@@ -53,12 +46,11 @@ void BuildInvertedIndex(VertexId num_vertices,
       ++count[flat[k]];
     }
   });
-  // v's list: its already-indexed ids, then block 0's, block 1's, ...
+  // v's list: block 0's ids, then block 1's, ...
   std::vector<std::uint32_t> new_offsets(n + 1);
   std::uint32_t next = 0;
   for (std::uint64_t v = 0; v < n; ++v) {
     new_offsets[v] = next;
-    if (indexed_sets > 0) next += (*offsets)[v + 1] - (*offsets)[v];
     for (std::uint64_t b = 0; b < num_blocks; ++b) {
       const std::uint32_t count = cursor[b * stride + v];
       cursor[b * stride + v] = next;
@@ -69,14 +61,6 @@ void BuildInvertedIndex(VertexId num_vertices,
 
   std::vector<std::uint32_t> new_ids(flat.size());
   engine->RunTasks(num_blocks, [&](std::uint64_t b, std::size_t) {
-    if (indexed_sets > 0) {
-      for (std::uint64_t v = n * b / num_blocks;
-           v < n * (b + 1) / num_blocks; ++v) {
-        std::copy(ids->begin() + (*offsets)[v],
-                  ids->begin() + (*offsets)[v + 1],
-                  new_ids.begin() + new_offsets[v]);
-      }
-    }
     std::uint32_t* at = cursor.data() + b * stride;
     for (std::uint64_t set = block_sets[b]; set < block_sets[b + 1]; ++set) {
       for (std::uint64_t k = set_offsets[set]; k < set_offsets[set + 1];

@@ -79,7 +79,7 @@ class LtRrSampler {
 
 /// Samples `count` LT RR sets through `engine`, with the shard layout,
 /// chunk streams, cancel behavior and `record_per_set` semantics of the
-/// IC SampleRrShards (the two share one body), so the merged collection
+/// IC SampleRrShards (the two share one body), so the merged payload
 /// is byte-identical for any worker count.
 std::vector<RrShard> SampleLtRrShards(const LtWeights& weights,
                                       std::uint64_t master_seed,

@@ -50,8 +50,8 @@ std::uint64_t ClearCovered(std::span<const std::uint32_t> list,
 }
 
 /// The word-packed bucket-CELF engine, generic over the two index-backed
-/// views (RrCollection and RrPrefixView expose num_vertices / size /
-/// InvertedList with ascending 32-bit ids).
+/// views (store::RrFlatPayload and RrPrefixView expose num_vertices /
+/// size / InvertedList with ascending 32-bit ids).
 ///
 /// Selection invariant (matches the reference heap engine in
 /// tests/max_coverage_test.cc): each round commits
@@ -164,14 +164,33 @@ MaxCoverageResult PackedGreedyMaxCoverage(const View& view, int k,
 
 }  // namespace
 
-MaxCoverageResult GreedyMaxCoverage(const RrCollection& collection, int k,
-                                    const CancelToken* cancel) {
-  return PackedGreedyMaxCoverage(collection, k, cancel);
+MaxCoverageResult GreedyMaxCoverage(const store::RrFlatPayload& payload,
+                                    int k, const CancelToken* cancel) {
+  return PackedGreedyMaxCoverage(payload, k, cancel);
 }
 
 MaxCoverageResult GreedyMaxCoverage(const RrPrefixView& view, int k,
                                     const CancelToken* cancel) {
   return PackedGreedyMaxCoverage(view, k, cancel);
+}
+
+std::uint64_t CountCovered(const store::RrFlatPayload& payload,
+                           std::span<const VertexId> seeds) {
+  std::vector<std::uint64_t> covered((payload.size() + 63) / 64, 0);
+  std::uint64_t count = 0;
+  for (VertexId v : seeds) {
+    SOLDIST_DCHECK(v < payload.num_vertices());
+    // Per-entry bit test, as in QueryView::MarkAndCount: CountUncovered's
+    // run-grouped mask+popcount read 4x slower here (Physicians iwc
+    // oracle of 10^5 sets, k = 4).
+    for (std::uint32_t id : payload.InvertedList(v)) {
+      std::uint64_t& word = covered[id >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+      count += static_cast<std::uint64_t>((word & bit) == 0);
+      word |= bit;
+    }
+  }
+  return count;
 }
 
 }  // namespace soldist

@@ -1,9 +1,11 @@
-// Lazy-greedy maximum coverage over an RR-set collection: the common core
-// of RIS seed selection (paper Section 3.5.1 — "influence maximization is
-// therefore equivalent to a maximum coverage problem"), the oracle-greedy
-// reference, and IMM's node-selection phase.
+// Coverage over indexed RR sets: the common core of RIS seed selection
+// (paper Section 3.5.1 — "influence maximization is therefore equivalent
+// to a maximum coverage problem"), the shared oracle's estimates and its
+// oracle-greedy reference. It runs on both index-backed views: an arena
+// prefix (RrPrefixView) and a whole payload (store::RrFlatPayload, which
+// is what the oracle keeps).
 //
-// The production engine is word-packed: covered/uncovered state lives in
+// The greedy engine is word-packed: covered/uncovered state lives in
 // packed uint64 bitmap words (gain recomputation and set deactivation
 // mask whole words at a time and popcount), the CELF lazy queue is a
 // gain-indexed bucket array instead of a binary heap (gains are integers
@@ -13,16 +15,17 @@
 // implementation — same seeds, covered counts, smaller-id tie-breaking,
 // and smallest-id zero-gain fill — which tests/max_coverage_test.cc keeps
 // as its reference engine and differentially tests against on randomized
-// collections.
+// payloads.
 
 #ifndef SOLDIST_SIM_MAX_COVERAGE_H_
 #define SOLDIST_SIM_MAX_COVERAGE_H_
 
+#include <span>
 #include <vector>
 
 #include "sim/rr_arena.h"
-#include "sim/rr_sampler.h"
 #include "sim/sampling_engine.h"
+#include "store/arena_storage.h"
 
 namespace soldist {
 
@@ -51,19 +54,26 @@ struct MaxCoverageResult {
 ///
 /// Deterministic: ties break toward the smaller vertex id; once every
 /// remaining gain is zero the rest of the seed set is filled with the
-/// smallest unselected ids. Requires collection.BuildIndex().
+/// smallest unselected ids. Runs over every set of an indexed payload
+/// (MergeRrShards builds them).
 ///
 /// `cancel` (deadline-aware CELF — serve/resilience.h): the token is
 /// checked BETWEEN rounds, so a fired deadline stops selection at a
 /// round boundary with the completed prefix (at least round 0 always
 /// lands) and MaxCoverageResult::completed = false.
-MaxCoverageResult GreedyMaxCoverage(const RrCollection& collection, int k,
-                                    const CancelToken* cancel = nullptr);
+MaxCoverageResult GreedyMaxCoverage(const store::RrFlatPayload& payload,
+                                    int k, const CancelToken* cancel = nullptr);
 
 /// Same greedy over a zero-copy arena prefix view (the sweep-reuse path):
-/// byte-identical to running it on an equal collection.
+/// byte-identical to running it on a payload of the same sets.
 MaxCoverageResult GreedyMaxCoverage(const RrPrefixView& view, int k,
                                     const CancelToken* cancel = nullptr);
+
+/// Number of the payload's sets that contain a vertex of `seeds`
+/// (repeats allowed). Marks the sets in a word bitmap of its own, one
+/// bit per set, so concurrent calls on one payload are safe.
+std::uint64_t CountCovered(const store::RrFlatPayload& payload,
+                           std::span<const VertexId> seeds);
 
 }  // namespace soldist
 

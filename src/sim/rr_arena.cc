@@ -54,8 +54,8 @@ RrArena RrArena::FromParts(VertexId num_vertices,
   payload.flat = std::move(flat);
   payload.set_offsets = std::move(set_offsets);
   BuildInvertedIndex(num_vertices, payload.flat, payload.set_offsets,
-                     /*indexed_sets=*/0, /*engine=*/nullptr,
-                     &payload.index_ids, &payload.index_offsets);
+                     /*engine=*/nullptr, &payload.index_ids,
+                     &payload.index_offsets);
   arena.AdoptPayload(std::move(payload));
   return arena;
 }
@@ -67,40 +67,17 @@ void RrArena::Finalize(std::vector<RrShard>&& shards, SamplingEngine* engine,
         &shards, capacity,
         [](const RrShard& shard) { return shard.num_sets(); });
   }
-  std::uint64_t total_entries = 0;
-  for (const RrShard& shard : shards) total_entries += shard.flat.size();
-  store::RrFlatPayload payload;
-  payload.set_offsets.reserve(capacity + 1);
-  payload.set_offsets.push_back(0);
   counters_.Reserve(capacity);
-  if (!shards.empty()) {
-    // Adopt the first shard's flat buffer (cf. RrCollection::Merge's
-    // rvalue overload); remaining shards append.
-    payload.flat = std::move(shards[0].flat);
-    payload.flat.reserve(total_entries);
-  }
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    RrShard& shard = shards[s];
-    const std::uint64_t base =
-        s == 0 ? 0
-               : static_cast<std::uint64_t>(payload.flat.size());
-    if (s > 0) {
-      payload.flat.insert(payload.flat.end(), shard.flat.begin(),
-                          shard.flat.end());
-    }
+  for (const RrShard& shard : shards) {
     SOLDIST_CHECK(shard.per_set.size() == shard.num_sets());
-    for (std::uint64_t j = 1; j < shard.offsets.size(); ++j) {
-      payload.set_offsets.push_back(base + shard.offsets[j]);
-      counters_.Append(shard.per_set[j - 1]);
+    for (const TraversalCounters& delta : shard.per_set) {
+      counters_.Append(delta);
     }
   }
   SOLDIST_CHECK(this->capacity() == capacity)
       << "shards produced " << this->capacity() << " sets, expected "
       << capacity;
-  BuildInvertedIndex(num_vertices_, payload.flat, payload.set_offsets,
-                     /*indexed_sets=*/0, engine, &payload.index_ids,
-                     &payload.index_offsets);
-  AdoptPayload(std::move(payload));
+  AdoptPayload(MergeRrShards(num_vertices_, std::move(shards), engine));
 }
 
 void RrArena::AdoptPayload(store::RrFlatPayload&& payload) {

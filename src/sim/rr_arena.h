@@ -95,8 +95,7 @@ class RrArena : public WorldArena {
   /// the StorageScratch overload.
   std::span<const VertexId> Set(std::uint64_t i) const {
     SOLDIST_DCHECK(flat_ != nullptr) << "raw Set() on non-flat arena";
-    return {flat_->flat.data() + flat_->set_offsets[i],
-            flat_->flat.data() + flat_->set_offsets[i + 1]};
+    return flat_->Set(i);
   }
 
   /// Backend-agnostic set decode; encoded backends return it sorted
@@ -111,8 +110,7 @@ class RrArena : public WorldArena {
   /// Zero-copy FLAT fast path; non-flat arenas use the scratch overload.
   std::span<const std::uint32_t> InvertedAll(VertexId v) const {
     SOLDIST_DCHECK(flat_ != nullptr) << "raw InvertedAll() on non-flat arena";
-    return {flat_->index_ids.data() + flat_->index_offsets[v],
-            flat_->index_ids.data() + flat_->index_offsets[v + 1]};
+    return flat_->InvertedList(v);
   }
 
   /// Backend-agnostic inverted list — identical across backends.
@@ -164,8 +162,9 @@ class RrArena : public WorldArena {
 
  private:
   RrArena() = default;
-  /// Concatenates the shards (cut to their completed prefix when the
-  /// engine carries a cancel token) and indexes them on `engine`.
+  /// Cuts the shards to their completed prefix when the engine carries a
+  /// cancel token, records their per-set counters, and adopts their
+  /// MergeRrShards payload (indexed on `engine`).
   void Finalize(std::vector<RrShard>&& shards, SamplingEngine* engine,
                 std::uint64_t capacity);
   void AdoptPayload(store::RrFlatPayload&& payload);
@@ -176,13 +175,14 @@ class RrArena : public WorldArena {
 
 /// \brief A view of the first `count` sets of an arena.
 ///
-/// Query-compatible with the slice of RrCollection the coverage engines
-/// need: Set / InvertedList / size / num_vertices, plus the per-vertex
-/// cover counts (cut lengths) that seed greedy state for free. Over a
-/// flat arena the view is zero-copy; over an encoded backend the
-/// constructor materializes the prefix (sets + cut inverted lists) into
-/// owned arrays, so estimators and CELF run the identical access pattern
-/// — and produce identical results — on every backend.
+/// Query-compatible with the coverage view of an indexed
+/// store::RrFlatPayload (sim/max_coverage.h): Set / InvertedList / size /
+/// num_vertices, plus the per-vertex cover counts (cut lengths) that seed
+/// greedy state for free. Over a flat arena the view is zero-copy; over
+/// an encoded backend the constructor materializes the prefix (sets + cut
+/// inverted lists) into owned arrays, so estimators and CELF run the
+/// identical access pattern — and produce identical results — on every
+/// backend.
 class RrPrefixView {
  public:
   RrPrefixView(const RrArena* arena, std::uint64_t count);

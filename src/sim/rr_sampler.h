@@ -9,7 +9,6 @@
 #define SOLDIST_SIM_RR_SAMPLER_H_
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "graph/traversal.h"
@@ -18,6 +17,7 @@
 #include "random/splitmix64.h"
 #include "sim/counters.h"
 #include "sim/sampling_engine.h"
+#include "store/arena_storage.h"
 
 namespace soldist {
 
@@ -63,8 +63,9 @@ class RrSampler {
   std::vector<std::uint32_t> unmarked_;
 };
 
-/// \brief One chunk's worth of RR sets in flat+offsets (CSR) form, ready
-/// for a bulk RrCollection::Merge. Produced by SampleRrShards.
+/// \brief One chunk's worth of RR sets in flat+offsets (CSR) form.
+/// Produced by SampleRrShards and SampleLtRrShards; MergeRrShards
+/// concatenates a build's shards into one indexed RR payload.
 struct RrShard {
   std::vector<VertexId> flat;
   std::vector<std::uint64_t> offsets;  ///< local: offsets[0] = 0
@@ -85,7 +86,7 @@ struct RrShard {
 ///
 /// Chunk c derives its (target, coin) stream pair from the chunk seed
 /// DeriveSeed(master_seed, c), so the shard concatenation — and therefore
-/// the merged collection — is byte-identical for any worker count.
+/// the merged payload — is byte-identical for any worker count.
 /// `record_per_set` additionally fills RrShard::per_set (never affects
 /// the sampled content: recording draws nothing from the streams).
 ///
@@ -168,73 +169,16 @@ std::vector<RrShard> SampleRrShardsWith(const MakeSampler& make_sampler,
 
 }  // namespace internal
 
-/// \brief A flattened collection of RR sets with an inverted index.
-///
-/// Storage: entries of set i are flat()[offsets()[i] .. offsets()[i+1]).
-/// The inverted index maps vertex v to the ids of the RR sets containing
-/// v, enabling O(Σ_v |index(v)|) coverage queries.
-class RrCollection {
- public:
-  explicit RrCollection(VertexId num_vertices);
-
-  /// Appends one RR set (entries need not be sorted).
-  void Add(const std::vector<VertexId>& rr_set);
-
-  /// Bulk-appends shards in shard order: one flat+offsets (CSR-style)
-  /// splice per shard instead of a per-set Add loop. Call BuildIndex()
-  /// once afterwards.
-  void Merge(std::span<const RrShard> shards);
-
-  /// Move overload: when the collection is still empty, the first
-  /// shard's flat buffer is adopted wholesale instead of copied (the
-  /// single largest allocation of an engine-routed RIS/IMM build);
-  /// remaining shards append as usual.
-  void Merge(std::vector<RrShard>&& shards);
-
-  std::uint64_t size() const { return static_cast<std::uint64_t>(offsets_.size()) - 1; }
-  std::uint64_t total_entries() const {
-    return static_cast<std::uint64_t>(flat_.size());
-  }
-  VertexId num_vertices() const { return num_vertices_; }
-
-  std::span<const VertexId> Set(std::uint64_t i) const {
-    return {flat_.data() + offsets_[i], flat_.data() + offsets_[i + 1]};
-  }
-
-  /// Builds the vertex -> set-ids index; call after the last Add/Merge and
-  /// before InvertedList/CountCovered. Incremental: only sets appended
-  /// since the previous build are counting-sorted in (their ids are larger
-  /// than every indexed id, so per-vertex lists stay ascending and the
-  /// already-indexed prefix is a bulk copy, not a scattered re-placement);
-  /// a call with no new sets is a DCHECK-guarded no-op (IMM's
-  /// Merge-then-select rounds hit both cases every run). The sort runs on
-  /// `engine`'s workers (null = inline) and its output never depends on
-  /// their number (sim/inverted_index.h). Set ids and offsets are 32-bit:
-  /// a collection must stay under 2^32 entries (CHECKed; the paper-full
-  /// grids top out at ~2^28).
-  void BuildIndex(SamplingEngine* engine = nullptr);
-
-  /// Ids of the RR sets containing v, ascending. Requires BuildIndex().
-  std::span<const std::uint32_t> InvertedList(VertexId v) const;
-
-  /// Number of RR sets intersecting `seeds` (requires BuildIndex()).
-  std::uint64_t CountCovered(std::span<const VertexId> seeds) const;
-
-  /// Mean RR-set size: the empirical EPT of Section 3.5.2.
-  double MeanSize() const;
-
- private:
-  VertexId num_vertices_;
-  std::vector<VertexId> flat_;
-  std::vector<std::uint64_t> offsets_;  // size() + 1 entries
-  std::vector<std::uint32_t> index_flat_;
-  std::vector<std::uint32_t> index_offsets_;  // n + 1 entries once built
-  std::uint64_t indexed_sets_ = 0;  // sets covered by the current index
-  bool index_built_ = false;
-  // Scratch for CountCovered (mutable: queries are logically const).
-  mutable std::vector<std::uint32_t> covered_stamp_;
-  mutable std::uint32_t covered_epoch_ = 0;
-};
+/// Concatenates `shards` in shard order into one flat RR payload and
+/// counting-sorts its inverted index on `engine`'s workers (null =
+/// inline; sim/inverted_index.h). The first shard's flat buffer is
+/// adopted (an inline build's one shard is never copied), and every
+/// shard is freed before the index is built. The payload is a pure function of the shards' contents,
+/// whatever the engine's width. Set ids and index offsets are 32-bit, so
+/// the shards must hold fewer than 2^32 sets and entries (CHECKed).
+store::RrFlatPayload MergeRrShards(VertexId num_vertices,
+                                   std::vector<RrShard> shards,
+                                   SamplingEngine* engine);
 
 }  // namespace soldist
 

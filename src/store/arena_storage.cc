@@ -117,15 +117,13 @@ std::uint64_t FlatStorage::MemoryBytes() const {
 std::span<const VertexId> FlatStorage::Set(std::uint64_t i,
                                            StorageScratch*) const {
   SOLDIST_DCHECK(i < num_sets_);
-  return {payload_.flat.data() + payload_.set_offsets[i],
-          payload_.flat.data() + payload_.set_offsets[i + 1]};
+  return payload_.Set(i);
 }
 
 std::span<const std::uint32_t> FlatStorage::InvertedAll(
     VertexId v, StorageScratch*) const {
   SOLDIST_DCHECK(v < num_vertices_);
-  return {payload_.index_ids.data() + payload_.index_offsets[v],
-          payload_.index_ids.data() + payload_.index_offsets[v + 1]};
+  return payload_.InvertedList(v);
 }
 
 // ---------------------------------------------------------------------

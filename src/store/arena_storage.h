@@ -127,6 +127,20 @@ struct RrFlatPayload {
   std::vector<std::uint64_t> set_offsets;    // num_sets + 1
   std::vector<std::uint32_t> index_ids;      // ascending per vertex
   std::vector<std::uint32_t> index_offsets;  // num_vertices + 1
+
+  // Zero-copy reads of an indexed payload: the coverage view that
+  // GreedyMaxCoverage and CountCovered take (sim/max_coverage.h).
+  std::uint64_t size() const { return set_offsets.size() - 1; }
+  VertexId num_vertices() const {
+    return static_cast<VertexId>(index_offsets.size() - 1);
+  }
+  std::span<const VertexId> Set(std::uint64_t i) const {
+    return {flat.data() + set_offsets[i], flat.data() + set_offsets[i + 1]};
+  }
+  std::span<const std::uint32_t> InvertedList(VertexId v) const {
+    return {index_ids.data() + index_offsets[v],
+            index_ids.data() + index_offsets[v + 1]};
+  }
 };
 
 /// \brief Abstract immutable RR payload store. All queries are const and

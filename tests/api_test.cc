@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -70,6 +71,39 @@ TEST(SolveSpecTest, ValidationErrors) {
   bad_chunk.sampling.chunk_size = 0;
   EXPECT_EQ(bad_chunk.Validate().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(api::SolveSpec{}.Validate().ok());
+}
+
+// RR set ids are 32-bit. Both bounds are checked at Validate, before any
+// sampling: past them a build would sample every set and then abort.
+constexpr std::uint64_t kMaxSetIds = std::numeric_limits<std::uint32_t>::max();
+
+TEST(SolveSpecTest, RisSampleNumberFitsThirtyTwoBitSetIds) {
+  Status too_many =
+      api::SolveSpec{}.WithSampleNumber(kMaxSetIds + 1).Validate();
+  EXPECT_EQ(too_many.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_many.message().find("32-bit set ids"), std::string::npos)
+      << too_many.ToString();
+  EXPECT_TRUE(api::SolveSpec{}.WithSampleNumber(kMaxSetIds).Validate().ok());
+  // Oneshot and Snapshot keep no RR set ids.
+  for (Approach approach : {Approach::kOneshot, Approach::kSnapshot}) {
+    EXPECT_TRUE(api::SolveSpec{}
+                    .WithApproach(approach)
+                    .WithSampleNumber(kMaxSetIds + 1)
+                    .Validate()
+                    .ok())
+        << ApproachName(approach);
+  }
+}
+
+TEST(SessionOptionsTest, OracleRrFitsThirtyTwoBitSetIds) {
+  api::SessionOptions options;
+  options.oracle_rr = kMaxSetIds + 1;
+  Status too_many = options.Validate();
+  EXPECT_EQ(too_many.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_many.message().find("32-bit set ids"), std::string::npos)
+      << too_many.ToString();
+  options.oracle_rr = kMaxSetIds;
+  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(SessionTest, UnknownNetworkIsStatusNotCrash) {

@@ -13,7 +13,6 @@
 #include "model/lt.h"
 #include "model/probability.h"
 #include "oracle/exact_oracle.h"
-#include "sim/rr_sampler.h"
 
 namespace soldist {
 namespace {
@@ -93,14 +92,6 @@ TEST(FailureDeathTest, ExactOracleRejectsLargeGraphs) {
   InfluenceGraph ig =
       MakeInfluenceGraph(std::move(g), ProbabilityModel::kUc01);
   EXPECT_DEATH(ExactInfluence(ig, std::vector<VertexId>{0}), "enumeration");
-}
-
-TEST(FailureDeathTest, RrCollectionQueriesRequireIndex) {
-  RrCollection collection(4);
-  collection.Add({1, 2});
-  EXPECT_DEATH(collection.CountCovered(std::vector<VertexId>{1}),
-               "BuildIndex");
-  EXPECT_DEATH(collection.InvertedList(1), "BuildIndex");
 }
 
 TEST(FailureStatusTest, DatasetByNameReturnsNotFound) {

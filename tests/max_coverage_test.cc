@@ -11,6 +11,7 @@
 
 #include "random/rng.h"
 #include "sim/max_coverage.h"
+#include "sim/rr_sampler.h"
 
 namespace soldist {
 namespace {
@@ -19,9 +20,9 @@ namespace {
 /// verbatim as the differential-test baseline: same seeds, covered
 /// counts, smaller-id tie-breaking, smallest-id zero-gain fill and
 /// round-boundary cancel.
-MaxCoverageResult ReferenceGreedyMaxCoverage(const RrCollection& collection,
-                                             int k,
-                                             const CancelToken* cancel) {
+MaxCoverageResult ReferenceGreedyMaxCoverage(
+    const store::RrFlatPayload& collection, int k,
+    const CancelToken* cancel) {
   SOLDIST_CHECK(k >= 1);
   const VertexId n = collection.num_vertices();
   SOLDIST_CHECK(static_cast<VertexId>(k) <= n);
@@ -90,20 +91,24 @@ MaxCoverageResult ReferenceGreedyMaxCoverage(const RrCollection& collection,
 }
 
 /// Both engines behind one signature, for the differential tests.
-using Engine = MaxCoverageResult (*)(const RrCollection&, int,
+using Engine = MaxCoverageResult (*)(const store::RrFlatPayload&, int,
                                      const CancelToken*);
 
-MaxCoverageResult PackedEngine(const RrCollection& collection, int k,
+MaxCoverageResult PackedEngine(const store::RrFlatPayload& collection, int k,
                                const CancelToken* cancel) {
   return GreedyMaxCoverage(collection, k, cancel);
 }
 
-RrCollection MakeCollection(VertexId n,
-                            std::vector<std::vector<VertexId>> sets) {
-  RrCollection collection(n);
-  for (const auto& set : sets) collection.Add(set);
-  collection.BuildIndex();
-  return collection;
+/// An indexed payload of `sets` in order, merged from one shard.
+store::RrFlatPayload MakeCollection(
+    VertexId n, const std::vector<std::vector<VertexId>>& sets) {
+  std::vector<RrShard> shards(1);
+  shards[0].offsets.push_back(0);
+  for (const auto& set : sets) {
+    shards[0].flat.insert(shards[0].flat.end(), set.begin(), set.end());
+    shards[0].offsets.push_back(shards[0].flat.size());
+  }
+  return MergeRrShards(n, std::move(shards), /*engine=*/nullptr);
 }
 
 TEST(MaxCoverageTest, SingleBestVertex) {
@@ -141,8 +146,7 @@ TEST(MaxCoverageTest, DeterministicTieBreakSmallerId) {
 }
 
 TEST(MaxCoverageTest, EmptyCollection) {
-  RrCollection collection(3);
-  collection.BuildIndex();
+  auto collection = MakeCollection(3, {});
   auto result = GreedyMaxCoverage(collection, 2);
   EXPECT_EQ(result.covered, 0u);
   EXPECT_EQ(result.seeds.size(), 2u);
@@ -160,7 +164,7 @@ TEST(MaxCoverageTest, MatchesBruteForceOnSmallInstances) {
   EXPECT_EQ(sorted, (std::vector<VertexId>{1, 3}));
 }
 
-void ExpectImplsAgree(const RrCollection& collection, int k,
+void ExpectImplsAgree(const store::RrFlatPayload& collection, int k,
                       const std::string& label) {
   MaxCoverageResult packed = GreedyMaxCoverage(collection, k);
   MaxCoverageResult reference =
@@ -199,7 +203,7 @@ TEST(MaxCoverageTest, WordPackedMatchesReferenceOnRandomCollections) {
     const VertexId n =
         static_cast<VertexId>(2 + rng.UniformInt(20));  // 2..21
     const int num_sets = static_cast<int>(rng.UniformInt(80));
-    RrCollection collection(n);
+    std::vector<std::vector<VertexId>> sets;
     std::vector<VertexId> prev;
     for (int s = 0; s < num_sets; ++s) {
       std::vector<VertexId> set;
@@ -216,10 +220,10 @@ TEST(MaxCoverageTest, WordPackedMatchesReferenceOnRandomCollections) {
           }
         }
       }  // else: empty set
-      collection.Add(set);
+      sets.push_back(set);
       prev = set;
     }
-    collection.BuildIndex();
+    const store::RrFlatPayload collection = MakeCollection(n, sets);
     for (int k : {1, 2, static_cast<int>(n)}) {
       ExpectImplsAgree(collection, k,
                        "trial " + std::to_string(trial) + " n=" +
@@ -229,49 +233,13 @@ TEST(MaxCoverageTest, WordPackedMatchesReferenceOnRandomCollections) {
   }
 }
 
-TEST(MaxCoverageTest, IncrementalIndexMatchesFullRebuild) {
-  // The Merge-then-select cycle (IMM's shape): appending sets and
-  // re-building must index exactly what one final build indexes, and a
-  // build with nothing new must be a no-op that keeps queries valid.
-  Rng rng(7);
-  RrCollection incremental(12);
-  RrCollection batch(12);
-  std::vector<std::vector<VertexId>> all_sets;
-  for (int round = 0; round < 4; ++round) {
-    for (int s = 0; s < 30; ++s) {
-      std::vector<VertexId> set;
-      const int len = static_cast<int>(rng.UniformInt(5));
-      for (int j = 0; j < len; ++j) {
-        set.push_back(static_cast<VertexId>(rng.UniformInt(12)));
-      }
-      std::sort(set.begin(), set.end());
-      set.erase(std::unique(set.begin(), set.end()), set.end());
-      incremental.Add(set);
-      all_sets.push_back(set);
-    }
-    incremental.BuildIndex();  // one incremental build per round
-    incremental.BuildIndex();  // double-build: must be a no-op
-  }
-  for (const auto& set : all_sets) batch.Add(set);
-  batch.BuildIndex();
-  ASSERT_EQ(incremental.size(), batch.size());
-  for (VertexId v = 0; v < 12; ++v) {
-    auto a = incremental.InvertedList(v);
-    auto b = batch.InvertedList(v);
-    ASSERT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()),
-              std::vector<std::uint32_t>(b.begin(), b.end()))
-        << "vertex " << v;
-  }
-  for (int k : {1, 3, 12}) ExpectImplsAgree(incremental, k, "incremental");
-}
-
 // ---------------------------------------------------------------------
 // Deadline-aware CELF (ISSUE 10): a CancelToken stops selection BETWEEN
 // rounds; the completed r-round prefix is byte-identical to a direct
 // k = r solve because greedy selection is prefix-consistent.
 // ---------------------------------------------------------------------
 
-RrCollection CancelFixture() {
+store::RrFlatPayload CancelFixture() {
   Rng rng(99);
   std::vector<std::vector<VertexId>> sets;
   for (int i = 0; i < 40; ++i) {
@@ -282,11 +250,11 @@ RrCollection CancelFixture() {
     if (set.empty()) set.push_back(static_cast<VertexId>(rng.UniformInt(16)));
     sets.push_back(set);
   }
-  return MakeCollection(16, std::move(sets));
+  return MakeCollection(16, sets);
 }
 
 TEST(MaxCoverageCancelTest, CancelBetweenRoundsIsAByteIdenticalPrefix) {
-  RrCollection collection = CancelFixture();
+  const store::RrFlatPayload collection = CancelFixture();
   for (int fire_after : {1, 2, 4}) {
     for (Engine engine : {PackedEngine, ReferenceGreedyMaxCoverage}) {
       int checks = 0;
@@ -306,7 +274,7 @@ TEST(MaxCoverageCancelTest, CancelBetweenRoundsIsAByteIdenticalPrefix) {
 }
 
 TEST(MaxCoverageCancelTest, PreFiredTokenStillSelectsTheFirstSeed) {
-  RrCollection collection = CancelFixture();
+  const store::RrFlatPayload collection = CancelFixture();
   CancelToken cancel;
   cancel.Cancel();
   MaxCoverageResult result = GreedyMaxCoverage(collection, 5, &cancel);
@@ -318,7 +286,7 @@ TEST(MaxCoverageCancelTest, PreFiredTokenStillSelectsTheFirstSeed) {
 }
 
 TEST(MaxCoverageCancelTest, UnfiredTokenChangesNothing) {
-  RrCollection collection = CancelFixture();
+  const store::RrFlatPayload collection = CancelFixture();
   CancelToken cancel;
   MaxCoverageResult with = GreedyMaxCoverage(collection, 6, &cancel);
   MaxCoverageResult without = GreedyMaxCoverage(collection, 6);

@@ -1,19 +1,44 @@
-// Tests for the influence oracles: RR oracle vs exact vs Monte Carlo,
-// and a pool-built RR oracle vs an inline one.
+// Tests for the influence oracles: RR oracle vs exact vs Monte Carlo, a
+// pool-built RR oracle vs an inline one, and concurrent estimates on one
+// shared oracle vs serial ones.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "gen/datasets.h"
 #include "graph/builder.h"
 #include "model/lt.h"
 #include "model/probability.h"
 #include "oracle/exact_oracle.h"
-#include "oracle/mc_oracle.h"
 #include "oracle/rr_oracle.h"
+#include "random/rng.h"
+#include "sim/forward_sim.h"
 #include "util/thread_pool.h"
 
 namespace soldist {
 namespace {
+
+/// Influence estimation by repeated forward simulation: the
+/// straightforward alternative oracle, which cross-validates the RR
+/// oracle here.
+class McOracle {
+ public:
+  explicit McOracle(const InfluenceGraph* ig) : simulator_(ig) {}
+
+  /// Mean activated count over `runs` simulations.
+  double EstimateInfluence(std::span<const VertexId> seeds,
+                           std::uint64_t runs, Rng* rng) {
+    TraversalCounters scratch;
+    return simulator_.EstimateInfluence(seeds, runs, rng, &scratch);
+  }
+
+ private:
+  ForwardSimulator simulator_;
+};
 
 InfluenceGraph Diamond(double p) {
   EdgeList edges;
@@ -180,6 +205,55 @@ TEST(RrOracleTest, PoolBuildEqualsInlineBuild) {
     ExpectSameOracle(lt_inline, RrOracle(&weights, 20000, 12, sampling),
                      width);
   }
+}
+
+/// Every thread evaluates the same seed sets on one shared oracle, each
+/// in its own order, all at once: each value equals the serial one.
+void ExpectConcurrentEqualsSerial(const RrOracle& oracle) {
+  const VertexId n = oracle.influence_graph().num_vertices();
+  Rng rng(2026);
+  std::vector<std::vector<VertexId>> seed_sets(64);
+  for (std::vector<VertexId>& seeds : seed_sets) {
+    seeds.resize(1 + rng.UniformInt(8));
+    for (VertexId& v : seeds) v = static_cast<VertexId>(rng.UniformInt(n));
+  }
+  std::vector<double> serial;
+  for (const std::vector<VertexId>& seeds : seed_sets) {
+    serial.push_back(oracle.EstimateInfluence(seeds));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> values(
+      kThreads, std::vector<double>(seed_sets.size()));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::size_t> order(seed_sets.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      Rng order_rng(static_cast<std::uint64_t>(t) + 1);
+      std::shuffle(order.begin(), order.end(), order_rng.engine());
+      start.arrive_and_wait();
+      for (std::size_t i : order) {
+        values[t][i] = oracle.EstimateInfluence(seed_sets[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < seed_sets.size(); ++i) {
+      EXPECT_EQ(values[t][i], serial[i]) << "thread " << t << " set " << i;
+    }
+  }
+}
+
+TEST(RrOracleTest, ConcurrentEstimatesEqualSerial) {
+  Graph g = GraphBuilder::FromEdgeList(Datasets::Karate());
+  InfluenceGraph uc01 = MakeInfluenceGraph(g, ProbabilityModel::kUc01);
+  InfluenceGraph iwc = MakeInfluenceGraph(std::move(g), ProbabilityModel::kIwc);
+  LtWeights weights(&iwc);
+  ExpectConcurrentEqualsSerial(RrOracle(&uc01, 20000, /*seed=*/13));
+  ExpectConcurrentEqualsSerial(RrOracle(&weights, 20000, /*seed=*/14));
 }
 
 TEST(McOracleTest, MatchesExactOnDiamond) {

@@ -2,7 +2,7 @@
 // EXACTLY the estimates a fresh RIS build at the same (seed, τ, stream
 // family) produces — Spread/MarginalGain against RisEstimator's
 // Estimate/Update protocol, TopK against GreedyMaxCoverage on a freshly
-// sampled collection — plus the concurrency and cache contracts: a
+// sampled and merged RR payload — plus the concurrency and cache contracts: a
 // 4-thread mixed-query hammer is byte-identical to the single-threaded
 // reference, and a byte-budgeted cache rebuilds evicted arenas with
 // identical answers (arena content is a pure function of its key).
@@ -47,15 +47,15 @@ serve::QuerySpec SpecAt(std::uint64_t tau) {
   return spec;
 }
 
-/// The RR collection a fresh RIS build at `tau` draws with the default
+/// The RR sets a fresh RIS build at `tau` draws with the default
 /// sampling options (RisEstimator::Build's streams — what the default
-/// QuerySpec's arena must prefix-match).
-RrCollection DirectCollection(const InfluenceGraph& ig, std::uint64_t tau) {
-  RrCollection collection(ig.num_vertices());
+/// QuerySpec's arena must prefix-match), merged into a payload of their
+/// own, apart from any arena the service holds.
+store::RrFlatPayload DirectPayload(const InfluenceGraph& ig,
+                                   std::uint64_t tau) {
   SamplingEngine engine;
-  collection.Merge(SampleRrShards(ig, kSeed, tau, &engine));
-  collection.BuildIndex();
-  return collection;
+  return MergeRrShards(ig.num_vertices(),
+                       SampleRrShards(ig, kSeed, tau, &engine), &engine);
 }
 
 TEST(QueryServiceTest, SpreadMatchesFreshRisEstimator) {
@@ -83,7 +83,7 @@ TEST(QueryServiceTest, MultiSeedSpreadMatchesBruteForceCount) {
   auto instance = session.ResolveWorkload(KarateUc01());
   ASSERT_TRUE(instance.ok());
   const InfluenceGraph& ig = *instance.value().ig;
-  RrCollection collection = DirectCollection(ig, kTau);
+  const store::RrFlatPayload payload = DirectPayload(ig, kTau);
 
   SplitMix64 rng(7);
   serve::QueryScratch scratch;
@@ -93,10 +93,10 @@ TEST(QueryServiceTest, MultiSeedSpreadMatchesBruteForceCount) {
       v = static_cast<VertexId>(rng.Next() % ig.num_vertices());
     }
     EXPECT_EQ(view.value().CoveredCount(seeds, &scratch),
-              collection.CountCovered(seeds));
+              CountCovered(payload, seeds));
     EXPECT_DOUBLE_EQ(view.value().Spread(seeds, &scratch),
                      static_cast<double>(ig.num_vertices()) *
-                         static_cast<double>(collection.CountCovered(seeds)) /
+                         static_cast<double>(CountCovered(payload, seeds)) /
                          static_cast<double>(kTau));
   }
 }
@@ -133,11 +133,12 @@ TEST(QueryServiceTest, TopKMatchesFreshGreedyMaxCoverageSolve) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   auto instance = session.ResolveWorkload(KarateUc01());
   ASSERT_TRUE(instance.ok());
-  RrCollection collection = DirectCollection(*instance.value().ig, kTau);
+  const store::RrFlatPayload payload =
+      DirectPayload(*instance.value().ig, kTau);
 
   for (int k : {1, 4, 8}) {
     serve::TopKResult topk = view.value().TopK(k);
-    MaxCoverageResult fresh = GreedyMaxCoverage(collection, k);
+    MaxCoverageResult fresh = GreedyMaxCoverage(payload, k);
     EXPECT_EQ(topk.seeds, fresh.seeds) << "k=" << k;
     EXPECT_EQ(topk.covered, fresh.covered) << "k=" << k;
 
@@ -416,7 +417,7 @@ TEST(QueryServiceResilienceTest, DeadlineMissServesExactPrefixAnswer) {
 
   // The degraded answer is EXACT at its served τ: identical to a fresh
   // direct build of `served` sets from the same prefix-closed streams.
-  RrCollection direct = DirectCollection(ig, served);
+  const store::RrFlatPayload direct = DirectPayload(ig, served);
   serve::QueryScratch scratch;
   SplitMix64 rng(5);
   for (int trial = 0; trial < 20; ++trial) {
@@ -425,7 +426,7 @@ TEST(QueryServiceResilienceTest, DeadlineMissServesExactPrefixAnswer) {
       v = static_cast<VertexId>(rng.Next() % ig.num_vertices());
     }
     EXPECT_EQ(view.value().CoveredCount(seeds, &scratch),
-              direct.CountCovered(seeds));
+              CountCovered(direct, seeds));
   }
 }
 

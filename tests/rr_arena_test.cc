@@ -7,8 +7,8 @@
 // arena prefix must be indistinguishable from a fresh RisEstimator
 // through the greedy framework. And every inverted index — an arena
 // sampled at widths 1/2/4 or cancelled, one reloaded through FromParts,
-// an RrCollection grown round by round — equals the serial reference
-// counting sort byte for byte.
+// a payload merged from sampled shards (the oracle's build) — equals the
+// serial reference counting sort byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "gen/datasets.h"
 #include "graph/builder.h"
 #include "model/probability.h"
-#include "random/splitmix64.h"
 #include "sim/lt_samplers.h"
 #include "sim/max_coverage.h"
 #include "sim/rr_arena.h"
@@ -56,52 +55,51 @@ void ExpectCountersEq(const TraversalCounters& a,
   EXPECT_EQ(a.sample_edges, b.sample_edges);
 }
 
-/// Builds the RR collection of `tau` sets straight from the shard
-/// samplers (the streams a fresh RisEstimator at `tau` draws), plus its
-/// summed counters.
+/// Builds the RR payload of `tau` sets straight from the shard samplers
+/// (the streams a fresh RisEstimator at `tau` draws), plus its summed
+/// counters.
 struct DirectBuild {
-  RrCollection collection;
+  store::RrFlatPayload payload;
   TraversalCounters counters;
 };
 
+DirectBuild Direct(VertexId n, std::vector<RrShard> shards,
+                   SamplingEngine* engine) {
+  DirectBuild direct;
+  for (const RrShard& shard : shards) direct.counters += shard.counters;
+  direct.payload = MergeRrShards(n, std::move(shards), engine);
+  return direct;
+}
+
 DirectBuild DirectIc(const InfluenceGraph& ig, std::uint64_t seed,
                      std::uint64_t tau, const SamplingOptions& sampling) {
-  DirectBuild direct{RrCollection(ig.num_vertices()), {}};
   SamplingEngine engine(sampling);
-  auto shards = SampleRrShards(ig, seed, tau, &engine);
-  for (const RrShard& shard : shards) direct.counters += shard.counters;
-  direct.collection.Merge(std::move(shards));
-  direct.collection.BuildIndex();
-  return direct;
+  return Direct(ig.num_vertices(), SampleRrShards(ig, seed, tau, &engine),
+                &engine);
 }
 
 DirectBuild DirectLt(const LtWeights& weights, std::uint64_t seed,
                      std::uint64_t tau, const SamplingOptions& sampling) {
-  DirectBuild direct{
-      RrCollection(weights.influence_graph().num_vertices()), {}};
   SamplingEngine engine(sampling);
-  auto shards = SampleLtRrShards(weights, seed, tau, &engine);
-  for (const RrShard& shard : shards) direct.counters += shard.counters;
-  direct.collection.Merge(std::move(shards));
-  direct.collection.BuildIndex();
-  return direct;
+  return Direct(weights.influence_graph().num_vertices(),
+                SampleLtRrShards(weights, seed, tau, &engine), &engine);
 }
 
 void ExpectPrefixEqualsDirect(const RrArena& arena,
                               const DirectBuild& direct,
                               std::uint64_t tau) {
   RrPrefixView view = arena.Prefix(tau);
-  ASSERT_EQ(view.size(), direct.collection.size());
+  ASSERT_EQ(view.size(), direct.payload.size());
   for (std::uint64_t i = 0; i < tau; ++i) {
     std::span<const VertexId> a = view.Set(i);
-    std::span<const VertexId> b = direct.collection.Set(i);
+    std::span<const VertexId> b = direct.payload.Set(i);
     ASSERT_EQ(std::vector<VertexId>(a.begin(), a.end()),
               std::vector<VertexId>(b.begin(), b.end()))
         << "set " << i << " differs at tau=" << tau;
   }
   for (VertexId v = 0; v < arena.num_vertices(); ++v) {
     std::span<const std::uint32_t> a = view.InvertedList(v);
-    std::span<const std::uint32_t> b = direct.collection.InvertedList(v);
+    std::span<const std::uint32_t> b = direct.payload.InvertedList(v);
     ASSERT_EQ(std::vector<std::uint32_t>(a.begin(), a.end()),
               std::vector<std::uint32_t>(b.begin(), b.end()))
         << "inverted list of " << v << " differs at tau=" << tau;
@@ -207,7 +205,7 @@ TEST(RrArenaTest, BorrowedRisEstimatorMatchesFreshLt) {
                              {32, 300}, 3);
 }
 
-TEST(RrArenaTest, PrefixViewMaxCoverageMatchesCollection) {
+TEST(RrArenaTest, PrefixViewMaxCoverageMatchesDirectPayload) {
   InfluenceGraph ig = KarateUc01();
   SamplingOptions sampling = Threads(2, 64);
   RrArena arena = RrArena::SampleIc(ig, 21, 400, sampling);
@@ -215,10 +213,9 @@ TEST(RrArenaTest, PrefixViewMaxCoverageMatchesCollection) {
     DirectBuild direct = DirectIc(ig, 21, tau, sampling);
     for (int k : {1, 4, 8}) {
       MaxCoverageResult from_view = GreedyMaxCoverage(arena.Prefix(tau), k);
-      MaxCoverageResult from_collection =
-          GreedyMaxCoverage(direct.collection, k);
-      EXPECT_EQ(from_view.seeds, from_collection.seeds);
-      EXPECT_EQ(from_view.covered, from_collection.covered);
+      MaxCoverageResult from_payload = GreedyMaxCoverage(direct.payload, k);
+      EXPECT_EQ(from_view.seeds, from_payload.seeds);
+      EXPECT_EQ(from_view.covered, from_payload.covered);
     }
   }
 }
@@ -274,34 +271,19 @@ ReferenceIndex ReferenceInvertedIndex(
   return index;
 }
 
+void ExpectPayloadIndexIsReference(const store::RrFlatPayload& payload) {
+  const ReferenceIndex reference = ReferenceInvertedIndex(
+      payload.num_vertices(), payload.flat, payload.set_offsets);
+  EXPECT_EQ(payload.index_offsets, reference.offsets);
+  EXPECT_EQ(payload.index_ids, reference.ids);
+}
+
 void ExpectArenaIndexIsReference(const RrArena& arena) {
   const store::RrFlatPayload* payload = arena.storage().flat_payload();
   ASSERT_NE(payload, nullptr);
   ASSERT_EQ(payload->set_offsets.size(), arena.capacity() + 1);
-  const ReferenceIndex reference = ReferenceInvertedIndex(
-      arena.num_vertices(), payload->flat, payload->set_offsets);
-  EXPECT_EQ(payload->index_offsets, reference.offsets);
-  EXPECT_EQ(payload->index_ids, reference.ids);
-}
-
-void ExpectCollectionIndexIsReference(const RrCollection& collection) {
-  std::vector<VertexId> flat;
-  std::vector<std::uint64_t> set_offsets{0};
-  for (std::uint64_t i = 0; i < collection.size(); ++i) {
-    std::span<const VertexId> set = collection.Set(i);
-    flat.insert(flat.end(), set.begin(), set.end());
-    set_offsets.push_back(flat.size());
-  }
-  const ReferenceIndex reference =
-      ReferenceInvertedIndex(collection.num_vertices(), flat, set_offsets);
-  for (VertexId v = 0; v < collection.num_vertices(); ++v) {
-    std::span<const std::uint32_t> list = collection.InvertedList(v);
-    ASSERT_EQ(std::vector<std::uint32_t>(list.begin(), list.end()),
-              std::vector<std::uint32_t>(
-                  reference.ids.begin() + reference.offsets[v],
-                  reference.ids.begin() + reference.offsets[v + 1]))
-        << "vertex " << v << " of " << collection.size() << " sets";
-  }
+  ASSERT_EQ(payload->num_vertices(), arena.num_vertices());
+  ExpectPayloadIndexIsReference(*payload);
 }
 
 TEST(InvertedIndexTest, ArenaSampleForMatchesReference) {
@@ -349,39 +331,24 @@ TEST(InvertedIndexTest, FromPartsMatchesReference) {
   EXPECT_TRUE(sparse.InvertedAll(1).empty());
 }
 
-/// IMM's pattern: Merge a batch of fresh sets, BuildIndex, select,
-/// repeat — including a round smaller than the worker count and a
-/// second BuildIndex with nothing new.
-TEST(InvertedIndexTest, CollectionRoundsMatchReference) {
+/// MergeRrShards, the oracle's build, at widths 1/2/4 — plus a 1-set
+/// payload in which vertices 1, 3 and 5 are in no set.
+TEST(InvertedIndexTest, MergedPayloadMatchesReference) {
   InfluenceGraph ig = KarateUc01();
   for (int threads : {1, 2, 4}) {
     SCOPED_TRACE(threads);
     SamplingEngine engine(Threads(threads, 64));
-    RrCollection one_shot(ig.num_vertices());
-    one_shot.Merge(SampleRrShards(ig, 45, 2000, &engine));
-    one_shot.BuildIndex(&engine);
-    ExpectCollectionIndexIsReference(one_shot);
+    ExpectPayloadIndexIsReference(MergeRrShards(
+        ig.num_vertices(), SampleRrShards(ig, 45, 2000, &engine), &engine));
 
-    RrCollection rounds(ig.num_vertices());
-    std::uint64_t round = 0;
-    for (std::uint64_t delta : {300u, 2u, 700u, 1500u}) {
-      rounds.Merge(
-          SampleRrShards(ig, DeriveSeed(46, round++), delta, &engine));
-      rounds.BuildIndex(&engine);
-      ExpectCollectionIndexIsReference(rounds);
-      rounds.BuildIndex(&engine);  // nothing new: a no-op
-      ExpectCollectionIndexIsReference(rounds);
-    }
-
-    RrCollection sparse(6);  // vertices 1, 3 and 5 are in no set
-    sparse.Add({0, 2});
-    sparse.BuildIndex(&engine);  // a 1-set collection
-    ExpectCollectionIndexIsReference(sparse);
-    sparse.Add({2});
-    sparse.Add({4, 0});
-    sparse.BuildIndex(&engine);
-    ExpectCollectionIndexIsReference(sparse);
-    EXPECT_TRUE(sparse.InvertedList(5).empty());
+    std::vector<RrShard> sparse(1);
+    sparse[0].flat = {0, 2};
+    sparse[0].offsets = {0, 2};
+    const store::RrFlatPayload payload =
+        MergeRrShards(6, std::move(sparse), &engine);
+    ASSERT_EQ(payload.size(), 1u);
+    ExpectPayloadIndexIsReference(payload);
+    EXPECT_TRUE(payload.InvertedList(5).empty());
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests for RR-set sampling: the Borgs et al. identity
-// Pr[R ∩ S != ∅] = Inf(S)/n, EPT accounting, and the collection/index;
+// Pr[R ∩ S != ∅] = Inf(S)/n, EPT accounting, and coverage counts on a
+// merged, indexed payload;
 // plus a differential check of the two-pass reverse scan against the
 // one-pass loop it replaced (kept below as ReferenceRrSet) and a digest
 // that pins the sampled streams.
@@ -15,6 +16,7 @@
 #include "oracle/exact_oracle.h"
 #include "random/splitmix64.h"
 #include "sim/forward_sim.h"
+#include "sim/max_coverage.h"
 #include "sim/rr_sampler.h"
 
 namespace soldist {
@@ -251,42 +253,63 @@ TEST(RrSamplerTest, FixedTargetSourceVertex) {
   EXPECT_EQ(rr_set, (std::vector<VertexId>{0}));
 }
 
-TEST(RrCollectionTest, IndexAndCoverage) {
-  RrCollection collection(4);
-  collection.Add({0, 1});
-  collection.Add({2});
-  collection.Add({1, 2, 3});
-  collection.BuildIndex();
-  EXPECT_EQ(collection.size(), 3u);
-  EXPECT_EQ(collection.total_entries(), 6u);
-  EXPECT_NEAR(collection.MeanSize(), 2.0, 1e-12);
+/// An indexed payload of `sets` in order, merged from one shard.
+store::RrFlatPayload HandBuiltPayload(
+    VertexId n, const std::vector<std::vector<VertexId>>& sets) {
+  std::vector<RrShard> shards(1);
+  shards[0].offsets.push_back(0);
+  for (const auto& set : sets) {
+    shards[0].flat.insert(shards[0].flat.end(), set.begin(), set.end());
+    shards[0].offsets.push_back(shards[0].flat.size());
+  }
+  return MergeRrShards(n, std::move(shards), /*engine=*/nullptr);
+}
 
-  auto list1 = collection.InvertedList(1);
+TEST(CountCoveredTest, IndexAndCoverage) {
+  const store::RrFlatPayload payload =
+      HandBuiltPayload(4, {{0, 1}, {2}, {1, 2, 3}});
+  EXPECT_EQ(payload.size(), 3u);
+  EXPECT_EQ(payload.flat.size(), 6u);
+  EXPECT_EQ(payload.num_vertices(), 4u);
+
+  auto list1 = payload.InvertedList(1);
   EXPECT_EQ(std::vector<std::uint64_t>(list1.begin(), list1.end()),
             (std::vector<std::uint64_t>{0, 2}));
 
-  EXPECT_EQ(collection.CountCovered(std::vector<VertexId>{0}), 1u);
-  EXPECT_EQ(collection.CountCovered(std::vector<VertexId>{1}), 2u);
-  EXPECT_EQ(collection.CountCovered(std::vector<VertexId>{1, 2}), 3u);
-  EXPECT_EQ(collection.CountCovered(std::vector<VertexId>{}), 0u);
+  EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{0}), 1u);
+  EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{1}), 2u);
+  EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{1, 2}), 3u);
+  EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{}), 0u);
 }
 
-TEST(RrCollectionTest, CoverageCountsSetOnce) {
-  RrCollection collection(3);
-  collection.Add({0, 1, 2});
-  collection.BuildIndex();
+TEST(CountCoveredTest, CoverageCountsSetOnce) {
+  const store::RrFlatPayload payload = HandBuiltPayload(3, {{0, 1, 2}});
   // All three seeds hit the same single set: covered = 1, not 3.
-  EXPECT_EQ(collection.CountCovered(std::vector<VertexId>{0, 1, 2}), 1u);
+  EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{0, 1, 2}), 1u);
+  // A repeated seed counts its sets once too.
+  EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{1, 1}), 1u);
 }
 
-TEST(RrCollectionTest, RepeatedQueriesConsistent) {
-  RrCollection collection(2);
-  collection.Add({0});
-  collection.Add({1});
-  collection.BuildIndex();
+TEST(CountCoveredTest, RepeatedQueriesConsistent) {
+  const store::RrFlatPayload payload = HandBuiltPayload(2, {{0}, {1}});
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(collection.CountCovered(std::vector<VertexId>{0}), 1u);
+    EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{0}), 1u);
   }
+}
+
+/// Sets that straddle bitmap words: a vertex in every set of 130 counts
+/// all of them, and seeds whose lists share words count each set once.
+TEST(CountCoveredTest, CountsAcrossBitmapWords) {
+  std::vector<std::vector<VertexId>> sets;
+  for (int i = 0; i < 130; ++i) {
+    sets.push_back(i % 2 == 0 ? std::vector<VertexId>{0, 1}
+                              : std::vector<VertexId>{0, 2});
+  }
+  const store::RrFlatPayload payload = HandBuiltPayload(3, sets);
+  EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{0}), 130u);
+  EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{1}), 65u);
+  EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{1, 2}), 130u);
+  EXPECT_EQ(CountCovered(payload, std::vector<VertexId>{2, 0, 1}), 130u);
 }
 
 TEST(RrSamplerReferenceTest, MultigraphWithParallelArcsAndSelfLoops) {

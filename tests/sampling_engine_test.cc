@@ -1,17 +1,17 @@
 // Tests for the deterministic chunked sampling engine: the output of any
 // build must be a pure function of (master seed, count, chunk_size) —
 // byte-identical for the default inline engine, a 1-thread pool, or N
-// worker threads — and the bulk RrCollection::Merge path must agree with
-// the per-set Add path.
+// worker threads — and MergeRrShards must equal a naive concatenation of
+// the shards, with every set's id in its vertices' inverted lists.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "core/factory.h"
 #include "core/greedy.h"
-#include "core/imm.h"
 #include "core/oneshot.h"
 #include "core/ris.h"
 #include "core/snapshot.h"
@@ -140,40 +140,32 @@ TEST(SamplingEngineTest, RrShardsIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(a.counters.sample_vertices, b.counters.sample_vertices);
 }
 
-TEST(RrCollectionTest, MergeMatchesPerSetAdd) {
+TEST(MergeRrShardsTest, MatchesNaiveConcatenation) {
   InfluenceGraph ig = KarateUc01();
   SamplingEngine engine(FourThreadEngine(16));
   auto shards = SampleRrShards(ig, 9, 200, &engine);
+  ASSERT_GT(shards.size(), 1u);
+  const RrShard naive = Concat(shards);
+  const store::RrFlatPayload merged =
+      MergeRrShards(ig.num_vertices(), std::move(shards), &engine);
 
-  RrCollection merged(ig.num_vertices());
-  merged.Merge(shards);
-  merged.BuildIndex();
-
-  RrCollection added(ig.num_vertices());
-  for (const RrShard& shard : shards) {
-    for (std::uint64_t s = 0; s < shard.num_sets(); ++s) {
-      added.Add(std::vector<VertexId>(
-          shard.flat.begin() + static_cast<std::ptrdiff_t>(shard.offsets[s]),
-          shard.flat.begin() +
-              static_cast<std::ptrdiff_t>(shard.offsets[s + 1])));
-    }
-  }
-  added.BuildIndex();
-
-  ASSERT_EQ(merged.size(), added.size());
-  ASSERT_EQ(merged.total_entries(), added.total_entries());
-  for (std::uint64_t s = 0; s < merged.size(); ++s) {
-    ASSERT_EQ(std::vector<VertexId>(merged.Set(s).begin(),
-                                    merged.Set(s).end()),
-              std::vector<VertexId>(added.Set(s).begin(),
-                                    added.Set(s).end()));
-  }
+  EXPECT_EQ(merged.flat, naive.flat);
+  EXPECT_EQ(merged.set_offsets, naive.offsets);
+  ASSERT_EQ(merged.num_vertices(), ig.num_vertices());
   for (VertexId v = 0; v < ig.num_vertices(); ++v) {
-    std::vector<std::uint64_t> lm(merged.InvertedList(v).begin(),
-                                  merged.InvertedList(v).end());
-    std::vector<std::uint64_t> la(added.InvertedList(v).begin(),
-                                  added.InvertedList(v).end());
-    EXPECT_EQ(lm, la) << "vertex " << v;
+    std::vector<std::uint32_t> expected;
+    for (std::uint64_t s = 0; s + 1 < naive.offsets.size(); ++s) {
+      const auto begin = naive.flat.begin() +
+                         static_cast<std::ptrdiff_t>(naive.offsets[s]);
+      const auto end = naive.flat.begin() +
+                       static_cast<std::ptrdiff_t>(naive.offsets[s + 1]);
+      if (std::find(begin, end, v) != end) {
+        expected.push_back(static_cast<std::uint32_t>(s));
+      }
+    }
+    std::span<const std::uint32_t> list = merged.InvertedList(v);
+    EXPECT_EQ(std::vector<std::uint32_t>(list.begin(), list.end()), expected)
+        << "vertex " << v;
   }
 }
 
@@ -282,23 +274,11 @@ TEST(SamplingEngineTest, FactoryRoutesOptionsToAllThreeApproaches) {
   }
 }
 
-TEST(SamplingEngineTest, ImmAndTimIdenticalFor1And4Threads) {
+TEST(SamplingEngineTest, TimIdenticalFor1And4Threads) {
   InfluenceGraph ig = KarateUc01();
   ThreadPool one(1);
-  ImmParams imm_params;
-  imm_params.k = 3;
-  imm_params.epsilon = 0.3;
   SamplingOptions inline_default;
   inline_default.chunk_size = 64;
-  ImmResult imm0 = RunImm(ig, imm_params, 23, inline_default);
-  ImmResult imm1 = RunImm(ig, imm_params, 23, OneThreadEngine(&one));
-  ImmResult imm4 = RunImm(ig, imm_params, 23, FourThreadEngine());
-  for (const ImmResult* imm : {&imm1, &imm4}) {
-    EXPECT_EQ(imm->seeds, imm0.seeds);
-    EXPECT_EQ(imm->theta, imm0.theta);
-    EXPECT_DOUBLE_EQ(imm->estimated_influence, imm0.estimated_influence);
-  }
-
   TimParams tim_params;
   tim_params.k = 2;
   tim_params.epsilon = 0.5;
