@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <random>
+#include <vector>
 
 #include "core/greedy.h"
 #include "core/oneshot.h"
@@ -25,6 +26,7 @@
 #include "sim/rr_sampler.h"
 #include "sim/snapshot_arena.h"
 #include "sim/snapshot_sampler.h"
+#include "util/checksum.h"
 
 namespace soldist {
 namespace {
@@ -381,6 +383,23 @@ void BM_StdMt19937_64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StdMt19937_64);
+
+// The arena checksum (util/checksum.h) over a 4-MiB buffer, about the
+// size of serve-mixed's Physicians RR payload: every save, load,
+// VerifyArena and ContentChecksum runs this loop over the whole arena.
+void BM_ArenaChecksum(benchmark::State& state) {
+  std::vector<unsigned char> bytes(std::size_t{4} << 20);
+  SplitMix64 rng(5);
+  for (unsigned char& byte : bytes) {
+    byte = static_cast<unsigned char>(rng.Next());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Checksum64::Of(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_ArenaChecksum);
 
 }  // namespace
 }  // namespace soldist

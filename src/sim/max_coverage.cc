@@ -1,9 +1,18 @@
 #include "sim/max_coverage.h"
 
-#include <bit>
-
 namespace soldist {
 namespace {
+
+/// Branch-free SWAR popcount. std::popcount compiles to a call into
+/// libgcc's __popcountdi2 unless the build targets a CPU with POPCNT,
+/// which no build here does; this inlines as shifts, masks and one
+/// multiply.
+inline std::uint32_t Popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<std::uint32_t>((x * 0x0101010101010101ull) >> 56);
+}
 
 /// Counts the ids in `list` whose bit is still set in `words` — the true
 /// current gain of the vertex owning `list`. Ids arrive ascending, so
@@ -21,8 +30,7 @@ std::uint32_t CountUncovered(std::span<const std::uint32_t> list,
       mask |= std::uint64_t{1} << (list[i] & 63);
       ++i;
     } while (i < len && (list[i] >> 6) == word_index);
-    count += static_cast<std::uint32_t>(
-        std::popcount(words[word_index] & mask));
+    count += Popcount64(words[word_index] & mask);
   }
   return count;
 }
@@ -43,7 +51,7 @@ std::uint64_t ClearCovered(std::span<const std::uint32_t> list,
       ++i;
     } while (i < len && (list[i] >> 6) == word_index);
     std::uint64_t& word = (*words)[word_index];
-    cleared += static_cast<std::uint64_t>(std::popcount(word & mask));
+    cleared += Popcount64(word & mask);
     word &= ~mask;
   }
   return cleared;

@@ -5,6 +5,7 @@
 
 #include "sim/inverted_index.h"
 #include "sim/lt_samplers.h"
+#include "util/checksum.h"
 #include "util/logging.h"
 
 namespace soldist {
@@ -139,8 +140,9 @@ std::uint64_t RrArena::ResidentBytes() const {
 std::uint64_t RrArena::ContentChecksum() const {
   const std::uint64_t cap = capacity();
   const std::uint64_t n = num_vertices_;
-  std::uint64_t hash = Fnv1a64(&cap, sizeof(cap));
-  hash = Fnv1a64(&n, sizeof(n), hash);
+  Checksum64 sum;
+  sum.Update(&cap, sizeof(cap));
+  sum.Update(&n, sizeof(n));
   // The inverted lists are identical across backends and fully determine
   // set membership, so hashing them (not the backend's physical bytes)
   // keeps the checksum stable under ConvertStorage and save/load.
@@ -148,10 +150,10 @@ std::uint64_t RrArena::ContentChecksum() const {
   for (VertexId v = 0; v < num_vertices_; ++v) {
     const std::span<const std::uint32_t> ids = InvertedAll(v, &scratch);
     const std::uint64_t len = ids.size();
-    hash = Fnv1a64(&len, sizeof(len), hash);
-    if (!ids.empty()) hash = Fnv1a64(ids.data(), ids.size_bytes(), hash);
+    sum.Update(&len, sizeof(len));
+    sum.Update(ids.data(), ids.size_bytes());
   }
-  return hash;
+  return sum.Digest();
 }
 
 RrPrefixView RrArena::Prefix(std::uint64_t count) const {

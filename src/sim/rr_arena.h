@@ -141,7 +141,7 @@ class RrArena : public WorldArena {
   /// flat). serve/ArenaCache budgets against this.
   std::uint64_t ResidentBytes() const override;
 
-  /// Backend-stable content hash: FNV-1a over the inverted lists (which
+  /// Backend-stable content hash: Checksum64 over the inverted lists (which
   /// are documented identical across flat/compressed/mmap and fully
   /// determine set membership — the thing every query answers from),
   /// plus the shape. Same sampled data => same checksum on any backend

@@ -7,6 +7,7 @@
 #include "graph/reach_sketch.h"
 #include "random/splitmix64.h"
 #include "sim/lt_samplers.h"
+#include "util/checksum.h"
 #include "util/logging.h"
 
 namespace soldist {
@@ -281,14 +282,13 @@ std::uint64_t SnapshotArena::MemoryBytes() const {
 std::uint64_t SnapshotArena::ContentChecksum() const {
   const std::uint64_t cap = capacity();
   const std::uint64_t n = num_vertices_;
-  std::uint64_t hash = Fnv1a64(&cap, sizeof(cap));
-  hash = Fnv1a64(&n, sizeof(n), hash);
-  const auto mix = [&hash](const auto& vec) {
+  Checksum64 sum;
+  sum.Update(&cap, sizeof(cap));
+  sum.Update(&n, sizeof(n));
+  const auto mix = [&sum](const auto& vec) {
     const std::uint64_t len = vec.size();
-    hash = Fnv1a64(&len, sizeof(len), hash);
-    if (!vec.empty()) {
-      hash = Fnv1a64(vec.data(), vec.size() * sizeof(vec[0]), hash);
-    }
+    sum.Update(&len, sizeof(len));
+    sum.Update(vec.data(), vec.size() * sizeof(vec[0]));
   };
   for (std::uint64_t i = 0; i < cap; ++i) {
     const CondensedSnapshot& snap = snaps_[i];
@@ -301,7 +301,7 @@ std::uint64_t SnapshotArena::ContentChecksum() const {
     mix(warmth_[i].bound);
     mix(warmth_[i].is_exact);
   }
-  return hash;
+  return sum.Digest();
 }
 
 }  // namespace soldist

@@ -153,7 +153,7 @@ class SnapshotArena : public WorldArena {
   /// Heap bytes of the arena payloads (worlds + warmth + counters).
   std::uint64_t MemoryBytes() const override;
 
-  /// Content hash over every world's condensation + warmth (FNV-1a;
+  /// Content hash over every world's condensation + warmth (Checksum64;
   /// see WorldArena::ContentChecksum). Stable across save/load.
   std::uint64_t ContentChecksum() const override;
 

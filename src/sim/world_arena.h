@@ -17,7 +17,6 @@
 #ifndef SOLDIST_SIM_WORLD_ARENA_H_
 #define SOLDIST_SIM_WORLD_ARENA_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,18 +31,6 @@ namespace soldist {
 enum class ArenaKind { kRr, kSnapshot };
 
 const char* ArenaKindName(ArenaKind kind);
-
-/// FNV-1a 64 accumulator (same constants as the store/ payload
-/// checksum) — the building block of WorldArena::ContentChecksum.
-inline std::uint64_t Fnv1a64(const void* data, std::size_t size,
-                             std::uint64_t hash = 0xcbf29ce484222325ull) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
 
 /// \brief Cumulative per-sample traversal counters: Prefix(i) is exactly
 /// the cost a direct build of the first i samples would have accumulated,
@@ -105,7 +92,9 @@ class WorldArena {
   /// identically across storage backends (flat / compressed / mmap) and
   /// across save/load round-trips. The background scrubber records it
   /// at admission and recomputes it later — a mismatch means the
-  /// resident arena rotted and must be evicted, never served.
+  /// resident arena rotted and must be evicted, never served. Computed
+  /// with util/checksum.h's Checksum64, the store/ payload checksum, over
+  /// length-prefixed content vectors.
   virtual std::uint64_t ContentChecksum() const = 0;
 
   std::uint64_t capacity() const { return counters_.size(); }

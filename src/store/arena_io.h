@@ -9,8 +9,9 @@
 //                        format_version, kind (rr|snapshot), workload
 //                        label, seed, stream ("engine/<chunk>": the
 //                        chunk size of the sampling streams), capacity,
-//                        num_vertices, payload_bytes, checksum (FNV-1a
-//                        64 over the payload file).
+//                        num_vertices, payload_bytes, checksum
+//                        (util/checksum.h's Checksum64 over the payload
+//                        file).
 //   <dir>/payload.bin    binary payload. Starts with a u64 magic that
 //                        reads back wrong on an opposite-endian machine
 //                        (endianness guard), then version/kind/shape,
@@ -21,6 +22,14 @@
 //                        file); Snapshot arenas persist each condensed
 //                        world, its warmth (saved, not recomputed — the
 //                        loader has no InfluenceGraph) and the deltas.
+//
+// A load reads the payload once: each section lands straight in the
+// vector it fills (small fields through one fixed block) and is hashed
+// as it lands. Parsing may run ahead of the digest only because no
+// length read from the file can size anything past the bytes left in
+// it; the verdicts keep one order — payload size against the manifest,
+// digest, header (magic, version, kind, shape, a capacity the file can
+// hold), structure — so each kind of damage fails with one status code.
 //
 // Crash consistency: both files are written through a `*.tmp` +
 // atomic-rename protocol (write tmp, fsync, rename, fsync dir), payload
@@ -56,9 +65,11 @@
 namespace soldist {
 namespace store {
 
-/// Bump when the payload layout changes; older files load as
-/// kFailedPrecondition (callers resample).
-inline constexpr std::uint32_t kArenaFormatVersion = 1;
+/// Bump when the payload layout or its checksum changes; older files
+/// load as kFailedPrecondition (callers resample). Version 2 replaced
+/// version 1's byte-at-a-time FNV-1a checksum with Checksum64; the
+/// payload bytes are unchanged.
+inline constexpr std::uint32_t kArenaFormatVersion = 2;
 
 /// \brief The identity + integrity record of a persisted arena. The
 /// identity fields (kind, workload, seed, stream) say WHAT was sampled;
@@ -73,7 +84,7 @@ struct ArenaManifest {
   std::uint64_t capacity = 0;
   std::uint64_t num_vertices = 0;
   std::uint64_t payload_bytes = 0;
-  std::uint64_t checksum = 0;  // FNV-1a 64 of payload.bin
+  std::uint64_t checksum = 0;  // Checksum64 of payload.bin
 };
 
 /// Parses `<dir>/manifest.txt`; kNotFound when absent.
@@ -82,7 +93,9 @@ StatusOr<ArenaManifest> ReadArenaManifest(const std::string& dir);
 /// Integrity check of a persisted arena entry WITHOUT materializing it:
 /// manifest present and well-formed, format version current, kind
 /// known, payload present with the manifest's exact size, whole-file
-/// FNV-1a checksum, and a consistent binary header. kNotFound when the
+/// Checksum64 (hashed in fixed-size blocks, never holding the file),
+/// and a consistent binary header whose capacity the file can hold —
+/// the checks a load makes before it looks at structure. kNotFound when the
 /// directory holds no manifest (debris, not corruption); any other
 /// non-OK Status names what is broken. Used by the startup recovery
 /// sweep, the background scrubber, and soldist_fsck.

@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "store/arena_io.h"
 #include "store/arena_storage.h"
 #include "store/fault_injection.h"
+#include "util/checksum.h"
 #include "util/status.h"
 
 namespace soldist {
@@ -72,6 +75,34 @@ store::ArenaManifest RrManifest(std::uint64_t seed, std::string stream,
   manifest.stream = std::move(stream);
   manifest.capacity = capacity;
   return manifest;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// Rewrites the `key=` line of `<dir>/manifest.txt` to `key=value`.
+void SetManifestField(const std::string& dir, const std::string& key,
+                      const std::string& value) {
+  const std::string path = dir + "/manifest.txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::string text;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(key + "=", 0) == 0) line = key + "=" + value;
+    text += line;
+    text += '\n';
+  }
+  in.close();
+  WriteFileBytes(path, text);
 }
 
 /// Full byte-identity: shape, every set, every inverted list, and the
@@ -268,25 +299,98 @@ TEST(ArenaIoTest, WrongFormatVersionIsFailedPrecondition) {
       store::SaveRrArena(arena, RrManifest(7, "engine/64", 32), dir).ok());
   // Rewrite the manifest claiming a future format version: the loader
   // must refuse BEFORE touching the payload (callers resample).
-  const std::string manifest_path = dir + "/manifest.txt";
-  std::string text;
-  {
-    std::ifstream in(manifest_path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.rfind("format_version=", 0) == 0) line = "format_version=99";
-      text += line;
-      text += '\n';
-    }
-  }
-  {
-    std::ofstream out(manifest_path, std::ios::trunc);
-    out << text;
-  }
+  SetManifestField(dir, "format_version", "99");
   auto loaded = store::LoadRrArena(dir, RrManifest(7, "engine/64", 32));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// A number past its field's range is a malformed manifest, never a
+// wrapped value: format_version=2^32 + 2 must not read as version 2, nor
+// seed=2^64 + 7 as seed 7.
+TEST(ArenaIoTest, ManifestNumbersThatWrapAreMalformed) {
+  InfluenceGraph ig = KarateUc01();
+  RrArena arena = RrArena::SampleIc(ig, 7, 32, Threads(1, 64));
+  const store::ArenaManifest manifest = RrManifest(7, "engine/64", 32);
+  const std::string dir = FreshDir("rr_wrap");
+  const std::pair<const char*, const char*> wrapping[] = {
+      {"format_version", "4294967297"},
+      {"format_version", "4294967298"},
+      {"seed", "18446744073709551623"},
+      {"capacity", "18446744073709551648"},
+      {"checksum", "99999999999999999999999"},
+  };
+  for (const auto& [key, value] : wrapping) {
+    ASSERT_TRUE(store::SaveRrArena(arena, manifest, dir).ok());
+    SetManifestField(dir, key, value);
+    const std::string what = std::string(key) + "=" + value;
+    EXPECT_EQ(store::ReadArenaManifest(dir).status().code(),
+              StatusCode::kIoError)
+        << what;
+    EXPECT_EQ(store::LoadRrArena(dir, manifest).status().code(),
+              StatusCode::kIoError)
+        << what;
+    EXPECT_EQ(store::VerifyArena(dir).code(), StatusCode::kIoError) << what;
+  }
+  // The range ends are still numbers.
+  ASSERT_TRUE(store::SaveRrArena(arena, manifest, dir).ok());
+  SetManifestField(dir, "seed", "18446744073709551615");
+  auto read = store::ReadArenaManifest(dir);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value().seed, ~std::uint64_t{0});
+  SetManifestField(dir, "format_version", "4294967295");
+  auto future = store::LoadRrArena(dir, manifest);
+  EXPECT_EQ(future.status().code(), StatusCode::kFailedPrecondition);
+}
+
+/// Writes `capacity` into the payload header and the manifest, and
+/// re-seals the payload with a matching checksum, so only the capacity
+/// bound stands between the entry and a load.
+void ForgeCapacity(const std::string& dir, std::uint64_t capacity) {
+  std::string bytes = ReadFileBytes(dir + "/payload.bin");
+  ASSERT_GE(bytes.size(), 32u);
+  std::memcpy(&bytes[24], &capacity, sizeof(capacity));  // header field
+  WriteFileBytes(dir + "/payload.bin", bytes);
+  SetManifestField(dir, "capacity", std::to_string(capacity));
+  SetManifestField(dir, "checksum", std::to_string(Checksum64::Of(
+                                        bytes.data(), bytes.size())));
+}
+
+// A capacity the payload cannot hold is kIoError for the loaders and for
+// VerifyArena, even under a matching checksum — never a wrapped
+// capacity + 1, an allocation sized by it, or a clean verify.
+TEST(ArenaIoTest, ImpossibleCapacityWithAMatchingChecksumIsStatus) {
+  InfluenceGraph ig = KarateUc01();
+  const RrArena rr = RrArena::SampleIc(ig, 7, 32, Threads(1, 64));
+  const store::ArenaManifest rr_manifest = RrManifest(7, "engine/64", 32);
+  const SnapshotArena snap = SnapshotArena::Sample(ig, 11, 8, Threads(1, 16));
+  store::ArenaManifest snap_manifest;
+  snap_manifest.kind = "snapshot";
+  snap_manifest.workload = "Karate/uc0.1";
+  snap_manifest.seed = 11;
+  snap_manifest.stream = "engine/16";
+  snap_manifest.capacity = 8;
+  for (std::uint64_t capacity :
+       {~std::uint64_t{0}, std::uint64_t{1000000000000},
+        std::uint64_t{1} << 32, std::uint64_t{4096}}) {
+    const std::string rr_dir = FreshDir("rr_capacity");
+    ASSERT_TRUE(store::SaveRrArena(rr, rr_manifest, rr_dir).ok());
+    ForgeCapacity(rr_dir, capacity);
+    auto rr_loaded = store::LoadRrArena(rr_dir, rr_manifest);
+    ASSERT_FALSE(rr_loaded.ok()) << capacity;
+    EXPECT_EQ(rr_loaded.status().code(), StatusCode::kIoError) << capacity;
+    EXPECT_EQ(store::VerifyArena(rr_dir).code(), StatusCode::kIoError)
+        << capacity;
+
+    const std::string snap_dir = FreshDir("snapshot_capacity");
+    ASSERT_TRUE(store::SaveSnapshotArena(snap, snap_manifest, snap_dir).ok());
+    ForgeCapacity(snap_dir, capacity);
+    auto snap_loaded = store::LoadSnapshotArena(snap_dir, snap_manifest);
+    ASSERT_FALSE(snap_loaded.ok()) << capacity;
+    EXPECT_EQ(snap_loaded.status().code(), StatusCode::kIoError) << capacity;
+    EXPECT_EQ(store::VerifyArena(snap_dir).code(), StatusCode::kIoError)
+        << capacity;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -503,6 +607,90 @@ TEST(QueryServicePersistenceTest, ReloadsSavedArenaAcrossServices) {
   auto after = store::ReadArenaManifest(arena_dir);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().capacity, 512u);
+}
+
+/// Rewrites a saved entry as arena format version 1 wrote it: the same
+/// payload sections under header version 1, sealed with version 1's
+/// byte-at-a-time FNV-1a 64 checksum.
+void DowngradeToFormatV1(const std::string& dir) {
+  std::string bytes = ReadFileBytes(dir + "/payload.bin");
+  ASSERT_GE(bytes.size(), 32u);
+  const std::uint32_t version = 1;
+  std::memcpy(&bytes[8], &version, sizeof(version));  // header field
+  WriteFileBytes(dir + "/payload.bin", bytes);
+  std::uint64_t fnv = 0xcbf29ce484222325ull;
+  for (unsigned char byte : bytes) {
+    fnv ^= byte;
+    fnv *= 0x100000001b3ull;
+  }
+  SetManifestField(dir, "format_version", "1");
+  SetManifestField(dir, "checksum", std::to_string(fnv));
+}
+
+// What a directory saved by format version 1 meets: the load is a clean
+// kFailedPrecondition miss, the service's startup sweep quarantines the
+// entry, the first View rebuilds and saves it at the current version,
+// and the next service reloads that save byte-identically.
+TEST(QueryServicePersistenceTest, FormatV1EntryIsQuarantinedAndRebuilt) {
+  namespace fs = std::filesystem;
+  const std::string dir = FreshDir("service_v1");
+  api::WorkloadSpec workload = api::WorkloadSpec::Dataset("Karate")
+                                   .Probability(ProbabilityModel::kUc01);
+  serve::QuerySpec query;
+  query.sample_number = 512;
+  query.seed = 17;
+  api::SessionOptions options;
+  options.arena_dir = dir;
+
+  serve::TopKResult first;
+  {
+    api::Session session(options);
+    serve::QueryService service(&session);
+    auto view = service.View(workload, query);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    first = view.value().TopK(3);
+  }
+  const std::string arena_dir = dir + "/rr_Karate_uc0.1_seed_17_engine_256";
+  DowngradeToFormatV1(arena_dir);
+  auto v1 = store::ReadArenaManifest(arena_dir);
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  EXPECT_EQ(v1.value().version, 1u);
+  EXPECT_EQ(store::LoadRrArena(arena_dir, v1.value()).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(store::VerifyArena(arena_dir).code(),
+            StatusCode::kFailedPrecondition);
+
+  std::uint64_t rebuilt_checksum = 0;
+  {
+    api::Session session(options);
+    serve::QueryService service(&session);
+    EXPECT_EQ(service.recovery_report().quarantined_entries, 1u);
+    EXPECT_FALSE(fs::exists(arena_dir));
+    EXPECT_TRUE(fs::is_directory(dir + "/quarantine"));
+    auto view = service.View(workload, query);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    serve::TopKResult rebuilt = view.value().TopK(3);
+    EXPECT_EQ(rebuilt.seeds, first.seeds);
+    EXPECT_EQ(rebuilt.estimates, first.estimates);
+    rebuilt_checksum = view.value().arena().ContentChecksum();
+  }
+  auto v2 = store::ReadArenaManifest(arena_dir);
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  EXPECT_EQ(v2.value().version, store::kArenaFormatVersion);
+  EXPECT_EQ(v2.value().capacity, 512u);
+  EXPECT_TRUE(store::VerifyArena(arena_dir).ok());
+
+  // A smaller τ proves the reload: a rebuild would sample only 256 sets.
+  serve::QuerySpec smaller = query;
+  smaller.sample_number = 256;
+  api::Session session(options);
+  serve::QueryService service(&session);
+  EXPECT_EQ(service.recovery_report().quarantined_entries, 0u);
+  EXPECT_EQ(service.recovery_report().healthy_entries, 1u);
+  auto view = service.View(workload, smaller);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view.value().arena().capacity(), 512u);
+  EXPECT_EQ(view.value().arena().ContentChecksum(), rebuilt_checksum);
 }
 
 /// The same reload contract for sampled-world views: the snapshot arena

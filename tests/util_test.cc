@@ -1,8 +1,15 @@
-// Unit tests for util: Status/StatusOr, string helpers, args, csv, table.
+// Unit tests for util: Status/StatusOr, string helpers, args, csv, table,
+// and the arena checksum.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "util/args.h"
+#include "util/checksum.h"
 #include "util/csv.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -212,6 +219,79 @@ TEST(TimerTest, MeasuresElapsed) {
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(timer.Seconds(), first);
   EXPECT_FALSE(timer.HumanElapsed().empty());
+}
+
+/// The fixed input behind the golden digests: byte i is 167 i + 13.
+std::vector<unsigned char> PatternBytes(std::size_t size) {
+  std::vector<unsigned char> bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 167 + 13);
+  }
+  return bytes;
+}
+
+// Persisted arena checksums depend on these values: a change here is a
+// format change (bump store::kArenaFormatVersion). The lengths cover the
+// empty input, the 1-byte, 4-byte and 8-byte tails, one stripe either
+// side of 32 bytes, and many stripes. The empty digest equals XXH64's
+// published seed-0 value.
+TEST(Checksum64Test, GoldenDigests) {
+  const std::vector<unsigned char> bytes = PatternBytes(4096);
+  const std::pair<std::size_t, std::uint64_t> golden[] = {
+      {0, 0xef46db3751d8e999ull},    {1, 0x2078e1ad38ad738bull},
+      {7, 0x0da493621d6dc898ull},    {8, 0x76f916c7bb523126ull},
+      {31, 0x65c5feb01da7464dull},   {32, 0x7665c921c9bf2ec7ull},
+      {33, 0xb5a9d9ef259ae821ull},   {4096, 0x7b557a25d87c020eull},
+  };
+  for (const auto& [size, digest] : golden) {
+    EXPECT_EQ(Checksum64::Of(bytes.data(), size), digest) << size << " bytes";
+  }
+}
+
+TEST(Checksum64Test, AnySplitIntoUpdatesGivesTheOneShotDigest) {
+  const std::vector<unsigned char> bytes = PatternBytes(300);
+  for (std::size_t size : {std::size_t{0}, std::size_t{5}, std::size_t{32},
+                           std::size_t{33}, std::size_t{100},
+                           std::size_t{300}}) {
+    const std::uint64_t want = Checksum64::Of(bytes.data(), size);
+    // Every two-way cut, then fixed-width pieces (odd widths cross the
+    // stripe boundary at every offset).
+    for (std::size_t cut = 0; cut <= size; ++cut) {
+      Checksum64 sum;
+      sum.Update(bytes.data(), cut);
+      sum.Update(bytes.data() + cut, size - cut);
+      ASSERT_EQ(sum.Digest(), want) << size << " bytes cut at " << cut;
+    }
+    for (std::size_t width = 1; width <= 41; ++width) {
+      Checksum64 sum;
+      for (std::size_t at = 0; at < size; at += width) {
+        sum.Update(bytes.data() + at, std::min(width, size - at));
+      }
+      ASSERT_EQ(sum.Digest(), want) << size << " bytes in pieces of "
+                                    << width;
+    }
+  }
+  // Digest() keeps the state: more bytes may follow.
+  Checksum64 sum;
+  sum.Update(bytes.data(), 40);
+  EXPECT_EQ(sum.Digest(), Checksum64::Of(bytes.data(), 40));
+  sum.Update(bytes.data() + 40, 60);
+  EXPECT_EQ(sum.Digest(), Checksum64::Of(bytes.data(), 100));
+}
+
+TEST(Checksum64Test, EverySingleBitFlipAndAnAppendedZeroChangeTheDigest) {
+  std::vector<unsigned char> bytes = PatternBytes(4096);
+  const std::uint64_t clean = Checksum64::Of(bytes.data(), bytes.size());
+  int unchanged = 0;
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    const auto mask = static_cast<unsigned char>(1u << (bit % 8));
+    bytes[bit / 8] ^= mask;
+    unchanged += Checksum64::Of(bytes.data(), bytes.size()) == clean;
+    bytes[bit / 8] ^= mask;
+  }
+  EXPECT_EQ(unchanged, 0) << "of 32768 single-bit flips";
+  bytes.push_back(0);
+  EXPECT_NE(Checksum64::Of(bytes.data(), bytes.size()), clean);
 }
 
 }  // namespace
