@@ -1,8 +1,9 @@
 // Ablation benchmarks (google-benchmark) for the two implementation
 // techniques DESIGN.md calls out:
-//  1. Snapshot residual-graph reduction (Section 3.4.3) vs the naive
-//     BFS-from-S estimate — identical estimates, very different cost as
-//     k grows;
+//  1. Snapshot's two reachability backends: the residual-graph
+//     reduction of Section 3.4.3 vs the SCC-condensed DAGs with
+//     incrementally maintained gains — identical estimates, different
+//     cost;
 //  2. CELF lazy greedy vs the plain Estimate-sweep framework on RIS.
 
 #include <benchmark/benchmark.h>
@@ -40,11 +41,6 @@ void BM_SnapshotGreedy(benchmark::State& state, SnapshotEstimator::Mode mode) {
   state.counters["edge_traversals"] = benchmark::Counter(
       static_cast<double>(total_edges), benchmark::Counter::kAvgIterations);
 }
-
-void BM_SnapshotGreedyNaive(benchmark::State& state) {
-  BM_SnapshotGreedy(state, SnapshotEstimator::Mode::kNaive);
-}
-BENCHMARK(BM_SnapshotGreedyNaive)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_SnapshotGreedyResidual(benchmark::State& state) {
   BM_SnapshotGreedy(state, SnapshotEstimator::Mode::kResidual);

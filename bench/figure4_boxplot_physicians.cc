@@ -58,12 +58,18 @@ int Run(int argc, const char* const* argv) {
                      "mean", "notch (95% CI of median)"});
     for (const SweepCell& cell : cells) {
       NotchedBoxStats box = ComputeBoxStats(cell.result.influence);
+      // Appended to a named string: `"[" + std::string&&` draws a
+      // spurious GCC 12 -Wrestrict from the inlined insert.
+      std::string notch = "[";
+      notch += FormatDouble(box.notch_low, 2);
+      notch += ", ";
+      notch += FormatDouble(box.notch_high, 2);
+      notch += ']';
       table.AddRow({FormatPowerOfTwo(cell.sample_number),
                     FormatDouble(box.p1, 2), FormatDouble(box.q1, 2),
                     FormatDouble(box.median, 2), FormatDouble(box.q3, 2),
                     FormatDouble(box.p99, 2), FormatDouble(box.mean, 2),
-                    "[" + FormatDouble(box.notch_low, 2) + ", " +
-                        FormatDouble(box.notch_high, 2) + "]"});
+                    notch});
       csv.Row()
           .Str(ApproachName(approach))
           .UInt(cell.sample_number)

@@ -39,7 +39,7 @@ struct ModeRecord {
 int Run(int argc, const char* const* argv) {
   ArgParser args("bench_snapshot_backends",
                  "Wall-clock + traversal-cost comparison of the Snapshot "
-                 "reachability backends (naive | residual | condensed) on "
+                 "reachability backends (residual | condensed) on "
                  "one instance; emits BENCH_snapshot.json.");
   AddExperimentFlags(&args);
   args.AddString("network", "Physicians", "network name (see gen/datasets)");

@@ -65,6 +65,9 @@ int Run(int argc, const char* const* argv) {
         config.k = 1;
         config.trials = context.TrialsFor(network);
         config.master_seed = options.seed;
+        // The paper's cost model: the residual backend counts vertices
+        // and live edges (condensed counts DAG components and arcs).
+        config.snapshot_mode = SnapshotEstimator::Mode::kResidual;
         WallTimer timer;
         TrialResult result = RunTrials(ig, config, context.pool());
         SOLDIST_LOG(Info) << network << " " << ProbabilityModelName(model)

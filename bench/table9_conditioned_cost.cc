@@ -69,6 +69,9 @@ int Run(int argc, const char* const* argv) {
         config.k = 1;
         config.trials = trials;
         config.master_seed = options.seed + 91;
+        // The paper's cost model: the residual backend counts vertices
+        // and live edges (condensed counts DAG components and arcs).
+        config.snapshot_mode = SnapshotEstimator::Mode::kResidual;
         TrialResult result = RunTrials(ig, config, context.pool());
         return result.MeanVertexCost(trials) + result.MeanEdgeCost(trials);
       };

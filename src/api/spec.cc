@@ -59,9 +59,14 @@ Status WorkloadSpec::Validate() const {
 }
 
 std::string WorkloadSpec::Label() const {
-  std::string label = network + "/" + ProbabilityModelName(prob);
+  // Appends to one named string: `const char* + std::string&&` draws a
+  // spurious GCC 12 -Wrestrict from the inlined insert.
+  std::string label = network;
+  label += '/';
+  label += ProbabilityModelName(prob);
   if (model == DiffusionModel::kLt) {
-    label += "/" + DiffusionModelName(model);
+    label += '/';
+    label += DiffusionModelName(model);
   }
   return label;
 }

@@ -93,7 +93,7 @@ struct SolveSpec {
   std::uint64_t sample_number = 1024;  ///< β, τ, or θ (θ < 2^32)
   int k = 1;                           ///< seed-set size
   std::uint64_t seed = 1;              ///< master seed for this run
-  SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
+  SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kCondensed;
   /// Sampling parallelism. Leave pool null: the session attaches its
   /// shared pool (num_threads == 0) or a cached dedicated pool
   /// (num_threads >= 2). A condensed Snapshot run also scores its greedy
@@ -127,9 +127,10 @@ struct SolveSpec {
     sampling.num_threads = threads;
     return *this;
   }
-  /// Snapshot reachability backend (naive/residual/condensed). Backends
-  /// are byte-identical in seeds and estimates; condensed is the fast,
-  /// SCC-condensed one (core/snapshot.h). No effect on other approaches.
+  /// Snapshot reachability backend (residual | condensed, the default).
+  /// Backends are byte-identical in seeds and estimates; condensed is the
+  /// fast, SCC-condensed one, and residual is the paper's Section 3.4.3
+  /// reference (core/snapshot.h). No effect on other approaches.
   SolveSpec& WithSnapshotMode(SnapshotEstimator::Mode mode) {
     snapshot_mode = mode;
     return *this;

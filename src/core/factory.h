@@ -25,7 +25,7 @@ namespace soldist {
 std::unique_ptr<InfluenceEstimator> MakeEstimator(
     const ModelInstance& instance, Approach approach,
     std::uint64_t sample_number, std::uint64_t seed,
-    SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual,
+    SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kCondensed,
     const SamplingOptions& sampling = {});
 
 }  // namespace soldist

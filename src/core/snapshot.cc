@@ -20,7 +20,7 @@ std::uint64_t VecBytes(const Vec& v) {
 }  // namespace
 
 /// \brief Per-mode reachability backend. Build consumes the SAME sampler
-/// streams in every mode, so backends differ only in how (and how fast)
+/// streams in both modes, so backends differ only in how (and how fast)
 /// they answer reachability — never in what they answer.
 class SnapshotEstimator::Backend {
  public:
@@ -49,23 +49,20 @@ class SnapshotEstimator::Backend {
 
 namespace {
 
-/// kNaive / kResidual: the pre-condensation code, verbatim — full
-/// snapshots in CSR form, per-candidate BFS on the (residual) live-edge
-/// graphs. The BFS never looks at the model: IC and LT differ only in
-/// the sampler that draws the live edges.
-class FullSnapshotBackend : public SnapshotEstimator::Backend {
+/// kResidual: the paper's Section 3.4.3 reduction — full snapshots in
+/// CSR form, one BFS per candidate on each residual live-edge graph, and
+/// Update deletes what the seed reaches. The BFS never looks at the
+/// model: IC and LT differ only in the sampler that draws the live edges.
+class ResidualBackend : public SnapshotEstimator::Backend {
  public:
-  FullSnapshotBackend(const ModelInstance& instance, std::uint64_t tau,
-                      std::uint64_t seed, SnapshotEstimator::Mode mode,
-                      const SamplingOptions& sampling,
-                      TraversalCounters* counters)
+  ResidualBackend(const ModelInstance& instance, std::uint64_t tau,
+                  std::uint64_t seed, const SamplingOptions& sampling,
+                  TraversalCounters* counters)
       : instance_(instance),
         n_(instance.ig->num_vertices()),
         tau_(tau),
         seed_(seed),
-        mode_(mode),
         sampling_(sampling),
-        sampler_(instance.ig),
         counters_(counters),
         visited_(n_) {
     queue_.reserve(n_);
@@ -82,51 +79,25 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
         snapshots_.push_back(std::move(snap));
       }
     }
-    if (mode_ == SnapshotEstimator::Mode::kNaive) {
-      base_reach_.assign(tau_, 0);  // r_i(∅) = 0
-    } else {
-      removed_.assign(tau_ * static_cast<std::uint64_t>(n_), 0);
-    }
+    removed_.assign(tau_ * static_cast<std::uint64_t>(n_), 0);
   }
 
   std::uint64_t EstimateTotal(VertexId v) override {
     std::uint64_t total = 0;
-    if (mode_ == SnapshotEstimator::Mode::kNaive) {
-      scratch_.assign(seeds_.begin(), seeds_.end());
-      scratch_.push_back(v);
-      for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-        total += sampler_.CountReachable(snapshots_[i], scratch_,
-                                         counters_) -
-                 base_reach_[i];
-      }
-    } else {
-      const VertexId source[1] = {v};
-      for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-        total += ResidualReach(i, source, /*mark_removed=*/false);
-      }
+    for (std::size_t i = 0; i < snapshots_.size(); ++i) {
+      total += ResidualReach(i, v, /*mark_removed=*/false);
     }
     return total;
   }
 
   void Update(VertexId v) override {
-    seeds_.push_back(v);
-    if (mode_ == SnapshotEstimator::Mode::kNaive) {
-      for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-        base_reach_[i] = static_cast<std::uint32_t>(
-            sampler_.CountReachable(snapshots_[i], seeds_, counters_));
-      }
-    } else {
-      const VertexId source[1] = {v};
-      for (std::size_t i = 0; i < snapshots_.size(); ++i) {
-        ResidualReach(i, source, /*mark_removed=*/true);
-      }
+    for (std::size_t i = 0; i < snapshots_.size(); ++i) {
+      ResidualReach(i, v, /*mark_removed=*/true);
     }
   }
 
   std::uint64_t MemoryBytes() const override {
-    std::uint64_t bytes = VecBytes(base_reach_) + VecBytes(removed_) +
-                          VecBytes(seeds_) + VecBytes(queue_) +
-                          VecBytes(scratch_) +
+    std::uint64_t bytes = VecBytes(removed_) + VecBytes(queue_) +
                           static_cast<std::uint64_t>(visited_.size()) * 4;
     for (const Snapshot& snap : snapshots_) {
       bytes += VecBytes(snap.out_offsets) + VecBytes(snap.out_targets);
@@ -135,21 +106,16 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
   }
 
  private:
-  /// Reachable-count from `sources` in snapshot i, skipping vertices
-  /// already removed from the residual graph (residual mode only; in
-  /// naive mode nothing is ever removed).
-  std::uint32_t ResidualReach(std::size_t i,
-                              std::span<const VertexId> sources,
-                              bool mark_removed) {
+  /// Reachable-count from `v` in snapshot i, skipping vertices already
+  /// removed from the residual graph; `mark_removed` removes them.
+  std::uint32_t ResidualReach(std::size_t i, VertexId v, bool mark_removed) {
     const Snapshot& snap = snapshots_[i];
-    const std::uint8_t* removed =
+    std::uint8_t* removed =
         removed_.data() + i * static_cast<std::uint64_t>(n_);
+    if (removed[v]) return 0;
     visited_.NextEpoch();
-    queue_.clear();
-    for (VertexId s : sources) {
-      if (removed[s]) continue;
-      if (visited_.Mark(s)) queue_.push_back(s);
-    }
+    visited_.Mark(v);
+    queue_.assign(1, v);
     std::size_t head = 0;
     while (head < queue_.size()) {
       VertexId u = queue_[head++];
@@ -165,9 +131,7 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
       }
     }
     if (mark_removed) {
-      auto* removed_mut =
-          removed_.data() + i * static_cast<std::uint64_t>(n_);
-      for (VertexId u : queue_) removed_mut[u] = 1;
+      for (VertexId u : queue_) removed[u] = 1;
     }
     return static_cast<std::uint32_t>(queue_.size());
   }
@@ -176,19 +140,13 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
   VertexId n_;
   std::uint64_t tau_;
   std::uint64_t seed_;
-  SnapshotEstimator::Mode mode_;
   SamplingOptions sampling_;
-  SnapshotSampler sampler_;  // its model-agnostic reachability BFS only
   TraversalCounters* counters_;
   std::vector<Snapshot> snapshots_;
-  /// Naive mode: r_i(S) for the current seed set S.
-  std::vector<std::uint32_t> base_reach_;
-  std::vector<VertexId> seeds_;
-  /// Residual mode: removed_[i * n + v] = 1 when v was deleted from H_i.
+  /// removed_[i * n + v] = 1 when v was deleted from H_i.
   std::vector<std::uint8_t> removed_;
   VisitedMarker visited_;
   std::vector<VertexId> queue_;
-  std::vector<VertexId> scratch_;
 };
 
 /// kCondensed: SCC DAGs with incrementally maintained marginal gains.
@@ -720,10 +678,10 @@ void SnapshotEstimator::Build() {
   built_ = true;
   // Scratch and residual state are owned (and sized) by the mode's
   // backend: the condensed backend keeps component-granular state only
-  // and never allocates the O(n)-per-snapshot arrays of the full modes.
-  if (mode_ != Mode::kCondensed) {
-    backend_ = std::make_unique<FullSnapshotBackend>(
-        instance_, tau_, seed_, mode_, sampling_, &counters_);
+  // and never allocates the residual backend's O(n)-per-snapshot arrays.
+  if (mode_ == Mode::kResidual) {
+    backend_ = std::make_unique<ResidualBackend>(instance_, tau_, seed_,
+                                                 sampling_, &counters_);
     backend_->Build();
     return;
   }
@@ -783,8 +741,6 @@ std::uint64_t SnapshotEstimator::MemoryBytes() const {
 
 std::string SnapshotModeName(SnapshotEstimator::Mode mode) {
   switch (mode) {
-    case SnapshotEstimator::Mode::kNaive:
-      return "naive";
     case SnapshotEstimator::Mode::kResidual:
       return "residual";
     case SnapshotEstimator::Mode::kCondensed:
@@ -798,12 +754,11 @@ StatusOr<SnapshotEstimator::Mode> ParseSnapshotMode(
   std::string lower = name;
   std::transform(lower.begin(), lower.end(), lower.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  if (lower == "naive") return SnapshotEstimator::Mode::kNaive;
   if (lower == "residual") return SnapshotEstimator::Mode::kResidual;
   if (lower == "condensed") return SnapshotEstimator::Mode::kCondensed;
   return Status::InvalidArgument(
       "unknown snapshot mode: '" + name +
-      "' (expected naive, residual, or condensed)");
+      "' (expected residual or condensed)");
 }
 
 }  // namespace soldist

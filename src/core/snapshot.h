@@ -5,16 +5,17 @@
 // with its probability; LT: at most one live in-edge per vertex); every
 // backend below serves both models.
 //
-// Three reachability backends with *identical* seed sets and estimates:
-//  * kNaive     — BFS from S ∪ {v} on the full snapshot each call
-//                 (Algorithm 3.3 verbatim);
-//  * kResidual  — the graph-reduction technique of Section 3.4.3
-//                 (Kimura et al. / PMC): Update(v) deletes the vertices
-//                 reachable from v, so marginals are plain reachability on
-//                 the shrinking residual graphs; r_G(S+v) − r_G(S) = r_H(v).
-//  * kCondensed — each snapshot is collapsed once at Build to its SCC DAG
-//                 (sim/condensed_snapshot.h; condensation preserves
-//                 reachability exactly), and greedy rounds run
+// Two reachability backends with *identical* seed sets and estimates:
+//  * kResidual  — the reference: the graph-reduction technique of
+//                 Section 3.4.3 (Kimura et al. / PMC) on full snapshots
+//                 in CSR form. Update(v) deletes the vertices reachable
+//                 from v, so marginals are plain reachability on the
+//                 shrinking residual graphs; r_G(S+v) − r_G(S) = r_H(v).
+//                 Its vertex and edge counters are the cost model of the
+//                 paper's Tables 8 and 9.
+//  * kCondensed — the default: each snapshot is collapsed once at Build
+//                 to its SCC DAG (sim/condensed_snapshot.h; condensation
+//                 preserves reachability exactly), and greedy rounds run
 //                 component-granular on the residual DAG with
 //                 incrementally maintained marginal gains: Update marks
 //                 the seed's reachable components removed and marks
@@ -38,14 +39,17 @@
 //                 is flagged for a full scan), then reads every score
 //                 from the running totals: it costs the walks it
 //                 counts plus O(n), and seeds, estimates and counters
-//                 are byte-identical at every width.
+//                 are byte-identical at every width. Its traversal
+//                 counters count DAG components and arcs, not vertices
+//                 and edges.
 //
-// Because all three backends consume the SAME engine-chunked sampler
+// Because both backends consume the SAME engine-chunked sampler
 // streams, the choice of backend — like the worker count — can never
 // change the experiment, only its cost. ctest
 // (snapshot_condensed_test, lt_sampling_engine_test) asserts
 // byte-identical RunGreedy and RunCelfGreedy outputs across backends and
-// thread counts.
+// thread counts; estimators_test holds both backends to Algorithm 3.3
+// verbatim (BFS from S ∪ {v} on every raw snapshot).
 //
 // Condensed worlds always come from a SnapshotArena (sim/snapshot_arena.h),
 // the one sampler of condensed worlds and their warmth. A fresh condensed
@@ -76,7 +80,7 @@ class SnapshotArena;
 /// \brief The Snapshot estimator.
 class SnapshotEstimator : public InfluenceEstimator {
  public:
-  enum class Mode { kNaive, kResidual, kCondensed };
+  enum class Mode { kResidual, kCondensed };
 
   /// Fresh build: Build samples τ live-edge graphs of `instance`'s model
   /// (LT requires lt_weights). \param tau number of snapshots (>= 1)
@@ -85,7 +89,7 @@ class SnapshotEstimator : public InfluenceEstimator {
   /// width kept for the estimator's lifetime) runs them on world tiles. A
   /// build always runs to completion: sampling.cancel must be null.
   SnapshotEstimator(const ModelInstance& instance, std::uint64_t tau,
-                    std::uint64_t seed, Mode mode = Mode::kResidual,
+                    std::uint64_t seed, Mode mode = Mode::kCondensed,
                     const SamplingOptions& sampling = {});
 
   /// Borrowing build, always kCondensed: serves the first τ worlds of
@@ -111,8 +115,8 @@ class SnapshotEstimator : public InfluenceEstimator {
   /// estimator's SamplingOptions (the build's pool; inline without a
   /// pool, on a pool worker, or for a borrowing build), then one read of
   /// each candidate's running total. Values and counters equal the
-  /// per-vertex loop's at every width. kNaive/kResidual: the per-vertex
-  /// loop itself.
+  /// per-vertex loop's at every width. kResidual: the per-vertex loop
+  /// itself.
   void EstimateAll(std::span<const VertexId> candidates,
                    std::span<double> out) override;
 
@@ -162,7 +166,7 @@ class SnapshotEstimator : public InfluenceEstimator {
   bool built_ = false;
 };
 
-/// Canonical display name: "naive" / "residual" / "condensed".
+/// Canonical display name: "residual" / "condensed".
 std::string SnapshotModeName(SnapshotEstimator::Mode mode);
 
 /// Inverse of SnapshotModeName, case-insensitive; flag parsing for

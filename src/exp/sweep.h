@@ -20,7 +20,7 @@ struct SweepConfig {
   std::uint64_t master_seed = 1;
   int min_exponent = 0;  ///< first sample number 2^min_exponent
   int max_exponent = 8;  ///< last sample number 2^max_exponent
-  SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
+  SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kCondensed;
   /// Sample-level parallelism, forwarded to every cell's TrialConfig.
   SamplingOptions sampling;
   /// Ladder policy (exp/trial_runner.h) for RIS and Snapshot sweeps,
@@ -28,8 +28,8 @@ struct SweepConfig {
   /// of a trial as a prefix of one per-trial arena (RrArena for RIS,
   /// SnapshotArena for condensed-mode Snapshot, under either model),
   /// kOff samples every cell afresh (byte-identical to kOn). The
-  /// naive/residual Snapshot modes have no arena, so kOn runs kOff
-  /// mechanics there. Oneshot samples nothing up front, so it ignores
+  /// residual Snapshot mode has no arena, so kOn runs kOff mechanics
+  /// there. Oneshot samples nothing up front, so it ignores
   /// the policy and runs independent per-cell trials.
   SweepReuse reuse = SweepReuse::kOn;
 };

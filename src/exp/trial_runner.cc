@@ -11,23 +11,21 @@
 #include "util/timer.h"
 
 namespace soldist {
+namespace {
 
-TrialResult RunTrials(const ModelInstance& instance,
-                      const TrialConfig& config, ThreadPool* pool) {
-  SOLDIST_CHECK(instance.ig != nullptr);
-  SOLDIST_CHECK(config.trials >= 1);
-  TrialResult result;
-  result.seed_sets.resize(config.trials);
-  std::vector<TraversalCounters> counters(config.trials);
-
-  // One shared pool serves both parallelism levels, never simultaneously:
-  // sample-level parallelism runs the trials sequentially and hands the
-  // pool to each trial's SamplingEngine; otherwise the trials themselves
-  // fan out across the pool and each trial samples inline. With no pool
-  // at all, one is created here for the whole call — never a private
-  // pool per trial.
-  const bool sample_parallel = config.sampling.SampleParallel();
-  SamplingOptions sampling = config.sampling;
+/// Calls run_trial(t, sampling) for every trial t < `trials`. One shared
+/// pool serves both parallelism levels, never simultaneously:
+/// sample-level parallelism (`config_sampling.SampleParallel()`) runs the
+/// trials in order and hands `pool` to each trial's SamplingEngine
+/// through `sampling`; otherwise the trials themselves fan out across
+/// `pool` and each trial samples inline. With no pool at all, one is
+/// created here for the whole call — never a private pool per trial.
+template <typename RunTrial>
+void ForEachTrial(const SamplingOptions& config_sampling,
+                  std::uint64_t trials, ThreadPool* pool,
+                  const RunTrial& run_trial) {
+  const bool sample_parallel = config_sampling.SampleParallel();
+  SamplingOptions sampling = config_sampling;
   std::unique_ptr<ThreadPool> owned_pool;
   if (sample_parallel && sampling.pool == nullptr) {
     if (pool == nullptr) {
@@ -37,9 +35,26 @@ TrialResult RunTrials(const ModelInstance& instance,
     }
     sampling.pool = pool;
   }
+  auto run_one = [&](std::uint64_t t) { run_trial(t, sampling); };
+  if (!sample_parallel && pool != nullptr && pool->num_threads() > 1 &&
+      trials > 1) {
+    ParallelFor(pool, trials, run_one);
+  } else {
+    for (std::uint64_t t = 0; t < trials; ++t) run_one(t);
+  }
+}
 
+}  // namespace
+
+TrialResult RunTrials(const ModelInstance& instance,
+                      const TrialConfig& config, ThreadPool* pool) {
+  SOLDIST_CHECK(instance.ig != nullptr);
+  SOLDIST_CHECK(config.trials >= 1);
+  TrialResult result;
+  result.seed_sets.resize(config.trials);
+  std::vector<TraversalCounters> counters(config.trials);
   std::vector<double> seconds(config.trials, 0.0);
-  auto run_one = [&](std::uint64_t t) {
+  auto run_trial = [&](std::uint64_t t, const SamplingOptions& sampling) {
     // Two independent streams per trial: the estimator's randomness and
     // the greedy tie-breaking shuffle (paper Section 4.1: fresh PRNG
     // state per run).
@@ -59,13 +74,7 @@ TrialResult RunTrials(const ModelInstance& instance,
     counters[t] = estimator->counters();
     seconds[t] = timer.Seconds();
   };
-
-  if (!sample_parallel && pool != nullptr && pool->num_threads() > 1 &&
-      config.trials > 1) {
-    ParallelFor(pool, config.trials, run_one);
-  } else {
-    for (std::uint64_t t = 0; t < config.trials; ++t) run_one(t);
-  }
+  ForEachTrial(config.sampling, config.trials, pool, run_trial);
 
   for (std::uint64_t t = 0; t < config.trials; ++t) {
     result.distribution.Add(result.seed_sets[t]);
@@ -121,19 +130,6 @@ std::vector<TrialResult> RunTrialLadder(const ModelInstance& instance,
   const std::size_t num_cells = config.sample_numbers.size();
   const std::uint64_t capacity = config.sample_numbers.back();
 
-  // Same one-pool / one-parallelism-level rule as RunTrials.
-  const bool sample_parallel = config.sampling.SampleParallel();
-  SamplingOptions sampling = config.sampling;
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (sample_parallel && sampling.pool == nullptr) {
-    if (pool == nullptr) {
-      owned_pool = std::make_unique<ThreadPool>(
-          static_cast<std::size_t>(sampling.num_threads));
-      pool = owned_pool.get();
-    }
-    sampling.pool = pool;
-  }
-
   std::vector<TrialResult> results(num_cells);
   // [cell][trial] scratch, aggregated once all trials are in.
   std::vector<std::vector<std::vector<VertexId>>> seed_sets(num_cells);
@@ -146,7 +142,7 @@ std::vector<TrialResult> RunTrialLadder(const ModelInstance& instance,
   }
 
   std::vector<double> arena_seconds(config.trials, 0.0);
-  auto run_trial = [&](std::uint64_t t) {
+  auto run_trial = [&](std::uint64_t t, const SamplingOptions& sampling) {
     const std::uint64_t trial_master = DeriveSeed(config.master_seed, t);
     const std::uint64_t sample_seed = DeriveSeed(trial_master, 0);
     const std::uint64_t shuffle_master = DeriveSeed(trial_master, 1);
@@ -193,13 +189,7 @@ std::vector<TrialResult> RunTrialLadder(const ModelInstance& instance,
     // cell figures are pure serving cost, the one-off build is reported
     // separately through arena_seconds_out.
   };
-
-  if (!sample_parallel && pool != nullptr && pool->num_threads() > 1 &&
-      config.trials > 1) {
-    ParallelFor(pool, config.trials, run_trial);
-  } else {
-    for (std::uint64_t t = 0; t < config.trials; ++t) run_trial(t);
-  }
+  ForEachTrial(config.sampling, config.trials, pool, run_trial);
 
   for (std::size_t l = 0; l < num_cells; ++l) {
     TrialResult& cell = results[l];

@@ -31,7 +31,7 @@ struct TrialConfig {
   std::uint64_t trials = 1;
   /// Master seed; trial t uses streams derived from (master_seed, t).
   std::uint64_t master_seed = 1;
-  SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
+  SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kCondensed;
   /// Sample-level parallelism for each trial's estimator. The default
   /// (one inline worker) lets RunTrials parallelize at the *trial* level
   /// instead; when SampleParallel(), trials run sequentially and the
@@ -116,14 +116,14 @@ struct TrialLadderConfig {
   int k = 1;
   std::uint64_t trials = 1;
   std::uint64_t master_seed = 1;
-  SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kResidual;
+  SnapshotEstimator::Mode snapshot_mode = SnapshotEstimator::Mode::kCondensed;
   SamplingOptions sampling;
   /// Serve cells from a per-trial arena (kOn mechanics) where one
   /// exists, under either diffusion model: an RrArena for kRis, a
   /// SnapshotArena for kSnapshot in Mode::kCondensed (the arena stores
   /// condensed worlds with precomputed warmth, which only the condensed
-  /// backend consumes). Oneshot and the other Snapshot modes have no
-  /// arena and run kOff mechanics either way. false = kOff mechanics
+  /// backend consumes). Oneshot and residual-mode Snapshot have no arena
+  /// and run kOff mechanics either way. false = kOff mechanics
   /// (same trial-major streams, fresh per-cell sampling).
   bool reuse = true;
   /// Optional observability: when non-null and an arena is used, trial 0

@@ -240,7 +240,6 @@ class WorldScratch {
     stamp_[c] = gen_;
     return true;
   }
-  bool Visited(std::uint32_t c) const { return stamp_[c] == gen_; }
 
   std::vector<std::uint32_t> stamp_;
   std::uint32_t gen_ = 0;

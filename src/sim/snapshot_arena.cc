@@ -157,7 +157,7 @@ std::vector<WorldRun> SampleWorldsWith(const Source* source,
     Slot& slot = *slots[s];
     // Stream 1 of the chunk seed: byte-identical live-edge graphs to the
     // raw snapshot shards, so kCondensed condenses exactly the snapshots
-    // kNaive and kResidual walk. A piece enters it at its first world by
+    // kResidual walks. A piece enters it at its first world by
     // skipping the words the chunk's earlier worlds draw, one world at a
     // time so that a cancel still lands during the skip.
     Rng rng(DeriveSeed(DeriveSeed(master_seed, task.chunk), 1));

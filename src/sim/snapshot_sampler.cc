@@ -62,13 +62,6 @@ std::uint32_t SnapshotSampler::CountReachable(const Snapshot& snapshot,
   return static_cast<std::uint32_t>(queue_.size());
 }
 
-std::vector<VertexId> SnapshotSampler::ReachableSet(
-    const Snapshot& snapshot, std::span<const VertexId> seeds,
-    TraversalCounters* counters) {
-  CountReachable(snapshot, seeds, counters);
-  return queue_;
-}
-
 std::vector<SnapshotShard> SampleSnapshotShards(const InfluenceGraph& ig,
                                                 std::uint64_t master_seed,
                                                 std::uint64_t count,

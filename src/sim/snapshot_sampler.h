@@ -58,11 +58,6 @@ class SnapshotSampler {
                                std::span<const VertexId> seeds,
                                TraversalCounters* counters);
 
-  /// Like CountReachable but returns the reached set (visit order).
-  std::vector<VertexId> ReachableSet(const Snapshot& snapshot,
-                                     std::span<const VertexId> seeds,
-                                     TraversalCounters* counters);
-
  private:
   const InfluenceGraph* ig_;
   VisitedMarker visited_;

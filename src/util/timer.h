@@ -21,8 +21,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double Millis() const { return Seconds() * 1e3; }
-
   /// "1.23s" / "45ms" style human-readable elapsed time.
   std::string HumanElapsed() const;
 

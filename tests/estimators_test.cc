@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "core/oneshot.h"
 #include "core/ris.h"
 #include "core/snapshot.h"
 #include "exp/trial_runner.h"
 #include "gen/datasets.h"
 #include "graph/builder.h"
+#include "model/lt.h"
 #include "model/probability.h"
 #include "oracle/exact_oracle.h"
+#include "sim/lt_samplers.h"
 
 namespace soldist {
 namespace {
@@ -28,6 +33,11 @@ InfluenceGraph Diamond(double p) {
 InfluenceGraph KarateUc01() {
   Graph g = GraphBuilder::FromEdgeList(Datasets::Karate());
   return MakeInfluenceGraph(std::move(g), ProbabilityModel::kUc01);
+}
+
+InfluenceGraph KarateIwc() {
+  Graph g = GraphBuilder::FromEdgeList(Datasets::Karate());
+  return MakeInfluenceGraph(std::move(g), ProbabilityModel::kIwc);
 }
 
 TEST(OneshotEstimatorTest, UnbiasedAgainstExactInfluence) {
@@ -63,41 +73,92 @@ TEST(OneshotEstimatorTest, PropertiesAndCounters) {
   EXPECT_EQ(estimator.counters().sample_edges, 0u);
 }
 
-TEST(SnapshotEstimatorTest, NaiveAndResidualAgreeExactly) {
-  // Same seed -> identical snapshots -> the two strategies must return
-  // bit-identical estimates through a whole greedy-like sequence
-  // (Section 3.4.3: the reduction does not disturb estimates).
-  InfluenceGraph ig = KarateUc01();
-  SnapshotEstimator naive(ModelInstance::Ic(&ig), 16, /*seed=*/7,
-                          SnapshotEstimator::Mode::kNaive);
-  SnapshotEstimator residual(ModelInstance::Ic(&ig), 16, /*seed=*/7,
-                             SnapshotEstimator::Mode::kResidual);
-  naive.Build();
-  residual.Build();
-  for (int round = 0; round < 3; ++round) {
-    for (VertexId v = 0; v < ig.num_vertices(); ++v) {
-      ASSERT_DOUBLE_EQ(naive.Estimate(v), residual.Estimate(v))
+/// Every SnapshotEstimatorTest case runs on both backends.
+class SnapshotEstimatorTest
+    : public ::testing::TestWithParam<SnapshotEstimator::Mode> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SnapshotEstimatorTest,
+    ::testing::Values(SnapshotEstimator::Mode::kResidual,
+                      SnapshotEstimator::Mode::kCondensed),
+    [](const ::testing::TestParamInfo<SnapshotEstimator::Mode>& info) {
+      return SnapshotModeName(info.param);
+    });
+
+/// Algorithm 3.3 verbatim on the τ raw snapshots every Snapshot build
+/// draws: (1/τ) Σ_i [r_i(S ∪ {v}) − r_i(S)], by BFS from the seed set on
+/// each full snapshot. The backend must return exactly this for every
+/// vertex, from a batched EstimateAll round and from Estimate, before
+/// and after each of three Updates (Section 3.4.3: the reduction does
+/// not disturb estimates).
+void ExpectEstimatesEqualReference(const ModelInstance& instance,
+                                   SnapshotEstimator::Mode mode) {
+  constexpr std::uint64_t kTau = 16;
+  constexpr std::uint64_t kSeed = 7;
+  SamplingEngine engine;
+  std::vector<Snapshot> snapshots;
+  for (SnapshotShard& shard :
+       SampleSnapshotShardsFor(instance, kSeed, kTau, &engine)) {
+    for (Snapshot& snap : shard.snapshots) {
+      snapshots.push_back(std::move(snap));
+    }
+  }
+  ASSERT_EQ(snapshots.size(), kTau);
+  SnapshotSampler bfs(instance.ig);
+  TraversalCounters unused;
+  SnapshotEstimator estimator(instance, kTau, kSeed, mode);
+  estimator.Build();
+  const VertexId n = instance.ig->num_vertices();
+  std::vector<VertexId> candidates(n);
+  std::iota(candidates.begin(), candidates.end(), VertexId{0});
+  std::vector<double> batch(n);
+  std::vector<VertexId> seeds;
+  for (int round = 0; round <= 3; ++round) {
+    estimator.EstimateAll(candidates, batch);
+    for (VertexId v = 0; v < n; ++v) {
+      std::vector<VertexId> with_v = seeds;
+      with_v.push_back(v);
+      std::uint64_t total = 0;
+      for (const Snapshot& snap : snapshots) {
+        total += bfs.CountReachable(snap, with_v, &unused) -
+                 bfs.CountReachable(snap, seeds, &unused);
+      }
+      const double expected =
+          static_cast<double>(total) / static_cast<double>(kTau);
+      ASSERT_EQ(batch[v], expected) << "round " << round << " vertex " << v;
+      ASSERT_EQ(estimator.Estimate(v), expected)
           << "round " << round << " vertex " << v;
     }
-    VertexId next = static_cast<VertexId>(round * 7 + 1);
-    naive.Update(next);
-    residual.Update(next);
+    if (round == 3) break;
+    const VertexId next = static_cast<VertexId>(round * 7 + 1);
+    estimator.Update(next);
+    seeds.push_back(next);
   }
 }
 
-TEST(SnapshotEstimatorTest, UnbiasedAgainstExactInfluence) {
+TEST_P(SnapshotEstimatorTest, EstimatesEqualFullSnapshotReference) {
+  InfluenceGraph ic = KarateUc01();
+  ExpectEstimatesEqualReference(ModelInstance::Ic(&ic), GetParam());
+  InfluenceGraph lt_graph = KarateIwc();
+  LtWeights weights(&lt_graph);
+  ExpectEstimatesEqualReference(ModelInstance::Lt(&weights), GetParam());
+}
+
+TEST_P(SnapshotEstimatorTest, UnbiasedAgainstExactInfluence) {
   InfluenceGraph ig = Diamond(0.5);
   double exact = ExactInfluence(ig, std::vector<VertexId>{0});
-  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 200000, /*seed=*/8);
+  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 200000, /*seed=*/8,
+                              GetParam());
   estimator.Build();
   EXPECT_NEAR(estimator.Estimate(0), exact, 0.02);
 }
 
-TEST(SnapshotEstimatorTest, MarginalsShrinkAfterUpdate) {
+TEST_P(SnapshotEstimatorTest, MarginalsShrinkAfterUpdate) {
   // Submodularity of the snapshot estimator (Section 3.4.1): marginals
   // w.r.t. a larger seed set never grow.
   InfluenceGraph ig = KarateUc01();
-  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 64, /*seed=*/9);
+  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 64, /*seed=*/9,
+                              GetParam());
   estimator.Build();
   std::vector<double> before(ig.num_vertices());
   for (VertexId v = 0; v < ig.num_vertices(); ++v) {
@@ -109,9 +170,10 @@ TEST(SnapshotEstimatorTest, MarginalsShrinkAfterUpdate) {
   }
 }
 
-TEST(SnapshotEstimatorTest, MarginalOfSelectedSeedIsZero) {
+TEST_P(SnapshotEstimatorTest, MarginalOfSelectedSeedIsZero) {
   InfluenceGraph ig = Diamond(1.0);
-  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 4, /*seed=*/10);
+  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 4, /*seed=*/10,
+                              GetParam());
   estimator.Build();
   estimator.Update(0);
   // Everything is reachable from 0 at p=1: all marginals vanish.
@@ -120,9 +182,10 @@ TEST(SnapshotEstimatorTest, MarginalOfSelectedSeedIsZero) {
   }
 }
 
-TEST(SnapshotEstimatorTest, SampleSizeIsLiveEdges) {
+TEST_P(SnapshotEstimatorTest, SampleSizeIsLiveEdges) {
   InfluenceGraph ig = Diamond(1.0);
-  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 5, /*seed=*/11);
+  SnapshotEstimator estimator(ModelInstance::Ic(&ig), 5, /*seed=*/11,
+                              GetParam());
   estimator.Build();
   // p=1: every snapshot stores all 4 edges.
   EXPECT_EQ(estimator.counters().sample_edges, 20u);

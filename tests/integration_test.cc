@@ -142,9 +142,12 @@ TEST_F(KarateIntegrationTest, ApproachDistributionsConvergeTogether) {
 TEST_F(KarateIntegrationTest, TraversalCostRatiosFollowTable1) {
   // Vertex-cost ratio Oneshot : Snapshot ≈ 1 : 1 and RIS ≈ 1/n of either
   // (paper Table 1 / Section 5.3.2), measured at k=1 and sample number 1.
+  // The residual backend is the paper's cost model: it counts vertices,
+  // where the condensed default counts DAG components.
   auto run = [&](Approach approach) {
     TrialConfig config;
     config.approach = approach;
+    config.snapshot_mode = SnapshotEstimator::Mode::kResidual;
     config.sample_number = 1;
     config.k = 1;
     config.trials = 400;

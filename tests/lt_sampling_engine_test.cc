@@ -167,7 +167,7 @@ TEST(LtSamplingEngineTest, EstimatorsIdenticalAcrossThreadCounts) {
   InfluenceGraph ig = KarateIwc();
   LtWeights weights(&ig);
   const SnapshotEstimator::Mode kModes[] = {
-      SnapshotEstimator::Mode::kNaive, SnapshotEstimator::Mode::kResidual,
+      SnapshotEstimator::Mode::kResidual,
       SnapshotEstimator::Mode::kCondensed};
   for (Approach approach :
        {Approach::kOneshot, Approach::kSnapshot, Approach::kRis}) {
@@ -193,9 +193,9 @@ TEST(LtSamplingEngineTest, EstimatorsIdenticalAcrossThreadCounts) {
     }
     for (std::size_t m = 1; m < per_mode.size(); ++m) {
       EXPECT_EQ(per_mode[m].run.seeds, per_mode[0].run.seeds)
-          << SnapshotModeName(kModes[m]) << " vs naive";
+          << SnapshotModeName(kModes[m]) << " vs residual";
       EXPECT_EQ(per_mode[m].run.estimates, per_mode[0].run.estimates)
-          << SnapshotModeName(kModes[m]) << " vs naive";
+          << SnapshotModeName(kModes[m]) << " vs residual";
     }
   }
 }

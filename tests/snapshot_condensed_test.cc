@@ -1,7 +1,7 @@
 // The condensed Snapshot backend's contract: SCC condensation preserves
 // reachability EXACTLY, and the backends share sampler streams, so
 // Mode::kCondensed must be a pure speed change — byte-identical seed
-// sets and estimates to kNaive/kResidual under every driver and every
+// sets and estimates to kResidual under every driver and every
 // sampling width. Its world-tiled greedy rounds (EstimateAll), over all
 // candidates or a subset, must equal the per-vertex Estimate loop in
 // value and in counters, however the two paths interleave.
@@ -162,7 +162,7 @@ ModeRun RunBothDrivers(const InfluenceGraph& ig, SnapshotEstimator::Mode mode,
   return out;
 }
 
-/// Byte-identical seeds AND estimates across all three backends, for the
+/// Byte-identical seeds AND estimates across both backends, for the
 /// plain greedy driver and the CELF driver, at sampling widths 1 (the
 /// default inline engine), 2, and 4 — and across those widths too. The
 /// condensed backend's counters must also agree across widths: its
@@ -185,27 +185,20 @@ void CheckBackendParity(const InfluenceGraph& ig, std::uint64_t tau,
         << "st=" << sample_threads;
     EXPECT_EQ(residual.celf.estimates, width1.celf.estimates)
         << "st=" << sample_threads;
-    for (SnapshotEstimator::Mode mode :
-         {SnapshotEstimator::Mode::kNaive,
-          SnapshotEstimator::Mode::kCondensed}) {
-      ModeRun other = RunBothDrivers(ig, mode, tau, seed, k, sampling);
-      EXPECT_EQ(other.greedy.seeds, residual.greedy.seeds)
-          << SnapshotModeName(mode) << " st=" << sample_threads;
-      EXPECT_EQ(other.greedy.estimates, residual.greedy.estimates)
-          << SnapshotModeName(mode) << " st=" << sample_threads;
-      EXPECT_EQ(other.celf.seeds, residual.celf.seeds)
-          << SnapshotModeName(mode) << " st=" << sample_threads;
-      EXPECT_EQ(other.celf.estimates, residual.celf.estimates)
-          << SnapshotModeName(mode) << " st=" << sample_threads;
-      if (mode != SnapshotEstimator::Mode::kCondensed) continue;
-      if (sample_threads == 1) condensed_width1 = other;
-      const std::string label = "condensed st=" +
-                                std::to_string(sample_threads);
-      ExpectCountersEq(other.greedy_counters,
-                       condensed_width1.greedy_counters, label + " greedy");
-      ExpectCountersEq(other.celf_counters, condensed_width1.celf_counters,
-                       label + " celf");
-    }
+    const std::string label = "condensed st=" +
+                              std::to_string(sample_threads);
+    ModeRun condensed = RunBothDrivers(
+        ig, SnapshotEstimator::Mode::kCondensed, tau, seed, k, sampling);
+    EXPECT_EQ(condensed.greedy.seeds, residual.greedy.seeds) << label;
+    EXPECT_EQ(condensed.greedy.estimates, residual.greedy.estimates)
+        << label;
+    EXPECT_EQ(condensed.celf.seeds, residual.celf.seeds) << label;
+    EXPECT_EQ(condensed.celf.estimates, residual.celf.estimates) << label;
+    if (sample_threads == 1) condensed_width1 = condensed;
+    ExpectCountersEq(condensed.greedy_counters,
+                     condensed_width1.greedy_counters, label + " greedy");
+    ExpectCountersEq(condensed.celf_counters, condensed_width1.celf_counters,
+                     label + " celf");
   }
 }
 
@@ -470,11 +463,12 @@ TEST(SnapshotModeTest, ParseAndName) {
             "condensed");
   EXPECT_EQ(ParseSnapshotMode("Condensed").value(),
             SnapshotEstimator::Mode::kCondensed);
-  EXPECT_EQ(ParseSnapshotMode("naive").value(),
-            SnapshotEstimator::Mode::kNaive);
   EXPECT_EQ(ParseSnapshotMode("RESIDUAL").value(),
             SnapshotEstimator::Mode::kResidual);
-  EXPECT_FALSE(ParseSnapshotMode("pruned").ok());
+  EXPECT_EQ(ParseSnapshotMode("pruned").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseSnapshotMode("naive").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -92,9 +92,14 @@ TEST(SweepReuseTest, LadderReuseOnEqualsOffLt) {
 }
 
 TEST(SweepReuseTest, LadderDefaultsWithoutAnArenaRunAsReuseOff) {
-  // A ladder left at its defaults (reuse = true, Mode::kResidual) for an
-  // approach with no arena in that configuration runs fresh per-cell
-  // sampling — byte-identical to reuse = false — instead of aborting.
+  // A ladder left at reuse = true for a configuration with no arena
+  // (Oneshot, and Snapshot named to the residual backend) runs fresh
+  // per-cell sampling — byte-identical to reuse = false — instead of
+  // aborting. The default Snapshot backend is the condensed one, which
+  // has an arena.
+  ASSERT_TRUE(TrialLadderConfig{}.reuse);
+  ASSERT_EQ(TrialLadderConfig{}.snapshot_mode,
+            SnapshotEstimator::Mode::kCondensed);
   InfluenceGraph ig = KarateUc01();
   ModelInstance instance = ModelInstance::Ic(&ig);
   for (Approach approach : {Approach::kSnapshot, Approach::kOneshot}) {
@@ -104,8 +109,7 @@ TEST(SweepReuseTest, LadderDefaultsWithoutAnArenaRunAsReuseOff) {
     config.k = 2;
     config.trials = 4;
     config.master_seed = 7;
-    ASSERT_TRUE(config.reuse);
-    ASSERT_EQ(config.snapshot_mode, SnapshotEstimator::Mode::kResidual);
+    config.snapshot_mode = SnapshotEstimator::Mode::kResidual;
     auto defaults = RunTrialLadder(instance, config, nullptr);
     config.reuse = false;
     ExpectResultsEq(defaults, RunTrialLadder(instance, config, nullptr));
